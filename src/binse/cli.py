@@ -7,6 +7,7 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .frontend import istft, stft
 from .params import init_random, load_weights, save_arrays, save_weights
-from .pipeline import enhance
+from .pipeline import enhance, gammatone_bank
 from .profiler import full_report
 
 _ABLATIONS = ("no_gammatone", "no_gafm", "no_drg", "global_drg")
@@ -84,52 +85,53 @@ def cmd_metrics(args) -> int:
     cfg = _load_config(args)
     model = _load_model(args, cfg)
     dataset = Path(args.dataset)
-    meta = dataset / "metadata.jsonl"
-    records = [json.loads(line) for line in open(meta) if line.strip()]
-    out = open(args.report, "w") if args.report else sys.stdout
+    with open(dataset / "metadata.jsonl") as fh:
+        records = [json.loads(line) for line in fh if line.strip()]
+    bank = gammatone_bank(cfg)    # one bank serves every item
     tmp = Path(args.report).parent if args.report else dataset
-    for rec in records:
-        item = rec["item_id"]
-        clean = read_stereo(dataset / f"{item}_clean.wav", cfg.analysis.sample_rate)
-        mix = read_stereo(dataset / f"{item}_mix.wav", cfg.analysis.sample_rate)
-        result = enhance(mix, model, cfg)
-        est = result.wav_out
-        clean_spec = stft(clean, cfg.analysis)
-        est_padded = Waveform(
-            np.pad(est.samples, ((0, 0), (0, clean.n_samples - est.n_samples)))
-            if est.n_samples < clean.n_samples
-            else est.samples[:, : clean.n_samples],
-            est.sample_rate,
-        )
-        est_spec = stft(est_padded, cfg.analysis)
-        row = {
-            "item_id": item,
-            "snr_in": -losses.snr_loss(mix, clean, cfg.snr_clamp_db),
-            "snr_out": -losses.snr_loss(est_padded, clean, cfg.snr_clamp_db),
-            "stoi_surrogate": losses.stoi_surrogate(est_padded, clean),
-            "ild_err": losses.ild_loss(clean_spec, est_spec, cfg.cue_floor_db,
-                                       cfg.masked_cue_loss),
-            "ipd_err": losses.ipd_loss(clean_spec, est_spec, cfg.cue_floor_db,
-                                       cfg.masked_cue_loss),
-            "mbstoi": None,
-            "delta_pesq": None,
-        }
-        row.update(_gate_stats(result.gate))
-        if args.mbstoi_cmd or args.pesq_cmd:
-            est_path = tmp / f"{item}_enhanced.wav"
-            write_wav(est_path, est_padded.samples, cfg.analysis.sample_rate)
-            clean_path = dataset / f"{item}_clean.wav"
-            if args.mbstoi_cmd:
-                row["mbstoi"] = losses.external_score(args.mbstoi_cmd, clean_path, est_path)
-            if args.pesq_cmd:
-                pesq_out = losses.external_score(args.pesq_cmd, clean_path, est_path)
-                pesq_in = losses.external_score(
-                    args.pesq_cmd, clean_path, dataset / f"{item}_mix.wav"
-                )
-                row["delta_pesq"] = pesq_out - pesq_in
-        out.write(json.dumps(row, sort_keys=True) + "\n")
+    report = open(args.report, "w") if args.report else contextlib.nullcontext(sys.stdout)
+    with report as out:
+        for rec in records:
+            item = rec["item_id"]
+            clean = read_stereo(dataset / f"{item}_clean.wav", cfg.analysis.sample_rate)
+            mix = read_stereo(dataset / f"{item}_mix.wav", cfg.analysis.sample_rate)
+            result = enhance(mix, model, cfg, bank=bank)
+            est = result.wav_out
+            clean_spec = stft(clean, cfg.analysis)
+            est_padded = Waveform(
+                np.pad(est.samples, ((0, 0), (0, clean.n_samples - est.n_samples)))
+                if est.n_samples < clean.n_samples
+                else est.samples[:, : clean.n_samples],
+                est.sample_rate,
+            )
+            est_spec = stft(est_padded, cfg.analysis)
+            row = {
+                "item_id": item,
+                "snr_in": -losses.snr_loss(mix, clean, cfg.snr_clamp_db),
+                "snr_out": -losses.snr_loss(est_padded, clean, cfg.snr_clamp_db),
+                "stoi_surrogate": losses.stoi_surrogate(est_padded, clean),
+                "ild_err": losses.ild_loss(clean_spec, est_spec, cfg.cue_floor_db,
+                                           cfg.masked_cue_loss),
+                "ipd_err": losses.ipd_loss(clean_spec, est_spec, cfg.cue_floor_db,
+                                           cfg.masked_cue_loss),
+                "mbstoi": None,
+                "delta_pesq": None,
+            }
+            row.update(_gate_stats(result.gate))
+            if args.mbstoi_cmd or args.pesq_cmd:
+                est_path = tmp / f"{item}_enhanced.wav"
+                write_wav(est_path, est_padded.samples, cfg.analysis.sample_rate)
+                clean_path = dataset / f"{item}_clean.wav"
+                if args.mbstoi_cmd:
+                    row["mbstoi"] = losses.external_score(args.mbstoi_cmd, clean_path, est_path)
+                if args.pesq_cmd:
+                    pesq_out = losses.external_score(args.pesq_cmd, clean_path, est_path)
+                    pesq_in = losses.external_score(
+                        args.pesq_cmd, clean_path, dataset / f"{item}_mix.wav"
+                    )
+                    row["delta_pesq"] = pesq_out - pesq_in
+            out.write(json.dumps(row, sort_keys=True) + "\n")
     if args.report:
-        out.close()
         print(f"wrote {args.report} ({len(records)} records)")
     return 0
 

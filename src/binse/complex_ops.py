@@ -1,9 +1,24 @@
 """Complex-valued neural kernels: linear, layer norm, dropout, depthwise
 separable ("light") convolution blocks, and squeeze-and-excitation.
 
-All functions are pure and operate on complex ndarrays with the channel
-axis at position 1, i.e. (B, C, T) or (B, C, F, T). Parameter containers
-are plain dataclasses of ndarrays, immutable by convention.
+All functions operate on complex ndarrays with the channel axis at
+position 1, i.e. (B, C, T) or (B, C, F, T). Parameter containers are plain
+dataclasses of ndarrays, immutable by convention.
+
+Execution contract. No public function mutates its input. ``clinear``,
+``cln`` and ``cprelu`` take an optional ``out`` array; passing the input
+itself (``cln(y, p, out=y)``) runs them in place, which is how the light-conv
+block uses them. A light-conv block runs over frequency tiles of about
+``_TILE_BYTES`` of input, so its temporaries are tile-sized, not
+utterance-sized: each tile reads its rows plus ``k_f // 2`` halo rows on
+either side (2-D kernels only), and its depthwise sum, pointwise mix, norm,
+PReLU and residual are written straight into one preallocated output. The
+depthwise conv further runs its taps over channel groups of about
+``_DEPTHWISE_GROUP_BYTES``. Tiling changes no elementwise arithmetic; only
+the BLAS product, whose summation order depends on the tile width, may
+differ from the untiled block in the last bits. The kernels keep their
+module-level names and are looked up as module globals on every call, so a
+wrapper bound to one of those names sees every call.
 """
 
 from __future__ import annotations
@@ -13,6 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeMismatch
+
+# Input bytes per light-conv tile. Each temporary of a tile is about this
+# size; smaller tiles measured slower on a 2 MB-L2 Xeon, as per-call costs
+# and narrow BLAS products take over.
+_TILE_BYTES = 4 << 20
+# Output bytes per depthwise channel group, so that a group's output, scratch
+# and input rows stay in a core's L2 while all of its taps are summed.
+_DEPTHWISE_GROUP_BYTES = 512 << 10
 
 
 @dataclass
@@ -57,17 +80,23 @@ def cmul(a, b):
     return a * b
 
 
-def _channels_last_matmul(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply (out, in) matrix along axis 1 of x = (B, in, ...) via BLAS."""
-    b = x.shape[0]
-    rest = x.shape[2:]
-    flat = x.reshape(b, x.shape[1], -1)
-    y = np.matmul(w, flat)
-    return y.reshape(b, w.shape[0], *rest)
+def _fill(x: np.ndarray, out: np.ndarray | None, dtype) -> np.ndarray:
+    """The array a kernel works in: out holding x, or a fresh copy of x."""
+    if out is None:
+        return np.array(x, dtype=dtype)
+    if out is not x:
+        np.copyto(out, x)
+    return out
 
 
-def clinear(x: np.ndarray, p: CLinearParams, axis: int = 1) -> np.ndarray:
-    """Complex affine map y = W x + b along the given feature axis."""
+def clinear(
+    x: np.ndarray, p: CLinearParams, axis: int = 1, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Complex affine map y = W x + b along the given feature axis.
+
+    One BLAS matrix product per batch item. ``out``, if given, receives y;
+    its axes after the feature axis must merge into one without a copy.
+    """
     x = np.asarray(x)
     if x.shape[axis] != p.weight.shape[1]:
         raise ShapeMismatch(
@@ -79,28 +108,52 @@ def clinear(x: np.ndarray, p: CLinearParams, axis: int = 1) -> np.ndarray:
         y = p.weight @ moved + p.bias
         return y
     dtype = np.result_type(moved.dtype, p.weight.dtype)
-    y = _channels_last_matmul(
-        p.weight.astype(dtype, copy=False), moved.astype(dtype, copy=False)
-    )
-    bias = p.bias.reshape((1, -1) + (1,) * (moved.ndim - 2))
-    return np.moveaxis(y + bias, 1, axis)
+    w = p.weight.astype(dtype, copy=False)
+    c_out, c_in = w.shape
+    if out is None:
+        y = np.empty((moved.shape[0], c_out) + moved.shape[2:], dtype)
+        out = np.moveaxis(y, 1, axis)
+    else:
+        y = np.moveaxis(out, axis, 1)
+    for i in range(moved.shape[0]):
+        dst = y[i].reshape(c_out, -1)
+        if not np.may_share_memory(dst, y):
+            raise ValueError("clinear out must merge its trailing axes without a copy")
+        np.matmul(w, moved[i].astype(dtype, copy=False).reshape(c_in, -1), out=dst)
+    y += p.bias.reshape((1, -1) + (1,) * (moved.ndim - 2))
+    return out
 
 
-def cln(x: np.ndarray, p: CLayerNormParams, axis: int = 1) -> np.ndarray:
+def cln(
+    x: np.ndarray, p: CLayerNormParams, axis: int = 1, out: np.ndarray | None = None
+) -> np.ndarray:
     """Complex layer norm over the channel axis.
 
     The complex mean is removed per position and the centered values are
     divided by sqrt(E[|x - mu|^2] + eps) -- a single real scale shared by
     the real and imaginary parts -- before the complex affine (gamma, beta).
+    ``out`` (may be x itself) receives the result; its last axis must have
+    unit stride.
     """
     x = np.asarray(x)
-    mu = np.mean(x, axis=axis, keepdims=True)
-    centered = x - mu
-    var = np.mean(np.abs(centered) ** 2, axis=axis, keepdims=True)
-    normed = centered / np.sqrt(var + p.eps)
-    shape = [1] * x.ndim
+    y = _fill(x, out, np.result_type(x.dtype, p.gamma.dtype, p.beta.dtype, np.complex64))
+    if axis < 0:
+        axis += y.ndim
+    y -= np.mean(y, axis=axis, keepdims=True)
+    scale = np.abs(y)
+    np.square(scale, out=scale)
+    scale = np.mean(scale, axis=axis, keepdims=True)
+    scale += p.eps
+    np.sqrt(scale, out=scale)
+    np.reciprocal(scale, out=scale)
+    # real scale on the interleaved (re, im) floats: one real product each
+    v = y.view(y.real.dtype)
+    v *= scale if axis == y.ndim - 1 else np.repeat(scale, 2, axis=-1)
+    shape = [1] * y.ndim
     shape[axis] = -1
-    return normed * p.gamma.reshape(shape) + p.beta.reshape(shape)
+    y *= p.gamma.reshape(shape)
+    y += p.beta.reshape(shape)
+    return y
 
 
 def cdropout(
@@ -126,62 +179,110 @@ def cdropout(
     return x * (mask / (1.0 - rate))
 
 
-def cprelu(x: np.ndarray, slope) -> np.ndarray:
-    """PReLU applied to real and imaginary parts with a shared slope."""
+def cprelu(x: np.ndarray, slope, out: np.ndarray | None = None) -> np.ndarray:
+    """PReLU applied to real and imaginary parts with a shared slope.
+
+    Computed as max(v, slope * v) on the real values (min for slope > 1),
+    which equals where(v >= 0, v, slope * v) to the bit, in ``out`` (may be
+    x itself; for complex data its last axis must have unit stride).
+    """
+    x = np.asarray(x)
+    y = _fill(x, out, x.dtype)
+    v = y.view(y.real.dtype) if np.iscomplexobj(y) else y
     s = float(slope)
-    if np.iscomplexobj(x):
-        # elementwise on the interleaved (re, im) float view in one pass
-        xc = np.ascontiguousarray(x)
-        v = xc.view(xc.real.dtype)
-        return np.where(v >= 0, v, s * v).view(xc.dtype).reshape(x.shape)
-    return np.where(x >= 0, x, s * x)
+    scaled = v * s
+    (np.maximum if s <= 1.0 else np.minimum)(v, scaled, out=v)
+    return y
 
 
-def _depthwise_conv(x: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+def _depthwise_conv(
+    x: np.ndarray, kernel: np.ndarray, rows: tuple[int, int] | None = None
+) -> np.ndarray:
     """Zero-padded same-size depthwise correlation over the trailing axes.
 
-    kernel (C, k) correlates along the last axis; kernel (C, k_f, k_t)
-    correlates along the last two. y[t] = sum_j h[j] x[t + j - k//2].
+    kernel (C, k) correlates along the last axis of x (B, C, T) or
+    (B, C, F, T); kernel (C, k_f, k_t) correlates along the last two of
+    x (B, C, F, T). y[t] = sum_j h[j] x[t + j - k//2].
+
+    ``rows=(lo, hi)`` computes only frequency rows lo:hi of a 4-D output,
+    reading input rows lo - k_f//2 .. hi + k_f//2 (the halo) and treating
+    rows outside x as zero. No padded copy of x is made: each (frequency,
+    time) plane is read flat, so every tap is one contiguous shifted run,
+    and the products a time shift carries across a row end are zeroed.
+    Taps are summed from zero in kernel order through one reused scratch
+    array, the order of the padded formula, so the result is the same to
+    the bit.
     """
     c = x.shape[1]
     if kernel.shape[0] != c:
         raise ShapeMismatch(f"depthwise kernel for {kernel.shape[0]} channels, input has {c}")
+    if x.ndim not in (3, 4):
+        raise ShapeMismatch(f"depthwise conv expects (B, C, T) or (B, C, F, T), got {x.shape}")
     if kernel.ndim == 2:
-        k = kernel.shape[1]
-        pad = k // 2
-        padded = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(pad, pad)])
-        t = x.shape[-1]
-        out = np.zeros_like(x)
-        kshape = (1, c) + (1,) * (x.ndim - 2)
-        for j in range(k):
-            out += kernel[:, j].reshape(kshape) * padded[..., j : j + t]
-        return out
-    if kernel.ndim == 3:
+        kernel = kernel[:, np.newaxis, :]
+    elif kernel.ndim == 3:
         if x.ndim != 4:
             raise ShapeMismatch("2D depthwise conv expects (B, C, F, T) input")
-        kf, kt = kernel.shape[1:]
-        pf, pt = kf // 2, kt // 2
-        padded = np.pad(x, [(0, 0), (0, 0), (pf, pf), (pt, pt)])
-        f, t = x.shape[2], x.shape[3]
-        out = np.zeros_like(x)
+    else:
+        raise ShapeMismatch(f"unsupported depthwise kernel ndim {kernel.ndim}")
+    x4 = x if x.ndim == 4 else x[:, :, np.newaxis, :]
+    b, _, f, t = x4.shape
+    lo, hi = (0, f) if rows is None else rows
+    kf, kt = kernel.shape[1:]
+    pf, pt = kf // 2, kt // 2
+    flat = x4.reshape(b, c, f * t)
+    start, stop = lo * t, hi * t
+    n = stop - start
+    out = np.zeros((b, c, n), np.result_type(x4.dtype, kernel.dtype))
+    # channels are independent: run every tap on a cache-sized channel group
+    group = min(c, max(1, _DEPTHWISE_GROUP_BYTES // max(1, b * n * out.itemsize)))
+    scratch = np.empty((b, group, n), out.dtype)
+    for c0 in range(0, c, group):
+        c1 = min(c, c0 + group)
+        acc, src, tmp_all = out[:, c0:c1], flat[:, c0:c1], scratch[:, : c1 - c0]
+        tmp_rows = tmp_all.reshape(b, c1 - c0, hi - lo, t)
+        taps = kernel[np.newaxis, c0:c1, :, :, np.newaxis]      # (1, group, kf, kt, 1)
         for jf in range(kf):
             for jt in range(kt):
-                out += (
-                    kernel[:, jf, jt][None, :, None, None]
-                    * padded[:, :, jf : jf + f, jt : jt + t]
-                )
-        return out
-    raise ShapeMismatch(f"unsupported depthwise kernel ndim {kernel.ndim}")
+                df, dt = jf - pf, jt - pt
+                shift = df * t + dt
+                a, z = max(start, -shift), min(stop, f * t - shift)
+                if abs(dt) >= t or a >= z:
+                    continue
+                tmp = tmp_all[:, :, a - start : z - start]
+                np.multiply(taps[:, :, jf, jt], src[:, :, a + shift : z + shift], out=tmp)
+                if dt > 0:
+                    tmp_rows[..., t - dt :] = 0
+                elif dt < 0:
+                    tmp_rows[..., :-dt] = 0
+                acc[:, :, a - start : z - start] += tmp
+    out = out.reshape(b, c, hi - lo, t)
+    return out if x.ndim == 4 else out[:, :, 0, :]
 
 
 def _lightconv(x: np.ndarray, p: LightConvParams) -> np.ndarray:
-    y = _depthwise_conv(x, p.depthwise)
-    y = clinear(y, p.pointwise, axis=1)
-    y = cln(y, p.norm, axis=1)
-    y = cprelu(y, p.prelu_slope)
-    if y.shape[1] == x.shape[1]:
-        y = y + x
-    return y
+    if x.ndim not in (3, 4):
+        raise ShapeMismatch(f"light conv expects (B, C, T) or (B, C, F, T), got {x.shape}")
+    if p.depthwise.ndim == 3 and x.ndim != 4:
+        raise ShapeMismatch("2D depthwise conv expects (B, C, F, T) input")
+    # contiguous planes let the depthwise conv read each tile flat, in place
+    x4 = np.ascontiguousarray(x if x.ndim == 4 else x[:, :, np.newaxis, :])
+    b, c_in, f, t = x4.shape
+    c_out = p.pointwise.weight.shape[0]
+    dtype = np.result_type(x4.dtype, p.depthwise.dtype, p.pointwise.weight.dtype,
+                           p.pointwise.bias.dtype, p.norm.gamma.dtype, p.norm.beta.dtype)
+    out = np.empty((b, c_out, f, t), dtype)
+    row_bytes = max(1, b * c_in * t * dtype.itemsize)
+    step = max(1, _TILE_BYTES // row_bytes)
+    for lo in range(0, f, step):
+        hi = min(lo + step, f)
+        y = out[:, :, lo:hi]
+        clinear(_depthwise_conv(x4, p.depthwise, rows=(lo, hi)), p.pointwise, out=y)
+        cln(y, p.norm, out=y)
+        cprelu(y, p.prelu_slope, out=y)
+        if c_out == c_in:
+            y += x4[:, :, lo:hi]
+    return out if x.ndim == 4 else out[:, :, 0, :]
 
 
 def lightconv1d(x: np.ndarray, p: LightConvParams) -> np.ndarray:

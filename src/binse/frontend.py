@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import fftconvolve
 
 from .audio import Waveform
@@ -179,14 +180,17 @@ def gammatone_frames(w: Waveform, bank: GammatoneBank, cfg: AnalysisConfig) -> n
         )
     n = w.n_samples
     t = frame_count(n, cfg)
-    # causal FIR filtering, truncated to the input length
+    per_frame = cfg.fft_size // cfg.hop            # hop blocks per frame
+    n_blocks = t - 1 + per_frame
+    # causal FIR filtering, truncated to the samples the frame grid covers
     filtered = fftconvolve(
         w.samples[np.newaxis, :, :],
         bank.impulse_responses[:, np.newaxis, :],
         axes=-1,
-    )[..., :n]                                     # (n_ch, 2, n)
-    frames = _frames(filtered, cfg)                # (n_ch, 2, T, fft)
-    energy = np.sum(frames * frames, axis=-1)
+    )[..., : n_blocks * cfg.hop]                   # (n_ch, 2, n_blocks * hop)
+    # frame energy = sum of the energies of the hop blocks it spans
+    blocks = filtered.reshape(*filtered.shape[:-1], n_blocks, cfg.hop)
+    block_energy = np.square(blocks, out=blocks).sum(axis=-1)
+    energy = sliding_window_view(block_energy, per_frame, axis=-1).sum(axis=-1)
     feats = np.log1p(energy).transpose(1, 0, 2)    # (2, n_ch, T)
-    assert feats.shape[-1] == t
     return feats.astype(np.complex128)

@@ -105,5 +105,7 @@ def modulator_block(
     gates = gates.astype(z.real.dtype, copy=False)  # keep z's precision
     modulated = z * gates[:, None, :, :]
     projected = clinear(modulated, p.proj, axis=1)
+    del modulated
     projected = cdropout(projected, p.dropout_rate, mode=mode, seed=seed)
-    return cln(z + projected, p.norm, axis=1)
+    projected += z                  # a fresh array here, so norm it in place
+    return cln(projected, p.norm, axis=1, out=projected)

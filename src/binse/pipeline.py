@@ -54,6 +54,20 @@ def pad_to_frame_grid(w: Waveform, cfg: RunConfig) -> Waveform:
     return Waveform(np.pad(w.samples, ((0, 0), (0, target - n))), w.sample_rate)
 
 
+def gammatone_bank(cfg: RunConfig) -> GammatoneBank | None:
+    """The gammatone filterbank the configured pipeline uses; None when the
+    gammatone stream is ablated."""
+    if cfg.no_gammatone:
+        return None
+    return build_gammatone_bank(
+        cfg.analysis,
+        cfg.n_gammatone,
+        cfg.gammatone_lo_hz,
+        cfg.gammatone_hi_hz,
+        cfg.gammatone_taps,
+    )
+
+
 def enhance(
     wav_in: Waveform,
     model: ModelParams,
@@ -75,26 +89,33 @@ def enhance(
     y = stft(w, cfg.analysis)
     stages: dict[str, np.ndarray] = {}
 
+    def keep(**arrays):
+        if collect_stages:
+            stages.update(arrays)
+
+    # Each whole-utterance encoder tensor is dropped as soon as the next
+    # stage has consumed it, unless the stage dump holds it.
     z_gamma = None
     if not cfg.no_gammatone:
         if bank is None:
-            bank = build_gammatone_bank(
-                cfg.analysis,
-                cfg.n_gammatone,
-                cfg.gammatone_lo_hz,
-                cfg.gammatone_hi_hz,
-                cfg.gammatone_taps,
-            )
+            bank = gammatone_bank(cfg)
         g_feats = gammatone_frames(w, bank, cfg.analysis).astype(dtype)
         z_gamma = encode_gamma(g_feats, model.encoder)
+        keep(z_gamma=z_gamma)
 
     z_stft = encode_stft(Spectrogram(y.bins.astype(dtype), y.config), model.encoder)
+    keep(z_stft=z_stft)
     z_att = fuse(z_stft, z_gamma, model.encoder, no_gammatone=cfg.no_gammatone)
+    del z_gamma, z_stft
+    keep(z_attended=z_att)
     z_bb = recalibrate(z_att, model.encoder)
+    del z_att
+    keep(z_backbone=z_bb)
     if cfg.no_gafm:
         z_out = z_bb
     else:
         z_out = modulator_block(z_bb, model.modulator)
+    del z_bb
 
     ratfs = decode_heads(z_out, model.decoder)
     s_hat = ratf_solve(y, ratfs, eps=cfg.eps_ratf, literal_square=cfg.literal_ratf_square)
@@ -115,21 +136,15 @@ def enhance(
     if not np.all(np.isfinite(samples)):
         raise InvariantViolation("non-finite samples in enhanced output")
 
-    if collect_stages:
-        stages = {
-            "noisy_spec": y.bins,
-            "z_stft": z_stft,
-            "z_attended": z_att,
-            "z_backbone": z_bb,
-            "z_out": z_out,
-            "ratf_s": ratfs.w_s,
-            "ratf_n": ratfs.w_n,
-            "s_hat": s_hat.bins,
-            "gate": g,
-            "s_final": s_final.bins,
-        }
-        if z_gamma is not None:
-            stages["z_gamma"] = z_gamma
+    keep(
+        noisy_spec=y.bins,
+        z_out=z_out,
+        ratf_s=ratfs.w_s,
+        ratf_n=ratfs.w_n,
+        s_hat=s_hat.bins,
+        gate=g,
+        s_final=s_final.bins,
+    )
     return EnhanceResult(
         wav_out=Waveform(samples, wav_in.sample_rate),
         gate=g,

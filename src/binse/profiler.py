@@ -16,9 +16,9 @@ import numpy as np
 
 from .audio import Waveform
 from .config import RunConfig
-from .frontend import build_gammatone_bank, frame_count
+from .frontend import frame_count
 from .params import ModelParams
-from .pipeline import enhance
+from .pipeline import enhance, gammatone_bank
 
 
 @dataclass
@@ -115,15 +115,7 @@ def measure_rtf(
             0.1 * rng.standard_normal((2, 2 * cfg.analysis.sample_rate)),
             cfg.analysis.sample_rate,
         )
-    bank = None
-    if not cfg.no_gammatone:
-        bank = build_gammatone_bank(
-            cfg.analysis,
-            cfg.n_gammatone,
-            cfg.gammatone_lo_hz,
-            cfg.gammatone_hi_hz,
-            cfg.gammatone_taps,
-        )
+    bank = gammatone_bank(cfg)
     for _ in range(warmup):
         enhance(wav, model, cfg, bank=bank)
     times = []

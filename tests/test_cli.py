@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from binse import pipeline
 from binse.audio import read_stereo, write_wav
 from binse.cli import main
 from binse.params import load_arrays
@@ -166,6 +167,25 @@ class TestMetricsCommand:
         assert rc == 0
         row = json.loads(report.read_text().splitlines()[0])
         assert row["mbstoi"] == 0.875
+
+    def test_builds_one_gammatone_bank_per_run(self, tmp_path, rng, cfg_file, monkeypatch):
+        _, manifest = write_corpus(tmp_path, rng, n_items=3, duration=0.5)
+        data = tmp_path / "data"
+        assert main(["synth", "--manifest", str(manifest), "--out", str(data)]) == 0
+        calls = []
+        build = pipeline.build_gammatone_bank
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_gammatone_bank", counting)
+        report = tmp_path / "report.jsonl"
+        rc = main(["metrics", "--config", cfg_file, "--dataset", str(data),
+                   "--report", str(report)])
+        assert rc == 0
+        assert len(report.read_text().splitlines()) == 3
+        assert len(calls) == 1
 
     def test_missing_dataset_exits_2(self, tmp_path, cfg_file):
         rc = main(["metrics", "--config", cfg_file,

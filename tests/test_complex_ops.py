@@ -1,9 +1,18 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lightconv_oracle
+from binse import complex_ops
 from binse.complex_ops import (
     CLayerNormParams,
     CLinearParams,
+    LightConvParams,
+    _depthwise_conv,
     cdropout,
     clinear,
     cln,
@@ -304,3 +313,122 @@ class TestNumericalHygiene:
         out = big @ stacked
         expected = out[:3] + 1j * out[3:] + p.bias[:, None]
         np.testing.assert_allclose(y[0], expected, rtol=1e-9, atol=1e-11)
+
+
+def c64_block(rng, c_in, c_out, kernel):
+    p = make_lightconv(rng, c_in, c_out, kernel)
+    return LightConvParams(
+        depthwise=p.depthwise.astype(np.complex64),
+        pointwise=CLinearParams(p.pointwise.weight.astype(np.complex64),
+                                p.pointwise.bias.astype(np.complex64)),
+        norm=CLayerNormParams(p.norm.gamma.astype(np.complex64),
+                              p.norm.beta.astype(np.complex64), p.norm.eps),
+        prelu_slope=np.float32(0.25),
+    )
+
+
+def c64_input(rng, shape):
+    x = np.empty(shape, np.complex64)
+    x.real = rng.standard_normal(shape, dtype=np.float32)
+    x.imag = rng.standard_normal(shape, dtype=np.float32)
+    return x
+
+
+def rel_l2(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+@st.composite
+def block_cases(draw):
+    two_d = draw(st.booleans())
+    c_in = draw(st.sampled_from([1, 2, 3, 5]))
+    if two_d:
+        kernel = (draw(st.sampled_from([1, 3, 5])), draw(st.sampled_from([1, 3, 5])))
+    else:
+        kernel = (draw(st.sampled_from([1, 3, 5, 7])),)
+    return dict(
+        b=draw(st.sampled_from([1, 2])),
+        c_in=c_in,
+        c_out=draw(st.sampled_from([c_in, 4])),
+        f=None if not two_d and draw(st.booleans()) else draw(st.sampled_from([1, 2, 7, 13])),
+        t=draw(st.integers(1, 24)),
+        kernel=kernel,
+        # from one row per tile and one channel per depthwise group up to one tile
+        tile_bytes=draw(st.sampled_from([1, 200, 2000, 1 << 22])),
+        group_bytes=draw(st.sampled_from([1, 100, 1 << 19])),
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
+
+
+class TestTiledLightConv:
+    """The tiled, in-place block against the untiled formulas in lightconv_oracle."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(block_cases())
+    def test_matches_untiled_oracle(self, case):
+        rng = np.random.default_rng(case["seed"])
+        p = c64_block(rng, case["c_in"], case["c_out"], case["kernel"])
+        shape = (case["b"], case["c_in"]) + ((case["f"],) if case["f"] else ()) + (case["t"],)
+        x = c64_input(rng, shape)
+        block = lightconv2d if len(case["kernel"]) == 2 else lightconv1d
+        with mock.patch.object(complex_ops, "_TILE_BYTES", case["tile_bytes"]), \
+                mock.patch.object(complex_ops, "_DEPTHWISE_GROUP_BYTES", case["group_bytes"]):
+            y = block(x, p)
+        expected = lightconv_oracle.lightconv(x, p)
+        assert y.shape == expected.shape and y.dtype == np.complex64
+        assert rel_l2(y, expected) <= 1e-6
+
+    @pytest.mark.parametrize("kernel", [(5,), (3, 3)])
+    def test_row_longer_than_the_tile_budget(self, rng, kernel):
+        t = complex_ops._TILE_BYTES // (2 * 8) + 3      # one (2-channel) row > budget
+        p = c64_block(rng, 2, 2, kernel)
+        x = c64_input(rng, (1, 2, 3, t))
+        y = (lightconv2d if len(kernel) == 2 else lightconv1d)(x, p)
+        assert rel_l2(y, lightconv_oracle.lightconv(x, p)) <= 1e-6
+
+
+@pytest.mark.parametrize("slope", [-0.5, 0.0, 0.25, 1.0, 1.5])
+def test_cprelu_equals_the_where_form_bitwise(rng, slope):
+    x = c64_input(rng, (2, 3, 4, 5))
+    np.testing.assert_array_equal(cprelu(x, slope), lightconv_oracle.cprelu(x, slope))
+    r = x.real.copy()
+    np.testing.assert_array_equal(cprelu(r, slope), np.where(r >= 0, r, np.float32(slope) * r))
+
+
+def read_only(a):
+    a = np.array(a)
+    a.setflags(write=False)
+    return a
+
+
+class TestKernelsLeaveInputsUnchanged:
+    @pytest.mark.parametrize("name", ["clinear", "cln", "cprelu", "depthwise1d", "depthwise2d",
+                                      "lightconv1d", "lightconv2d"])
+    def test_input_is_not_written(self, rng, name):
+        x = read_only(c64_input(rng, (2, 4, 5, 6)))
+        before = x.copy()
+        calls = {
+            "clinear": lambda: clinear(x, c64_block(rng, 4, 3, (3,)).pointwise),
+            "cln": lambda: cln(x, c64_block(rng, 4, 4, (3,)).norm),
+            "cprelu": lambda: cprelu(x, 0.25),
+            "depthwise1d": lambda: _depthwise_conv(x, rand_complex(rng, (4, 3))),
+            "depthwise2d": lambda: _depthwise_conv(x, rand_complex(rng, (4, 3, 3))),
+            "lightconv1d": lambda: lightconv1d(x, c64_block(rng, 4, 4, (3,))),
+            "lightconv2d": lambda: lightconv2d(x, c64_block(rng, 4, 4, (3, 3))),
+        }
+        y = calls[name]()
+        assert not np.shares_memory(y, x)
+        np.testing.assert_array_equal(x, before)
+
+
+def test_lightconv2d_peak_memory_at_most_twice_its_output():
+    rng = np.random.default_rng(0)
+    x = c64_input(rng, (1, 80, 129, 999))
+    p = c64_block(rng, 80, 80, (3, 3))
+    tracemalloc.start()
+    try:
+        y = lightconv2d(x, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * y.nbytes

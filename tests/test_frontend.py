@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from binse.audio import Waveform
 from binse.config import AnalysisConfig
@@ -165,3 +166,19 @@ class TestGammatone:
             rng = np.random.default_rng(seed)
             g = gammatone_frames(make_wave(rng, 4096), bank, analysis)
             assert np.all(g.real > 0)
+
+    def test_hop_block_energy_matches_gathered_frames(self, rng):
+        # oracle: gather every (channel, ear, frame) window and sum its squares
+        for cfg in (AnalysisConfig(), AnalysisConfig(fft_size=256, hop=64)):
+            bank = build_gammatone_bank(cfg, 8, 50.0, 7800.0, n_taps=256)
+            for n in (256, 300, 1000, 4097, 5000):
+                w = make_wave(rng, n)
+                filtered = fftconvolve(
+                    w.samples[None], bank.impulse_responses[:, None], axes=-1
+                )[..., :n]
+                t = frame_count(n, cfg)
+                idx = np.arange(cfg.fft_size) + cfg.hop * np.arange(t)[:, None]
+                frames = filtered[..., idx]
+                oracle = np.log1p(np.sum(frames * frames, axis=-1)).transpose(1, 0, 2)
+                g = gammatone_frames(w, bank, cfg)
+                np.testing.assert_allclose(g.real, oracle, rtol=0, atol=1e-12)
