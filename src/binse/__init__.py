@@ -2,7 +2,7 @@
 synthesis, binaural-cue metrics, and complexity profiling."""
 
 from .audio import Waveform, read_stereo, read_mono, read_wav, write_wav
-from .config import AnalysisConfig, LossWeights, RunConfig, config_from_dict
+from .config import AnalysisConfig, RunConfig, config_from_dict
 from .frontend import (
     GammatoneBank,
     Spectrogram,
@@ -19,7 +19,6 @@ __all__ = [
     "AnalysisConfig",
     "EnhanceResult",
     "GammatoneBank",
-    "LossWeights",
     "ModelParams",
     "RunConfig",
     "Spectrogram",

@@ -1,5 +1,6 @@
-"""Complex-valued neural kernels: linear, layer norm, dropout, depthwise
+"""Complex-valued neural kernels: linear, layer norm, PReLU, depthwise
 separable ("light") convolution blocks, and squeeze-and-excitation.
+Inference only: there is no dropout.
 
 All functions operate on complex ndarrays with the channel axis at
 position 1, i.e. (B, C, T) or (B, C, F, T). Parameter containers are plain
@@ -8,17 +9,18 @@ dataclasses of ndarrays, immutable by convention.
 Execution contract. No public function mutates its input. ``clinear``,
 ``cln`` and ``cprelu`` take an optional ``out`` array; passing the input
 itself (``cln(y, p, out=y)``) runs them in place, which is how the light-conv
-block uses them. A light-conv block runs over frequency tiles of about
-``_TILE_BYTES`` of input, so its temporaries are tile-sized, not
-utterance-sized: each tile reads its rows plus ``k_f // 2`` halo rows on
-either side (2-D kernels only), and its depthwise sum, pointwise mix, norm,
-PReLU and residual are written straight into one preallocated output. The
-depthwise conv further runs its taps over channel groups of about
-``_DEPTHWISE_GROUP_BYTES``. Tiling changes no elementwise arithmetic; only
-the BLAS product, whose summation order depends on the tile width, may
-differ from the untiled block in the last bits. The kernels keep their
-module-level names and are looked up as module globals on every call, so a
-wrapper bound to one of those names sees every call.
+block uses them. ``lightconv`` is the one block entry point; the rank of the
+depthwise kernel selects a 1-D (time) or 2-D (frequency, time) block. A
+block runs over frequency tiles of about ``_TILE_BYTES`` of input, so its
+temporaries are tile-sized, not utterance-sized: each tile reads its rows
+plus ``k_f // 2`` halo rows on either side (2-D kernels only), and its
+depthwise sum, pointwise mix, norm, PReLU and residual are written straight
+into one preallocated output. The depthwise conv further runs its taps over
+channel groups of about ``_DEPTHWISE_GROUP_BYTES``. Tiling changes no
+elementwise arithmetic; only the BLAS product, whose summation order depends
+on the tile width, may differ from the untiled block in the last bits. The
+kernels keep their module-level names and are looked up as module globals on
+every call, so a wrapper bound to one of those names sees every call.
 """
 
 from __future__ import annotations
@@ -69,15 +71,6 @@ class LightConvParams:
 class CSEParams:
     reduce: np.ndarray   # real (C // r, C)
     expand: np.ndarray   # real (C, C // r)
-
-
-def cmul(a, b):
-    """Complex product; inputs may be complex arrays or (re, im) pairs."""
-    if isinstance(a, tuple):
-        a = a[0] + 1j * a[1]
-    if isinstance(b, tuple):
-        b = b[0] + 1j * b[1]
-    return a * b
 
 
 def _fill(x: np.ndarray, out: np.ndarray | None, dtype) -> np.ndarray:
@@ -154,29 +147,6 @@ def cln(
     y *= p.gamma.reshape(shape)
     y += p.beta.reshape(shape)
     return y
-
-
-def cdropout(
-    x: np.ndarray,
-    rate: float,
-    mode: str = "infer",
-    seed: int | None = None,
-) -> np.ndarray:
-    """Complex-structure-preserving dropout.
-
-    A single real Bernoulli mask is applied jointly to the real and
-    imaginary parts (never independently), scaled by 1/(1 - rate). In
-    "infer" mode this is the identity.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("dropout rate must be in [0, 1)")
-    if mode == "infer" or rate == 0.0:
-        return x
-    if mode != "train":
-        raise ValueError(f"unknown dropout mode {mode!r}")
-    rng = np.random.default_rng(seed)
-    mask = rng.random(x.shape) >= rate
-    return x * (mask / (1.0 - rate))
 
 
 def cprelu(x: np.ndarray, slope, out: np.ndarray | None = None) -> np.ndarray:
@@ -260,7 +230,13 @@ def _depthwise_conv(
     return out if x.ndim == 4 else out[:, :, 0, :]
 
 
-def _lightconv(x: np.ndarray, p: LightConvParams) -> np.ndarray:
+def lightconv(x: np.ndarray, p: LightConvParams) -> np.ndarray:
+    """Light conv block: depthwise conv, pointwise mix, CLN, PReLU, residual.
+
+    A (C, k) depthwise kernel convolves the trailing (time) axis of x,
+    (B, C, T) or (B, C, F, T), shared across frequencies; a (C, k_f, k_t)
+    kernel convolves (frequency, time) of a (B, C, F, T) input.
+    """
     if x.ndim not in (3, 4):
         raise ShapeMismatch(f"light conv expects (B, C, T) or (B, C, F, T), got {x.shape}")
     if p.depthwise.ndim == 3 and x.ndim != 4:
@@ -283,21 +259,6 @@ def _lightconv(x: np.ndarray, p: LightConvParams) -> np.ndarray:
         if c_out == c_in:
             y += x4[:, :, lo:hi]
     return out if x.ndim == 4 else out[:, :, 0, :]
-
-
-def lightconv1d(x: np.ndarray, p: LightConvParams) -> np.ndarray:
-    """Light conv block along the trailing (time) axis; x is (B, C, T) or
-    (B, C, F, T) with the conv shared across frequencies."""
-    if p.depthwise.ndim != 2:
-        raise ShapeMismatch("lightconv1d requires a (C, k) depthwise kernel")
-    return _lightconv(x, p)
-
-
-def lightconv2d(x: np.ndarray, p: LightConvParams) -> np.ndarray:
-    """Light conv block with a (k_f, k_t) depthwise kernel; x is (B, C, F, T)."""
-    if p.depthwise.ndim != 3:
-        raise ShapeMismatch("lightconv2d requires a (C, k_f, k_t) depthwise kernel")
-    return _lightconv(x, p)
 
 
 def cse(x: np.ndarray, p: CSEParams) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Configuration objects: analysis grid, loss weights, and the run config.
+"""Configuration objects: the analysis grid and the run config.
 
 The architecture fingerprint hashes every hyperparameter that changes the
 shape of the weight tree, so a weights file can be rejected when loaded
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields
 
 _SUPPORTED_WINDOWS = ("sqrt-hann",)
 
@@ -34,24 +34,6 @@ class AnalysisConfig:
     @property
     def n_freq_bins(self) -> int:
         return self.fft_size // 2 + 1
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Weights of the composite objective and the gate regularizers."""
-
-    alpha: float = 1.0      # SNR term
-    beta: float = 10.0      # intelligibility surrogate term
-    gamma: float = 1.0      # ILD term
-    kappa: float = 10.0     # IPD term
-    lambda_sparse: float = 1e-4
-    lambda_entropy: float = 1e-4
-    lambda_tv: float = 1e-4
-
-    def __post_init__(self):
-        for name, value in asdict(self).items():
-            if value < 0:
-                raise ValueError(f"loss weight {name} must be >= 0")
 
 
 @dataclass
@@ -81,11 +63,8 @@ class RunConfig:
     # numerics
     eps_ratf: float = 1e-8
     eps_norm: float = 1e-5
-    dropout_rate: float = 0.1     # identity at inference
     snr_clamp_db: float = 60.0
     cue_floor_db: float = 40.0
-
-    loss_weights: LossWeights = field(default_factory=LossWeights)
 
     # ablation flags
     no_gammatone: bool = False
@@ -135,11 +114,24 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
+def _known_keys(cls, d, where: str) -> dict:
+    """d as a dict after checking that every key is a field of cls."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(d).__name__}")
+    unknown = sorted(d.keys() - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
+    return dict(d)
+
+
 def config_from_dict(d: dict) -> RunConfig:
-    """Build a RunConfig from a plain dict (e.g. parsed JSON overrides)."""
-    d = dict(d)
-    analysis = AnalysisConfig(**d.pop("analysis", {}))
-    weights = LossWeights(**d.pop("loss_weights", {}))
+    """Build a RunConfig from a plain dict (e.g. parsed JSON overrides).
+
+    Raises ValueError when d is not a dict or names a key that is not a
+    RunConfig (or, under "analysis", an AnalysisConfig) field.
+    """
+    d = _known_keys(RunConfig, d, "config")
+    analysis = AnalysisConfig(**_known_keys(AnalysisConfig, d.pop("analysis", {}), "analysis"))
     if "kernel_2d" in d:
         d["kernel_2d"] = tuple(d["kernel_2d"])
-    return RunConfig(analysis=analysis, loss_weights=weights, **d)
+    return RunConfig(analysis=analysis, **d)

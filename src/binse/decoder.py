@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_ops import CLinearParams, LightConvParams, clinear, lightconv2d
+from .complex_ops import CLinearParams, LightConvParams, clinear, lightconv
 from .errors import ShapeMismatch
 from .frontend import Spectrogram
 
@@ -35,7 +35,7 @@ class DecoderParams:
 def _run_head(z: np.ndarray, blocks: list[LightConvParams], proj: CLinearParams) -> np.ndarray:
     x = z
     for block in blocks:
-        x = lightconv2d(x, block)
+        x = lightconv(x, block)
     return clinear(x, proj, axis=1)[:, 0, :, :]
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_ops import CSEParams, LightConvParams, cse, lightconv1d
+from .complex_ops import CSEParams, LightConvParams, cse, lightconv
 from .errors import ShapeMismatch
 from .frontend import Spectrogram
 
@@ -30,7 +30,7 @@ def encode_stft(y: Spectrogram, p: EncoderParams) -> np.ndarray:
     """Encode the STFT stream: (2, F, T) bins -> (1, C, F, T) features."""
     x = y.bins[np.newaxis, :, :, :]       # ears as channels, batch of 1
     for block in p.stft_blocks:
-        x = lightconv1d(x, block)
+        x = lightconv(x, block)
     return x
 
 
@@ -45,7 +45,7 @@ def encode_gamma(g: np.ndarray, p: EncoderParams) -> np.ndarray:
         raise ShapeMismatch(f"expected gammatone frames (2, n_gamma, T), got {g.shape}")
     x = g[np.newaxis, :, :, :]
     for block in p.gamma_blocks:
-        x = lightconv1d(x, block)
+        x = lightconv(x, block)
     if p.gamma_proj.shape[1] != x.shape[2]:
         raise ShapeMismatch(
             f"gamma projection expects {p.gamma_proj.shape[1]} features, got {x.shape[2]}"

@@ -160,13 +160,6 @@ def build_gammatone_bank(
     return GammatoneBank(centers, irs, sr)
 
 
-def gammatone_response(bank: GammatoneBank, f_hz: float, channel: int) -> float:
-    """Magnitude response of one FIR channel at an arbitrary frequency."""
-    n = np.arange(bank.impulse_responses.shape[1])
-    phasor = np.exp(-2j * np.pi * f_hz * n / bank.sample_rate)
-    return float(np.abs(np.sum(bank.impulse_responses[channel] * phasor)))
-
-
 def gammatone_frames(w: Waveform, bank: GammatoneBank, cfg: AnalysisConfig) -> np.ndarray:
     """Per-ear log frame energies of the gammatone-filtered signal.
 

@@ -1,9 +1,9 @@
 """Objective terms and binaural-cue metrics.
 
 Everything here is evaluated as a metric over finished signals; no
-gradients are computed. The composite objective is a weighted sum of a
-clamped negative SNR, an intelligibility surrogate, masked interaural
-level/phase errors, and three regularizers on the refinement gate.
+gradients are computed. The terms are a clamped negative SNR, an
+intelligibility surrogate, masked interaural level/phase errors, and three
+regularizers on the refinement gate.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import Waveform
-from .config import LossWeights
 from .errors import DegenerateReference, EmptyMask, InputTooShort, ShapeMismatch
 from .frontend import Spectrogram
 
@@ -166,39 +165,6 @@ def reg_terms(g: np.ndarray) -> tuple[float, float, float]:
     diffs = np.diff(g, axis=-1)
     r_tv = float(np.mean(np.abs(diffs))) if diffs.size else 0.0
     return r_sparse, r_entropy, r_tv
-
-
-def total_loss(
-    clean_wav: Waveform,
-    est_wav: Waveform,
-    clean_spec: Spectrogram,
-    est_spec: Spectrogram,
-    gate: np.ndarray,
-    w: LossWeights | None = None,
-    floor_db: float = 40.0,
-    snr_clamp_db: float = 60.0,
-    masked: bool = True,
-) -> tuple[float, dict]:
-    """Composite objective and its per-term breakdown."""
-    w = w or LossWeights()
-    terms = {
-        "snr": snr_loss(est_wav, clean_wav, clamp_db=snr_clamp_db),
-        "stoi": stoi_surrogate(est_wav, clean_wav),
-        "ild": ild_loss(clean_spec, est_spec, floor_db, masked),
-        "ipd": ipd_loss(clean_spec, est_spec, floor_db, masked),
-    }
-    r_sparse, r_entropy, r_tv = reg_terms(gate)
-    terms.update(reg_sparse=r_sparse, reg_entropy=r_entropy, reg_tv=r_tv)
-    total = (
-        w.alpha * terms["snr"]
-        + w.beta * terms["stoi"]
-        + w.gamma * terms["ild"]
-        + w.kappa * terms["ipd"]
-        + w.lambda_sparse * r_sparse
-        + w.lambda_entropy * r_entropy
-        + w.lambda_tv * r_tv
-    )
-    return float(total), terms
 
 
 def external_score(command: str, ref_wav_path: str, est_wav_path: str) -> float:

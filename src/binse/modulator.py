@@ -5,7 +5,7 @@ Each frequency slice is processed independently: a global context vector
 a fixed orthonormal Fourier basis over the frame axis, yielding a real
 temporal gate in (0, 1). The gate multiplies the slice (pure magnitude
 modulation, phase untouched), followed by a complex linear projection,
-dropout, a residual connection, and complex layer norm.
+a residual connection, and complex layer norm.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .complex_ops import CLayerNormParams, CLinearParams, cdropout, clinear, cln
+from .complex_ops import CLayerNormParams, CLinearParams, clinear, cln
 from .errors import ShapeMismatch
 
 
@@ -29,7 +29,6 @@ class ModulatorParams:
     tau: np.ndarray           # real scalar temperature > 0
     proj: CLinearParams       # complex (C, C)
     norm: CLayerNormParams
-    dropout_rate: float = 0.0
 
 
 @lru_cache(maxsize=64)
@@ -53,24 +52,6 @@ def fourier_basis(n_frames: int, n_basis: int) -> np.ndarray:
     return phi
 
 
-def context_vector(z_f: np.ndarray) -> np.ndarray:
-    """Time-averaged channel magnitudes; (B, C, T) -> (B, C)."""
-    return np.mean(np.abs(z_f), axis=-1)
-
-
-def synth_gate(c_f: np.ndarray, basis: np.ndarray, p: ModulatorParams) -> np.ndarray:
-    """Synthesize the temporal gate for one frequency: (B, C) -> (B, T)."""
-    slope = float(p.mlp_prelu_slope)
-    h = c_f @ p.mlp_w1.T + p.mlp_b1
-    h = np.where(h >= 0, h, slope * h)
-    a = h @ p.mlp_w2.T + p.mlp_b2                 # (B, K)
-    if basis.shape[1] != a.shape[-1]:
-        raise ShapeMismatch(
-            f"basis has {basis.shape[1]} columns, coefficients have {a.shape[-1]}"
-        )
-    return 1.0 / (1.0 + np.exp(-float(p.tau) * (a @ basis.T)))
-
-
 def _gates_all_freqs(z: np.ndarray, basis: np.ndarray, p: ModulatorParams) -> np.ndarray:
     """Vectorized gate synthesis over all frequencies: (B, C, F, T) -> (B, F, T)."""
     slope = float(p.mlp_prelu_slope)
@@ -83,16 +64,11 @@ def _gates_all_freqs(z: np.ndarray, basis: np.ndarray, p: ModulatorParams) -> np
 
 
 def modulator_block(
-    z: np.ndarray,
-    p: ModulatorParams,
-    basis: np.ndarray | None = None,
-    mode: str = "infer",
-    seed: int | None = None,
+    z: np.ndarray, p: ModulatorParams, basis: np.ndarray | None = None
 ) -> np.ndarray:
     """Residual modulator update applied to every frequency independently.
 
-    Per frequency f: out_f = CLN(z_f + Dropout(CLinear(z_f * gate_f))).
-    Dropout is the identity in "infer" mode.
+    Per frequency f: out_f = CLN(z_f + CLinear(z_f * gate_f)).
     """
     if z.ndim != 4:
         raise ShapeMismatch(f"expected (B, C, F, T) input, got shape {z.shape}")
@@ -101,11 +77,14 @@ def modulator_block(
         basis = fourier_basis(t, p.mlp_w2.shape[0])
     if basis.shape[0] != t:
         raise ShapeMismatch(f"basis built for T={basis.shape[0]}, input has T={t}")
+    if basis.shape[1] != p.mlp_w2.shape[0]:
+        raise ShapeMismatch(
+            f"basis has {basis.shape[1]} columns, coefficients have {p.mlp_w2.shape[0]}"
+        )
     gates = _gates_all_freqs(z, basis, p)         # (B, F, T)
     gates = gates.astype(z.real.dtype, copy=False)  # keep z's precision
     modulated = z * gates[:, None, :, :]
     projected = clinear(modulated, p.proj, axis=1)
     del modulated
-    projected = cdropout(projected, p.dropout_rate, mode=mode, seed=seed)
     projected += z                  # a fresh array here, so norm it in place
     return cln(projected, p.norm, axis=1, out=projected)

@@ -10,6 +10,10 @@ round-trips bit-exactly. The file layout is:
 
 Loading validates the magic, version, and the architecture fingerprint of
 the active config before any tensor is accepted.
+
+``ModelParams.tensors`` names every tensor once: the factory that
+``_build`` calls records each tensor under the name it is given, so the
+directory is in creation order, which is also the order tensors are written.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ class ModelParams:
     modulator: ModulatorParams
     decoder: DecoderParams
     fingerprint: str
-    tensors: dict[str, np.ndarray]   # name -> the same arrays, walk order
+    tensors: dict[str, np.ndarray]   # name -> the same arrays, creation order
 
 
 class _RandomInit:
@@ -49,44 +53,53 @@ class _RandomInit:
 
     def __init__(self, seed: int):
         self.rng = np.random.default_rng(seed)
+        self.tensors: dict[str, np.ndarray] = {}
+
+    def _keep(self, name, arr):
+        self.tensors[name] = arr
+        return arr
 
     def cweight(self, name, shape, fan_in):
         scale = 1.0 / np.sqrt(2.0 * fan_in)
         w = self.rng.standard_normal(shape) + 1j * self.rng.standard_normal(shape)
-        return (w * scale).astype(np.complex64)
+        return self._keep(name, (w * scale).astype(np.complex64))
 
     def rweight(self, name, shape, fan_in):
         w = self.rng.standard_normal(shape) / np.sqrt(fan_in)
-        return w.astype(np.float32)
+        return self._keep(name, w.astype(np.float32))
 
     def zeros(self, name, shape, complex_=False):
-        return np.zeros(shape, dtype=np.complex64 if complex_ else np.float32)
+        return self._keep(name, np.zeros(shape, dtype=np.complex64 if complex_ else np.float32))
 
     def ones_c(self, name, shape):
-        return np.ones(shape, dtype=np.complex64)
+        return self._keep(name, np.ones(shape, dtype=np.complex64))
 
     def const(self, name, value):
-        return np.float32(value) * np.ones((), dtype=np.float32)
+        return self._keep(name, np.float32(value) * np.ones((), dtype=np.float32))
 
 
 class _FromTensors:
-    """Tensor factory that replays a loaded tensor directory."""
+    """Tensor factory that replays a loaded tensor directory.
 
-    def __init__(self, tensors: dict[str, np.ndarray]):
-        self.tensors = dict(tensors)
-        self.used = set()
+    ``tensors`` collects the tensors taken, in creation order; ``stored``
+    is the directory read from the file.
+    """
+
+    def __init__(self, stored: dict[str, np.ndarray]):
+        self.stored = stored
+        self.tensors: dict[str, np.ndarray] = {}
 
     def _take(self, name, shape, complex_):
-        if name not in self.tensors:
+        if name not in self.stored:
             raise FormatError(f"missing tensor {name!r}")
-        arr = self.tensors[name]
+        arr = self.stored[name]
         want = np.complex64 if complex_ else np.float32
         if arr.shape != tuple(shape) or arr.dtype != want:
             raise FormatError(
                 f"tensor {name!r}: stored {arr.dtype}{arr.shape}, "
                 f"expected {np.dtype(want)}{tuple(shape)}"
             )
-        self.used.add(name)
+        self.tensors[name] = arr
         return arr
 
     def cweight(self, name, shape, fan_in):
@@ -167,7 +180,6 @@ def _build(cfg: RunConfig, make) -> ModelParams:
             beta=make.zeros("modulator.norm.beta", (c,), complex_=True),
             eps=eps,
         ),
-        dropout_rate=cfg.dropout_rate,
     )
 
     def head(prefix):
@@ -193,62 +205,13 @@ def _build(cfg: RunConfig, make) -> ModelParams:
         drg_global=make.zeros("decoder.drg_global", (f,)),
         eps=cfg.eps_ratf,
     )
-    model = ModelParams(
+    return ModelParams(
         encoder=encoder,
         modulator=modulator,
         decoder=decoder,
         fingerprint=cfg.fingerprint(),
-        tensors={},
+        tensors=make.tensors,
     )
-    model.tensors = _collect_tensors(model)
-    return model
-
-
-def _collect_tensors(model: ModelParams) -> dict[str, np.ndarray]:
-    out = {}
-
-    def lightconv(prefix, p):
-        out[f"{prefix}.depthwise"] = p.depthwise
-        out[f"{prefix}.pointwise.weight"] = p.pointwise.weight
-        out[f"{prefix}.pointwise.bias"] = p.pointwise.bias
-        out[f"{prefix}.norm.gamma"] = p.norm.gamma
-        out[f"{prefix}.norm.beta"] = p.norm.beta
-        out[f"{prefix}.prelu"] = p.prelu_slope
-
-    e = model.encoder
-    for i, b in enumerate(e.stft_blocks):
-        lightconv(f"encoder.stft.{i}", b)
-    for i, b in enumerate(e.gamma_blocks):
-        lightconv(f"encoder.gamma.{i}", b)
-    out["encoder.gamma_proj"] = e.gamma_proj
-    out["encoder.fusion.weight"] = e.fusion_weight
-    out["encoder.fusion.bias"] = e.fusion_bias
-    out["encoder.se.reduce"] = e.se.reduce
-    out["encoder.se.expand"] = e.se.expand
-    m = model.modulator
-    out["modulator.mlp.w1"] = m.mlp_w1
-    out["modulator.mlp.b1"] = m.mlp_b1
-    out["modulator.mlp.w2"] = m.mlp_w2
-    out["modulator.mlp.b2"] = m.mlp_b2
-    out["modulator.mlp.prelu"] = m.mlp_prelu_slope
-    out["modulator.tau"] = m.tau
-    out["modulator.proj.weight"] = m.proj.weight
-    out["modulator.proj.bias"] = m.proj.bias
-    out["modulator.norm.gamma"] = m.norm.gamma
-    out["modulator.norm.beta"] = m.norm.beta
-    d = model.decoder
-    for i, b in enumerate(d.head_s):
-        lightconv(f"decoder.head_s.{i}", b)
-    out["decoder.head_s_proj.weight"] = d.head_s_proj.weight
-    out["decoder.head_s_proj.bias"] = d.head_s_proj.bias
-    for i, b in enumerate(d.head_n):
-        lightconv(f"decoder.head_n.{i}", b)
-    out["decoder.head_n_proj.weight"] = d.head_n_proj.weight
-    out["decoder.head_n_proj.bias"] = d.head_n_proj.bias
-    out["decoder.drg.weight"] = d.drg_weight
-    out["decoder.drg.bias"] = d.drg_bias
-    out["decoder.drg_global"] = d.drg_global
-    return out
 
 
 def init_random(cfg: RunConfig, seed: int = 0) -> ModelParams:
@@ -303,13 +266,8 @@ def _write_tensor_file(path, tag: str, tensors: dict[str, np.ndarray]) -> None:
             fh.write(struct.pack("<BB", 1 if is_complex else 0, arr.ndim))
             for dim in arr.shape:
                 fh.write(struct.pack("<I", dim))
-            if is_complex:
-                payload = np.empty(arr.shape + (2,), dtype="<f4")
-                payload[..., 0] = arr.real
-                payload[..., 1] = arr.imag
-            else:
-                payload = arr.astype("<f4", copy=False)
-            fh.write(payload.tobytes())
+            # "<c8" is the interleaved little-endian f32 (re, im) pair
+            fh.write(arr.astype("<c8" if is_complex else "<f4", copy=False).tobytes())
 
 
 class _Reader:
@@ -337,14 +295,12 @@ def _read_tensors(rd: _Reader) -> dict[str, np.ndarray]:
         kind, ndim = rd.unpack("<BB")
         shape = tuple(rd.unpack("<" + "I" * ndim)) if ndim else ()
         count = int(np.prod(shape)) if shape else 1
-        if kind == 1:
-            raw = np.frombuffer(rd.take(8 * count), dtype="<f4").reshape(shape + (2,))
-            arr = (raw[..., 0] + 1j * raw[..., 1]).astype(np.complex64)
-        elif kind == 0:
-            arr = np.frombuffer(rd.take(4 * count), dtype="<f4").reshape(shape).copy()
-        else:
+        if kind not in (0, 1):
             raise FormatError(f"unknown tensor kind {kind} at offset {rd.off}")
-        if not np.all(np.isfinite(arr if kind == 0 else np.abs(arr))):
+        dtype = np.dtype("<c8" if kind == 1 else "<f4")
+        raw = np.frombuffer(rd.take(dtype.itemsize * count), dtype=dtype)
+        arr = raw.reshape(shape).astype(dtype.newbyteorder("="))
+        if not np.all(np.isfinite(arr)):
             raise FormatError(f"non-finite values in tensor {name!r}")
         tensors[name] = arr
     if rd.off != len(rd.data):
@@ -354,24 +310,15 @@ def _read_tensors(rd: _Reader) -> dict[str, np.ndarray]:
 
 def load_weights(path, cfg: RunConfig) -> ModelParams:
     """Load and validate a weights file against the active config."""
-    with open(path, "rb") as fh:
-        rd = _Reader(fh.read())
-    if rd.take(4) != _MAGIC:
-        raise FormatError("bad magic bytes (not a weights file)")
-    (version,) = rd.unpack("<I")
-    if version != _VERSION:
-        raise FormatError(f"unsupported format version {version}")
-    (fp_len,) = rd.unpack("<H")
-    fingerprint = rd.take(fp_len).decode("ascii")
+    fingerprint, stored = load_arrays(path)
     if fingerprint != cfg.fingerprint():
         raise ConfigMismatch(
             f"weights fingerprint {fingerprint[:12]}... does not match "
             f"config {cfg.fingerprint()[:12]}..."
         )
-    tensors = _read_tensors(rd)
-    make = _FromTensors(tensors)
+    make = _FromTensors(stored)
     model = _build(cfg, make)
-    unused = set(tensors) - make.used
+    unused = stored.keys() - make.tensors.keys()
     if unused:
         raise FormatError(f"unexpected tensors in file: {sorted(unused)[:3]}")
     return model

@@ -211,6 +211,17 @@ class TestBenchCommand:
         payload = json.loads(out.splitlines()[0])
         assert payload["rtf"] > 0
 
+    @pytest.mark.parametrize("overrides, problem", [
+        ({"dropout_rate": 0.1}, "unknown config keys: dropout_rate"),
+        ([1, 2], "config must be a JSON object"),
+        ({"analysis": {"fft": 512}}, "unknown analysis keys: fft"),
+    ], ids=["unknown_key", "not_an_object", "unknown_analysis_key"])
+    def test_bad_config_file_exits_2(self, tmp_path, capsys, overrides, problem):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(overrides))
+        assert main(["bench", "--config", str(path)]) == 2
+        assert problem in capsys.readouterr().err
+
 
 class TestSelftestCommand:
     def test_passes(self, capsys):

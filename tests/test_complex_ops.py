@@ -13,42 +13,14 @@ from binse.complex_ops import (
     CLinearParams,
     LightConvParams,
     _depthwise_conv,
-    cdropout,
     clinear,
     cln,
-    cmul,
     cprelu,
     cse,
-    lightconv1d,
-    lightconv2d,
+    lightconv,
 )
 from binse.errors import ShapeMismatch
 from conftest import make_clinear, make_cse, make_lightconv, make_norm, rand_complex
-
-
-def real_block(z):
-    """2x2 real-matrix representation of a complex scalar."""
-    return np.array([[z.real, -z.imag], [z.imag, z.real]])
-
-
-class TestCmul:
-    def test_identity(self, rng):
-        b = rand_complex(rng, (5,))
-        np.testing.assert_array_equal(cmul(1.0 + 0j, b), b)
-
-    def test_i_squared(self):
-        assert cmul(1j, 1j) == -1.0 + 0j
-
-    def test_matches_real_block_oracle(self, rng):
-        for _ in range(50):
-            a = complex(rand_complex(rng, ()))
-            b = complex(rand_complex(rng, ()))
-            m = real_block(np.complex128(a)) @ real_block(np.complex128(b))
-            prod = cmul(a, b)
-            np.testing.assert_allclose([prod.real, prod.imag], m[:, 0], rtol=1e-12)
-
-    def test_accepts_re_im_pairs(self):
-        assert cmul((0.0, 1.0), (0.0, 1.0)) == -1.0 + 0j
 
 
 class TestClinear:
@@ -111,25 +83,6 @@ class TestCln:
         np.testing.assert_allclose(cln(x, p), 0.0, atol=1e-12)
 
 
-class TestCdropout:
-    def test_infer_mode_is_identity(self, rng):
-        x = rand_complex(rng, (3, 4))
-        assert cdropout(x, 0.5, mode="infer") is x
-
-    def test_zero_rate_is_identity(self, rng):
-        x = rand_complex(rng, (3, 4))
-        assert cdropout(x, 0.0, mode="train", seed=1) is x
-
-    def test_mask_is_shared_between_parts(self, rng):
-        x = rand_complex(rng, (16, 16))
-        for seed in range(10):
-            y = cdropout(x, 0.4, mode="train", seed=seed)
-            np.testing.assert_array_equal(y.real == 0, y.imag == 0)
-            kept = y != 0
-            np.testing.assert_allclose(y[kept], x[kept] / 0.6, rtol=1e-12)
-            assert np.any(~kept)
-
-
 def naive_depthwise_1d(x, kernel):
     b, c, t = x.shape
     k = kernel.shape[1]
@@ -183,12 +136,12 @@ class TestLightConv1d:
         p = identity_block(c, (5,))
         x = rand_complex(rng, (2, c, 9))
         expected = cprelu(cln(x, p.norm), 0.25) + x
-        np.testing.assert_allclose(lightconv1d(x, p), expected, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(lightconv(x, p), expected, rtol=1e-10, atol=1e-12)
 
     def test_matches_naive_convolution_oracle(self, rng):
         p = make_lightconv(rng, 3, 5, (5,))
         x = rand_complex(rng, (2, 3, 8))
-        y = lightconv1d(x, p)
+        y = lightconv(x, p)
         h = naive_depthwise_1d(x, p.depthwise)
         h = clinear(h, p.pointwise)
         h = cprelu(cln(h, p.norm), p.prelu_slope)   # no residual: 3 != 5
@@ -211,21 +164,21 @@ class TestLightConv1d:
         x = rand_complex(rng, (1, 4, 7))
         h = naive_depthwise_1d(x, p.depthwise)
         h = cprelu(cln(clinear(h, p.pointwise), p.norm), p.prelu_slope)
-        np.testing.assert_allclose(lightconv1d(x, p), h + x, rtol=1e-8, atol=1e-10)
+        np.testing.assert_allclose(lightconv(x, p), h + x, rtol=1e-8, atol=1e-10)
 
     def test_four_axis_input_convolves_time_only(self, rng):
         p = make_lightconv(rng, 3, 3, (5,))
         x = rand_complex(rng, (1, 3, 4, 8))
-        y = lightconv1d(x, p)
+        y = lightconv(x, p)
         # frequency rows are independent: per-row application must agree
         for fi in range(4):
-            row = lightconv1d(x[:, :, fi, :], p)
+            row = lightconv(x[:, :, fi, :], p)
             np.testing.assert_allclose(y[:, :, fi, :], row, rtol=1e-9, atol=1e-11)
 
     def test_wrong_kernel_rank_raises(self, rng):
-        p = make_lightconv(rng, 3, 3, (3, 3))
+        p = make_lightconv(rng, 3, 3, (3, 3, 3))
         with pytest.raises(ShapeMismatch):
-            lightconv1d(rand_complex(rng, (1, 3, 4, 8)), p)
+            lightconv(rand_complex(rng, (1, 3, 4, 8)), p)
 
 
 class TestLightConv2d:
@@ -234,12 +187,12 @@ class TestLightConv2d:
         p = identity_block(c, (3, 3))
         x = rand_complex(rng, (1, c, 5, 6))
         expected = cprelu(cln(x, p.norm), 0.25) + x
-        np.testing.assert_allclose(lightconv2d(x, p), expected, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(lightconv(x, p), expected, rtol=1e-10, atol=1e-12)
 
     def test_matches_naive_convolution_oracle(self, rng):
         p = make_lightconv(rng, 2, 4, (3, 3))
         x = rand_complex(rng, (2, 2, 5, 6))
-        y = lightconv2d(x, p)
+        y = lightconv(x, p)
         h = naive_depthwise_2d(x, p.depthwise)
         h = cprelu(cln(clinear(h, p.pointwise), p.norm), p.prelu_slope)
         np.testing.assert_allclose(y, h, rtol=1e-8, atol=1e-10)
@@ -259,7 +212,7 @@ class TestLightConv2d:
     def test_requires_four_axes(self, rng):
         p = make_lightconv(rng, 3, 3, (3, 3))
         with pytest.raises(ShapeMismatch):
-            lightconv2d(rand_complex(rng, (1, 3, 8)), p)
+            lightconv(rand_complex(rng, (1, 3, 8)), p)
 
 
 class TestCse:
@@ -297,7 +250,7 @@ class TestNumericalHygiene:
         x = rand_complex(rng, (1, 4, 6, 8), scale=100.0)
         p1 = make_lightconv(rng, 4, 4, (5,))
         p2 = make_lightconv(rng, 4, 4, (3, 3))
-        y = lightconv2d(lightconv1d(x, p1), p2)
+        y = lightconv(lightconv(x, p1), p2)
         y = cse(y, make_cse(rng, 4))
         assert np.all(np.isfinite(y.real)) and np.all(np.isfinite(y.imag))
 
@@ -370,10 +323,9 @@ class TestTiledLightConv:
         p = c64_block(rng, case["c_in"], case["c_out"], case["kernel"])
         shape = (case["b"], case["c_in"]) + ((case["f"],) if case["f"] else ()) + (case["t"],)
         x = c64_input(rng, shape)
-        block = lightconv2d if len(case["kernel"]) == 2 else lightconv1d
         with mock.patch.object(complex_ops, "_TILE_BYTES", case["tile_bytes"]), \
                 mock.patch.object(complex_ops, "_DEPTHWISE_GROUP_BYTES", case["group_bytes"]):
-            y = block(x, p)
+            y = lightconv(x, p)
         expected = lightconv_oracle.lightconv(x, p)
         assert y.shape == expected.shape and y.dtype == np.complex64
         assert rel_l2(y, expected) <= 1e-6
@@ -383,7 +335,7 @@ class TestTiledLightConv:
         t = complex_ops._TILE_BYTES // (2 * 8) + 3      # one (2-channel) row > budget
         p = c64_block(rng, 2, 2, kernel)
         x = c64_input(rng, (1, 2, 3, t))
-        y = (lightconv2d if len(kernel) == 2 else lightconv1d)(x, p)
+        y = lightconv(x, p)
         assert rel_l2(y, lightconv_oracle.lightconv(x, p)) <= 1e-6
 
 
@@ -413,8 +365,8 @@ class TestKernelsLeaveInputsUnchanged:
             "cprelu": lambda: cprelu(x, 0.25),
             "depthwise1d": lambda: _depthwise_conv(x, rand_complex(rng, (4, 3))),
             "depthwise2d": lambda: _depthwise_conv(x, rand_complex(rng, (4, 3, 3))),
-            "lightconv1d": lambda: lightconv1d(x, c64_block(rng, 4, 4, (3,))),
-            "lightconv2d": lambda: lightconv2d(x, c64_block(rng, 4, 4, (3, 3))),
+            "lightconv1d": lambda: lightconv(x, c64_block(rng, 4, 4, (3,))),
+            "lightconv2d": lambda: lightconv(x, c64_block(rng, 4, 4, (3, 3))),
         }
         y = calls[name]()
         assert not np.shares_memory(y, x)
@@ -427,7 +379,7 @@ def test_lightconv2d_peak_memory_at_most_twice_its_output():
     p = c64_block(rng, 80, 80, (3, 3))
     tracemalloc.start()
     try:
-        y = lightconv2d(x, p)
+        y = lightconv(x, p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

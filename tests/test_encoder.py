@@ -35,14 +35,14 @@ class TestEncodeStft:
         assert z.shape == (1, C, F, T)
 
     def test_matches_sequential_block_application(self, rng):
-        from binse.complex_ops import lightconv1d
+        from binse.complex_ops import lightconv
 
         p = make_encoder(rng)
         spec = make_spec(rng)
         z = encode_stft(spec, p)
         x = spec.bins[None]
         for block in p.stft_blocks:
-            x = lightconv1d(x, block)
+            x = lightconv(x, block)
         np.testing.assert_array_equal(z, x)
 
     def test_frequency_rows_processed_independently(self, rng):
@@ -67,13 +67,13 @@ class TestEncodeGamma:
         assert z.shape == (1, C, F, T)
 
     def test_projection_matches_einsum_oracle(self, rng):
-        from binse.complex_ops import lightconv1d
+        from binse.complex_ops import lightconv
 
         p = make_encoder(rng)
         g = rand_complex(rng, (2, G, T))
         x = g[None]
         for block in p.gamma_blocks:
-            x = lightconv1d(x, block)
+            x = lightconv(x, block)
         oracle = np.einsum("fg,bcgt->bcft", p.gamma_proj, x)
         np.testing.assert_allclose(encode_gamma(g, p), oracle, rtol=1e-10, atol=1e-12)
 

@@ -11,11 +11,17 @@ from binse.frontend import (
     erb_space,
     frame_count,
     gammatone_frames,
-    gammatone_response,
     istft,
     sqrt_hann,
     stft,
 )
+
+
+def gammatone_response(bank, f_hz, channel):
+    """Oracle: magnitude response of one FIR channel at an arbitrary frequency."""
+    n = np.arange(bank.impulse_responses.shape[1])
+    phasor = np.exp(-2j * np.pi * f_hz * n / bank.sample_rate)
+    return float(np.abs(np.sum(bank.impulse_responses[channel] * phasor)))
 
 
 def make_wave(rng, n=32000, sr=16000, scale=0.3):

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from binse.audio import Waveform
-from binse.config import AnalysisConfig, LossWeights
+from binse.config import AnalysisConfig
 from binse.errors import (
     DegenerateReference,
     EmptyMask,
     InputTooShort,
     ShapeMismatch,
 )
-from binse.frontend import Spectrogram, stft
+from binse.frontend import Spectrogram
 from binse.losses import (
     cue_maps,
     external_score,
@@ -18,7 +18,6 @@ from binse.losses import (
     reg_terms,
     snr_loss,
     stoi_surrogate,
-    total_loss,
 )
 from conftest import rand_complex
 
@@ -220,37 +219,6 @@ class TestRegTerms:
 
     def test_scalar_like_gate_has_zero_tv(self):
         assert reg_terms(np.array([0.4]))[2] == 0.0
-
-
-class TestTotalLoss:
-    def test_perfect_estimate_only_snr_term_survives(self, rng):
-        s = make_wave(rng, 8192)
-        spec = stft(s, AnalysisConfig())
-        total, terms = total_loss(s, s, spec, spec, np.zeros(129))
-        # every term except the clamped SNR is exactly zero
-        assert terms["snr"] == -60.0
-        for key in ("stoi", "ild", "ipd", "reg_sparse", "reg_entropy", "reg_tv"):
-            assert terms[key] == pytest.approx(0.0, abs=1e-9)
-        assert total == pytest.approx(-60.0, abs=1e-7)
-
-    def test_weighted_sum_matches_terms(self, rng):
-        clean = make_wave(rng, 8192)
-        est = Waveform(clean.samples + 0.1 * rng.standard_normal((2, 8192)), SR)
-        cfg = AnalysisConfig()
-        w = LossWeights(alpha=2.0, beta=3.0, gamma=0.5, kappa=1.5,
-                        lambda_sparse=0.01, lambda_entropy=0.02, lambda_tv=0.03)
-        gate = rng.random(129)
-        total, t = total_loss(clean, est, stft(clean, cfg), stft(est, cfg), gate, w=w)
-        expected = (
-            2.0 * t["snr"] + 3.0 * t["stoi"] + 0.5 * t["ild"] + 1.5 * t["ipd"]
-            + 0.01 * t["reg_sparse"] + 0.02 * t["reg_entropy"] + 0.03 * t["reg_tv"]
-        )
-        assert total == pytest.approx(expected, rel=1e-12)
-
-    def test_default_weights(self):
-        w = LossWeights()
-        assert (w.alpha, w.beta, w.gamma, w.kappa) == (1.0, 10.0, 1.0, 10.0)
-        assert w.lambda_sparse == w.lambda_entropy == w.lambda_tv == 1e-4
 
 
 class TestExternalScore:

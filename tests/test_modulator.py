@@ -3,20 +3,32 @@ import pytest
 
 from binse.complex_ops import CLayerNormParams, CLinearParams, clinear, cln
 from binse.errors import ShapeMismatch
-from binse.modulator import (
-    ModulatorParams,
-    context_vector,
-    fourier_basis,
-    modulator_block,
-    synth_gate,
-)
+from binse.modulator import ModulatorParams, _gates_all_freqs, fourier_basis, modulator_block
 from conftest import make_clinear, make_norm, rand_complex
 
 
 C, H, K, F, T = 4, 4, 5, 6, 20
 
 
-def make_modulator(rng, c=C, h=H, k=K, dropout=0.0):
+def context_vector(z_f):
+    """Oracle: time-averaged channel magnitudes of one frequency; (B, C, T) -> (B, C)."""
+    return np.mean(np.abs(z_f), axis=-1)
+
+
+def synth_gate(c_f, basis, p):
+    """Oracle: the temporal gate of one frequency from its context; (B, C) -> (B, T)."""
+    h = c_f @ p.mlp_w1.T + p.mlp_b1
+    h = np.where(h >= 0, h, float(p.mlp_prelu_slope) * h)
+    a = h @ p.mlp_w2.T + p.mlp_b2                 # (B, K)
+    return 1.0 / (1.0 + np.exp(-float(p.tau) * (a @ basis.T)))
+
+
+def gates(z, p):
+    """The production gates of every frequency; (B, C, F, T) -> (B, F, T)."""
+    return _gates_all_freqs(z, fourier_basis(z.shape[-1], p.mlp_w2.shape[0]), p)
+
+
+def make_modulator(rng, c=C, h=H, k=K):
     return ModulatorParams(
         mlp_w1=rng.standard_normal((h, c)) * 0.4,
         mlp_b1=rng.standard_normal(h) * 0.1,
@@ -26,7 +38,6 @@ def make_modulator(rng, c=C, h=H, k=K, dropout=0.0):
         tau=np.float64(1.0),
         proj=make_clinear(rng, c, c, 0.3),
         norm=make_norm(rng, c),
-        dropout_rate=dropout,
     )
 
 
@@ -70,15 +81,15 @@ class TestFourierBasis:
 class TestGateSynthesis:
     def test_gate_shape_and_range(self, rng):
         p = make_modulator(rng)
-        g = synth_gate(rng.random((3, C)), fourier_basis(T, K), p)
-        assert g.shape == (3, T)
+        g = gates(rand_complex(rng, (3, C, F, T)), p)
+        assert g.shape == (3, F, T)
         assert np.all(g > 0) and np.all(g < 1)
 
     def test_zero_mlp_gives_constant_half(self, rng):
         p = make_modulator(rng)
         p.mlp_w2 = np.zeros_like(p.mlp_w2)
         p.mlp_b2 = np.zeros_like(p.mlp_b2)
-        g = synth_gate(rng.random((2, C)), fourier_basis(T, K), p)
+        g = gates(rand_complex(rng, (2, C, F, T)), p)
         np.testing.assert_allclose(g, 0.5, atol=1e-12)
 
     def test_dc_only_coefficient_gives_flat_gate(self, rng):
@@ -86,45 +97,51 @@ class TestGateSynthesis:
         p.mlp_w2 = np.zeros_like(p.mlp_w2)
         p.mlp_b2 = np.zeros(K)
         p.mlp_b2[0] = 2.0
-        g = synth_gate(rng.random((1, C)), fourier_basis(T, K), p)
-        np.testing.assert_allclose(g, g[0, 0], rtol=1e-12)
+        g = gates(rand_complex(rng, (1, C, F, T)), p)
+        np.testing.assert_allclose(g, g[0, 0, 0], rtol=1e-12)
 
     def test_temperature_sharpens_the_gate(self, rng):
         p = make_modulator(rng)
-        basis = fourier_basis(T, K)
-        ctx = rng.random((1, C))
-        g1 = synth_gate(ctx, basis, p)
+        z = rand_complex(rng, (1, C, F, T))
+        g1 = gates(z, p)
         p.tau = np.float64(8.0)
-        g8 = synth_gate(ctx, basis, p)
+        g8 = gates(z, p)
         assert np.ptp(g8) > np.ptp(g1)
 
     def test_matches_manual_mlp_oracle(self, rng):
         p = make_modulator(rng)
         basis = fourier_basis(T, K)
-        ctx = rng.random((2, C))
-        g = synth_gate(ctx, basis, p)
+        z = rand_complex(rng, (2, C, F, T))
+        g = gates(z, p)
         for b in range(2):
-            h = p.mlp_w1 @ ctx[b] + p.mlp_b1
-            h = np.where(h >= 0, h, 0.25 * h)
-            a = p.mlp_w2 @ h + p.mlp_b2
-            expected = 1.0 / (1.0 + np.exp(-(basis @ a)))
-            np.testing.assert_allclose(g[b], expected, rtol=1e-12)
+            for fi in range(F):
+                ctx = np.mean(np.abs(z[b, :, fi, :]), axis=-1)
+                h = p.mlp_w1 @ ctx + p.mlp_b1
+                h = np.where(h >= 0, h, 0.25 * h)
+                a = p.mlp_w2 @ h + p.mlp_b2
+                expected = 1.0 / (1.0 + np.exp(-(basis @ a)))
+                np.testing.assert_allclose(g[b, fi], expected, rtol=1e-12)
 
     def test_basis_coefficient_mismatch_raises(self, rng):
         p = make_modulator(rng)
         with pytest.raises(ShapeMismatch):
-            synth_gate(rng.random((1, C)), fourier_basis(T, K + 2), p)
+            modulator_block(rand_complex(rng, (1, C, F, T)), p, basis=fourier_basis(T, K + 2))
 
 
 class TestContextVector:
+    """The gates see the input only through its time-averaged magnitudes."""
+
     def test_matches_mean_abs(self, rng):
-        z = rand_complex(rng, (2, C, T))
-        np.testing.assert_allclose(context_vector(z), np.mean(np.abs(z), axis=-1))
+        p = make_modulator(rng)
+        z = rand_complex(rng, (2, C, F, T))
+        flat = np.broadcast_to(np.mean(np.abs(z), axis=-1, keepdims=True), z.shape)
+        np.testing.assert_allclose(gates(z, p), gates(flat, p), rtol=1e-12)
 
     def test_invariant_to_frame_permutation(self, rng):
-        z = rand_complex(rng, (1, C, T))
+        p = make_modulator(rng)
+        z = rand_complex(rng, (1, C, F, T))
         perm = rng.permutation(T)
-        np.testing.assert_allclose(context_vector(z), context_vector(z[..., perm]))
+        np.testing.assert_allclose(gates(z, p), gates(z[..., perm], p), rtol=1e-12)
 
 
 class TestModulatorBlock:
@@ -168,23 +185,8 @@ class TestModulatorBlock:
         out = modulator_block(z, p)
         # out = CLN(z * (1 + gate)); gate real positive => centered-free check:
         # compare against manually modulating z with the recovered real factor
-        pre = z * (1 + _recover_gates(z, p))[:, None, :, :]
+        pre = z * (1 + gates(z, p))[:, None, :, :]
         np.testing.assert_allclose(out, cln(pre, p.norm, axis=1), rtol=1e-9, atol=1e-11)
-
-    def test_infer_mode_ignores_dropout(self, rng):
-        p = make_modulator(rng, dropout=0.5)
-        z = rand_complex(rng, (1, C, F, T))
-        np.testing.assert_array_equal(
-            modulator_block(z, p, mode="infer"),
-            modulator_block(z, p, mode="infer", seed=123),
-        )
-
-    def test_train_mode_applies_dropout(self, rng):
-        p = make_modulator(rng, dropout=0.5)
-        z = rand_complex(rng, (1, C, F, T))
-        a = modulator_block(z, p, mode="train", seed=0)
-        b = modulator_block(z, p, mode="infer")
-        assert np.max(np.abs(a - b)) > 1e-6
 
     def test_wrong_rank_raises(self, rng):
         p = make_modulator(rng)
@@ -206,9 +208,3 @@ class TestModulatorBlock:
         )
         z = rand_complex(rng, (1, C, F, T)).astype(np.complex64)
         assert modulator_block(z, p).dtype == np.complex64
-
-
-def _recover_gates(z, p):
-    from binse.modulator import _gates_all_freqs
-
-    return _gates_all_freqs(z, fourier_basis(z.shape[-1], p.mlp_w2.shape[0]), p)

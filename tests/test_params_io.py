@@ -1,10 +1,13 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 
+from binse.config import RunConfig
 from binse.errors import ConfigMismatch, FormatError
 from binse.params import (
+    _write_tensor_file,
     init_random,
     load_arrays,
     load_weights,
@@ -12,6 +15,10 @@ from binse.params import (
     save_weights,
 )
 from conftest import small_config
+
+# sha256 of save_weights(init_random(RunConfig(), seed=0)): the seeded default
+# weights, byte for byte
+DEFAULT_SEED0_SHA256 = "4b17f4528738b06fa2e77fac04e1b4f852751ee8a32fac31978ebcc4440dd712"
 
 
 class TestInitRandom:
@@ -143,8 +150,6 @@ class TestWeightsRoundTrip:
         model = init_random(cfg, seed=0)
         extra = dict(model.tensors)
         extra["rogue.tensor"] = np.zeros(3, dtype=np.float32)
-        from binse.params import _write_tensor_file
-
         path = tmp_path / "w.bin"
         _write_tensor_file(path, model.fingerprint, extra)
         with pytest.raises(FormatError, match="unexpected"):
@@ -157,12 +162,39 @@ class TestWeightsRoundTrip:
         bad["modulator.mlp.b1"] = np.zeros(
             bad["modulator.mlp.b1"].shape[0] + 1, dtype=np.float32
         )
-        from binse.params import _write_tensor_file
-
         path = tmp_path / "w.bin"
         _write_tensor_file(path, model.fingerprint, bad)
         with pytest.raises(FormatError):
             load_weights(path, cfg)
+
+    def test_missing_tensor_rejected(self, tmp_path):
+        cfg = small_config()
+        model = init_random(cfg, seed=0)
+        partial = dict(model.tensors)
+        del partial["decoder.drg.bias"]
+        path = tmp_path / "w.bin"
+        _write_tensor_file(path, model.fingerprint, partial)
+        with pytest.raises(FormatError, match="missing tensor 'decoder.drg.bias'"):
+            load_weights(path, cfg)
+
+    def test_unknown_kind_byte_rejected(self, tmp_path):
+        path = tmp_path / "dump.bin"
+        save_arrays(path, {"x": np.ones(2, dtype=np.float32)})
+        data = bytearray(path.read_bytes())
+        kind_at = data.index(b"\x01\x00x") + 3        # after the name "x"
+        assert data[kind_at] == 0
+        data[kind_at] = 7
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="unknown tensor kind 7"):
+            load_arrays(path)
+
+    def test_default_seed0_weights_bytes_are_pinned(self, tmp_path):
+        cfg = RunConfig()
+        path, again = tmp_path / "w.bin", tmp_path / "w2.bin"
+        save_weights(init_random(cfg, seed=0), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_SEED0_SHA256
+        save_weights(load_weights(path, cfg), again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestArrayDumps:
@@ -180,6 +212,20 @@ class TestArrayDumps:
         for name in arrays:
             np.testing.assert_array_equal(loaded[name], arrays[name], err_msg=name)
             assert loaded[name].dtype == arrays[name].dtype
+
+    def test_largest_finite_complex_values_round_trip(self, tmp_path):
+        big = np.float32(3e38)
+        arrays = {"z": np.array([big + 1j * big, -big - 1j * big], dtype=np.complex64)}
+        path = tmp_path / "dump.bin"
+        save_arrays(path, arrays)
+        _, loaded = load_arrays(path)
+        np.testing.assert_array_equal(loaded["z"], arrays["z"])
+
+    def test_non_finite_imaginary_part_rejected(self, tmp_path):
+        path = tmp_path / "dump.bin"
+        save_arrays(path, {"z": np.array([1.0 + 1j * np.inf], dtype=np.complex64)})
+        with pytest.raises(FormatError, match="non-finite"):
+            load_arrays(path)
 
     def test_float64_input_is_stored_as_f32(self, tmp_path, rng):
         x = rng.standard_normal(100)
