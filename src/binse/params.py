@@ -292,6 +292,8 @@ def _read_tensors(rd: _Reader) -> dict[str, np.ndarray]:
     for _ in range(n_tensors):
         (name_len,) = rd.unpack("<H")
         name = rd.take(name_len).decode("utf-8")
+        if name in tensors:
+            raise FormatError(f"duplicate tensor name {name!r} at offset {rd.off}")
         kind, ndim = rd.unpack("<BB")
         shape = tuple(rd.unpack("<" + "I" * ndim)) if ndim else ()
         count = int(np.prod(shape)) if shape else 1

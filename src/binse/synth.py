@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy import fft as sp_fft
 
 from .audio import Waveform, read_mono, read_wav, write_wav
 from .errors import (
@@ -81,7 +81,14 @@ def spatialize(mono: np.ndarray, h: HrirSet, azimuth: float) -> Waveform:
     if mono.ndim != 1:
         raise ShapeMismatch("spatialize expects a 1-D mono signal")
     ir = h.entries[h.nearest(azimuth)]
-    out = fftconvolve(mono[np.newaxis, :], ir, axes=-1)[:, : mono.shape[0]]
+    n_in = mono.shape[0]
+    if min(n_in, ir.shape[1]) == 1:
+        # a one-sample factor makes the convolution a plain product
+        return Waveform((mono * ir)[:, :n_in], h.sample_rate)
+    # full linear convolution on a fast real FFT length, as fftconvolve does
+    n = sp_fft.next_fast_len(n_in + ir.shape[1] - 1, True)
+    spec = sp_fft.rfft(mono[np.newaxis, :], n, axis=-1) * sp_fft.rfft(ir, n, axis=-1)
+    out = sp_fft.irfft(spec, n, axis=-1)[:, :n_in]
     return Waveform(out, h.sample_rate)
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,7 +219,12 @@ class TestBenchCommand:
         ({"dropout_rate": 0.1}, "unknown config keys: dropout_rate"),
         ([1, 2], "config must be a JSON object"),
         ({"analysis": {"fft": 512}}, "unknown analysis keys: fft"),
-    ], ids=["unknown_key", "not_an_object", "unknown_analysis_key"])
+        ({"channels": "8"}, "config key 'channels' must be of type int"),
+        ({"kernel_2d": 3}, "config key 'kernel_2d' must be a list of 2 int values"),
+        ({"no_drg": 1}, "config key 'no_drg' must be of type bool"),
+        ({"analysis": {"hop": 64.0}}, "analysis key 'hop' must be of type int"),
+    ], ids=["unknown_key", "not_an_object", "unknown_analysis_key", "str_for_int",
+            "int_for_pair", "int_for_bool", "float_for_int"])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, overrides, problem):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(overrides))
@@ -229,3 +238,14 @@ class TestSelftestCommand:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert out.count("PASS") == 4
+
+
+def test_cli_import_does_not_load_scipy_signal():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, binse.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert "scipy.fft" in out
+    assert "scipy.signal" not in out

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from binse import encoder
 from binse.complex_ops import clinear, cln, cprelu, cse
 from binse.encoder import EncoderParams, encode_gamma, encode_stft, fuse, recalibrate
 from binse.errors import ShapeMismatch
@@ -21,6 +24,34 @@ def make_encoder(rng, c=C, f=F, g=G):
         fusion_bias=rng.standard_normal(c) * 0.3,
         se=make_cse(rng, c),
     )
+
+
+def project_complex(x, p):
+    """Oracle: the gammatone projection as a complex matmul with a zero imaginary part."""
+    return np.matmul(p.gamma_proj.astype(x.dtype), x)
+
+
+def fuse_whole(z_stft, z_gamma, p):
+    """Oracle: the fusion gate computed over the whole utterance at once."""
+    c = z_stft.shape[1]
+    mag = np.abs(z_gamma)
+    w = p.fusion_weight.astype(mag.dtype, copy=False)
+    pre = np.matmul(w, mag.reshape(mag.shape[0], c, -1)).reshape(mag.shape)
+    pre = pre + p.fusion_bias[None, :, None, None]
+    return z_stft * (1.0 / (1.0 + np.exp(-pre)))
+
+
+def single_precision(p):
+    """p with its real fusion and projection weights stored as float32, as loaded."""
+    p.gamma_proj = p.gamma_proj.astype(np.float32)
+    p.fusion_weight = p.fusion_weight.astype(np.float32)
+    p.fusion_bias = p.fusion_bias.astype(np.float32)
+    return p
+
+
+def assert_rel_close(actual, expected, rel):
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert np.max(np.abs(actual - expected)) <= rel * np.max(np.abs(expected))
 
 
 def make_spec(rng):
@@ -77,6 +108,19 @@ class TestEncodeGamma:
         oracle = np.einsum("fg,bcgt->bcft", p.gamma_proj, x)
         np.testing.assert_allclose(encode_gamma(g, p), oracle, rtol=1e-10, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_real_projection_matches_complex_matmul(self, rng, dtype):
+        from binse.complex_ops import lightconv
+
+        p = make_encoder(rng, c=8, f=33, g=12)
+        if dtype == np.complex64:
+            p = single_precision(p)
+        g = rand_complex(rng, (2, 12, 50)).astype(dtype)
+        x = g[None]
+        for block in p.gamma_blocks:
+            x = lightconv(x, block)
+        assert_rel_close(encode_gamma(g, p), project_complex(x, p), 1e-6)
+
     def test_rejects_wrong_rank_or_ear_count(self, rng):
         p = make_encoder(rng)
         with pytest.raises(ShapeMismatch):
@@ -111,6 +155,18 @@ class TestFuse:
                 pre = p.fusion_weight @ np.abs(z_g[0, :, fi, ti]) + p.fusion_bias
                 oracle[0, :, fi, ti] = z_s[0, :, fi, ti] / (1.0 + np.exp(-pre))
         np.testing.assert_allclose(out, oracle, rtol=1e-9, atol=1e-11)
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("tile_bytes", [1, 3 * 8 * 40 * 8, 4 << 20])
+    def test_tiled_gate_matches_whole_utterance_gate(self, rng, dtype, tile_bytes):
+        p = make_encoder(rng, c=8)
+        if dtype == np.complex64:
+            p = single_precision(p)
+        z_s = rand_complex(rng, (1, 8, 17, 40)).astype(dtype)
+        z_g = rand_complex(rng, (1, 8, 17, 40)).astype(dtype)
+        with mock.patch.object(encoder, "_TILE_BYTES", tile_bytes):
+            out = fuse(z_s, z_g, p)
+        assert_rel_close(out, fuse_whole(z_s, z_g, p), 1e-6)
 
     def test_gate_depends_only_on_magnitudes(self, rng):
         p = make_encoder(rng)

@@ -1,5 +1,10 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
 from binse.audio import Waveform
@@ -7,6 +12,7 @@ from binse.config import AnalysisConfig
 from binse.errors import InputTooShort, InvalidBand, ShapeMismatch
 from binse.frontend import (
     Spectrogram,
+    _frames,
     build_gammatone_bank,
     erb_space,
     frame_count,
@@ -26,6 +32,49 @@ def gammatone_response(bank, f_hz, channel):
 
 def make_wave(rng, n=32000, sr=16000, scale=0.3):
     return Waveform(scale * rng.standard_normal((2, n)), sr)
+
+
+def rand_bins(rng, t, f=129):
+    return rng.standard_normal((2, f, t)) + 1j * rng.standard_normal((2, f, t))
+
+
+def frames_loop(x, cfg):
+    """Oracle: frames (..., T, fft_size) gathered one frame at a time."""
+    t = frame_count(x.shape[-1], cfg)
+    return np.stack([x[..., m * cfg.hop : m * cfg.hop + cfg.fft_size] for m in range(t)], axis=-2)
+
+
+def istft_loop(s):
+    """Oracle: overlap-add inverse STFT that adds one frame at a time."""
+    cfg = s.config
+    win = sqrt_hann(cfg.fft_size)
+    frames = np.fft.irfft(s.bins.transpose(0, 2, 1), n=cfg.fft_size, axis=-1) * win
+    t = frames.shape[1]
+    n = (t - 1) * cfg.hop + cfg.fft_size
+    out, wsum = np.zeros((2, n)), np.zeros(n)
+    for m in range(t):
+        sl = slice(m * cfg.hop, m * cfg.hop + cfg.fft_size)
+        out[:, sl] += frames[:, m, :]
+        wsum[sl] += win * win
+    good = wsum > 1e-12
+    out[:, good] /= wsum[good]
+    out[:, ~good] = 0.0
+    return out
+
+
+def gammatone_frames_oracle(w, bank, cfg):
+    """Oracle: whole-length fftconvolve filtering, then gathered frame energies."""
+    n = w.n_samples
+    filtered = fftconvolve(w.samples[None], bank.impulse_responses[:, None], axes=-1)[..., :n]
+    frames = frames_loop(filtered, cfg)
+    return np.log1p(np.sum(frames * frames, axis=-1)).transpose(1, 0, 2)
+
+
+@functools.lru_cache(maxsize=None)
+def small_bank(hop, taps):
+    """A 4-channel bank on a 256-point grid with the given hop, built once."""
+    cfg = AnalysisConfig(fft_size=256, hop=hop)
+    return cfg, build_gammatone_bank(cfg, 4, 50.0, 7800.0, n_taps=taps)
 
 
 class TestStft:
@@ -81,6 +130,23 @@ class TestStft:
         spec_energy = (np.abs(x[0]) ** 2 + np.abs(x[-1]) ** 2 +
                        2 * np.sum(np.abs(x[1:-1]) ** 2)) / n
         assert abs(spec_energy - time_energy) / time_energy < 1e-8
+
+
+class TestFraming:
+    @pytest.mark.parametrize("hop", [64, 128, 256])
+    def test_frames_equal_per_frame_gather(self, rng, hop):
+        cfg = AnalysisConfig(fft_size=256, hop=hop)
+        for n in (256, 257, 383, 384, 1000, 4097):
+            x = rng.standard_normal((2, n))
+            assert np.array_equal(_frames(x, cfg), frames_loop(x, cfg))
+
+    @pytest.mark.parametrize("hop", [64, 128, 256])
+    def test_istft_equals_frame_loop_overlap_add(self, rng, hop):
+        cfg = AnalysisConfig(fft_size=256, hop=hop)
+        for t in (1, 2, 3, 10, 250):
+            bins = rand_bins(rng, t)
+            assert np.array_equal(istft(Spectrogram(bins, cfg)).samples,
+                                  istft_loop(Spectrogram(bins, cfg)))
 
 
 class TestIstft:
@@ -188,3 +254,46 @@ class TestGammatone:
                 oracle = np.log1p(np.sum(frames * frames, axis=-1)).transpose(1, 0, 2)
                 g = gammatone_frames(w, bank, cfg)
                 np.testing.assert_allclose(g.real, oracle, rtol=0, atol=1e-12)
+
+    def test_bank_stores_filter_spectra_on_one_block(self, analysis):
+        bank = build_gammatone_bank(analysis, 8, 50.0, 7800.0)
+        assert bank.block_len == 4096
+        assert bank.spectra.shape == (8, 2049)
+        np.testing.assert_allclose(
+            bank.spectra, np.fft.rfft(bank.impulse_responses, n=4096), rtol=0, atol=1e-15)
+
+    def test_bank_planned_for_a_smaller_hop_rejects_a_larger_one(self):
+        bank = build_gammatone_bank(AnalysisConfig(fft_size=256, hop=8), 4, n_taps=16)
+        assert bank.block_len == 64
+        with pytest.raises(ShapeMismatch, match="cannot hold a hop of 128"):
+            gammatone_frames(make_wave(np.random.default_rng(0), 1000), bank, AnalysisConfig())
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), hop=st.sampled_from([64, 128]),
+           taps=st.sampled_from([256, 1024, 5000]), silent=st.sampled_from([None, 0, 1]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_block_filtering_matches_whole_length_fftconvolve(self, data, hop, taps, silent, seed):
+        cfg, bank = small_bank(hop, taps)
+        run = (bank.block_len - taps + 1) // hop * hop
+        n = data.draw(st.one_of(st.integers(256, 3 * run + 1),
+                                st.sampled_from([run - 1, run, run + 1, 2 * run, 3 * run + 1])))
+        w = make_wave(np.random.default_rng(seed), n)
+        if silent is not None:
+            w.samples[silent] = 0.0
+        g = gammatone_frames(w, bank, cfg)
+        np.testing.assert_allclose(g.real, gammatone_frames_oracle(w, bank, cfg), rtol=0, atol=1e-12)
+        if silent is not None:
+            assert np.all(g[silent] == 0)
+
+    def test_eight_second_call_peaks_at_a_quarter_of_the_filtered_signal(self, analysis):
+        # the whole (64, 2, n) float64 filtered signal alone is 131 MB at 8 s;
+        # whole-length filtering peaked at 318 MB
+        bank = build_gammatone_bank(analysis)
+        w = make_wave(np.random.default_rng(3), 8 * 16000)
+        tracemalloc.start()
+        try:
+            gammatone_frames(w, bank, analysis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 318e6 / 4

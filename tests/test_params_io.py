@@ -188,6 +188,17 @@ class TestWeightsRoundTrip:
         with pytest.raises(FormatError, match="unknown tensor kind 7"):
             load_arrays(path)
 
+    def test_duplicate_tensor_name_rejected(self, tmp_path):
+        path = tmp_path / "dump.bin"
+        _write_tensor_file(path, "tag", {"a": np.ones(2, np.float32),
+                                         "b": np.zeros(2, np.float32)})
+        data = bytearray(path.read_bytes())
+        name_at = data.index(b"\x01\x00b") + 2       # the second name, "b"
+        data[name_at] = ord("a")
+        path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="duplicate tensor name 'a'"):
+            load_arrays(path)
+
     def test_default_seed0_weights_bytes_are_pinned(self, tmp_path):
         cfg = RunConfig()
         path, again = tmp_path / "w.bin", tmp_path / "w2.bin"

@@ -2,6 +2,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.signal import fftconvolve
 
 from binse.audio import Waveform, read_stereo, read_wav, write_wav
 from binse.errors import (
@@ -107,6 +110,15 @@ class TestSpatialize:
         for ear in range(2):
             full = np.convolve(x, ir[ear])[:300]
             np.testing.assert_allclose(out.samples[ear], full, atol=1e-10)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 20000), taps=st.integers(1, 700), seed=st.integers(0, 2 ** 32 - 1))
+    def test_equals_scipy_fftconvolve_bit_for_bit(self, n, taps, seed):
+        rng = np.random.default_rng(seed)
+        ir = rng.standard_normal((2, taps)) * 0.2
+        x = rng.standard_normal(n)
+        out = spatialize(x, HrirSet({0.0: ir}, SR), 0.0).samples
+        assert np.array_equal(out, fftconvolve(x[np.newaxis], ir, axes=-1)[:, :n])
 
     def test_output_truncated_to_input_length(self, rng):
         h = delta_hrirs([0.0], taps=128)
