@@ -80,8 +80,56 @@ def _gate_stats(g: np.ndarray) -> dict:
     }
 
 
+def _metrics_row(args, cfg: RunConfig, model, bank, dataset: Path, tmp: Path,
+                 item: str) -> dict:
+    """Enhance one dataset item and score it against its clean reference."""
+    clean = read_stereo(dataset / f"{item}_clean.wav", cfg.analysis.sample_rate)
+    mix = read_stereo(dataset / f"{item}_mix.wav", cfg.analysis.sample_rate)
+    result = enhance(mix, model, cfg, bank=bank)
+    est = result.wav_out
+    clean_spec = stft(clean, cfg.analysis)
+    est_padded = Waveform(
+        np.pad(est.samples, ((0, 0), (0, clean.n_samples - est.n_samples)))
+        if est.n_samples < clean.n_samples
+        else est.samples[:, : clean.n_samples],
+        est.sample_rate,
+    )
+    est_spec = stft(est_padded, cfg.analysis)
+    row = {
+        "item_id": item,
+        "snr_in": -losses.snr_loss(mix, clean, cfg.snr_clamp_db),
+        "snr_out": -losses.snr_loss(est_padded, clean, cfg.snr_clamp_db),
+        "stoi_surrogate": losses.stoi_surrogate(est_padded, clean),
+        "ild_err": losses.ild_loss(clean_spec, est_spec, cfg.cue_floor_db,
+                                   cfg.masked_cue_loss),
+        "ipd_err": losses.ipd_loss(clean_spec, est_spec, cfg.cue_floor_db,
+                                   cfg.masked_cue_loss),
+        "mbstoi": None,
+        "delta_pesq": None,
+    }
+    row.update(_gate_stats(result.gate))
+    if args.mbstoi_cmd or args.pesq_cmd:
+        est_path = tmp / f"{item}_enhanced.wav"
+        write_wav(est_path, est_padded.samples, cfg.analysis.sample_rate)
+        clean_path = dataset / f"{item}_clean.wav"
+        if args.mbstoi_cmd:
+            row["mbstoi"] = losses.external_score(args.mbstoi_cmd, clean_path, est_path)
+        if args.pesq_cmd:
+            pesq_out = losses.external_score(args.pesq_cmd, clean_path, est_path)
+            pesq_in = losses.external_score(
+                args.pesq_cmd, clean_path, dataset / f"{item}_mix.wav"
+            )
+            row["delta_pesq"] = pesq_out - pesq_in
+    return row
+
+
 def cmd_metrics(args) -> int:
-    """Per-utterance machine-readable report over a synthesized dataset."""
+    """Per-utterance machine-readable report over a synthesized dataset.
+
+    An item whose input is bad is reported on stderr as one JSON line
+    {"item_id", "error"} and skipped; the run then exits 2. An internal
+    invariant violation still aborts the run.
+    """
     cfg = _load_config(args)
     model = _load_model(args, cfg)
     dataset = Path(args.dataset)
@@ -90,50 +138,23 @@ def cmd_metrics(args) -> int:
     bank = gammatone_bank(cfg)    # one bank serves every item
     tmp = Path(args.report).parent if args.report else dataset
     report = open(args.report, "w") if args.report else contextlib.nullcontext(sys.stdout)
+    n_rows = n_failed = 0
     with report as out:
         for rec in records:
             item = rec["item_id"]
-            clean = read_stereo(dataset / f"{item}_clean.wav", cfg.analysis.sample_rate)
-            mix = read_stereo(dataset / f"{item}_mix.wav", cfg.analysis.sample_rate)
-            result = enhance(mix, model, cfg, bank=bank)
-            est = result.wav_out
-            clean_spec = stft(clean, cfg.analysis)
-            est_padded = Waveform(
-                np.pad(est.samples, ((0, 0), (0, clean.n_samples - est.n_samples)))
-                if est.n_samples < clean.n_samples
-                else est.samples[:, : clean.n_samples],
-                est.sample_rate,
-            )
-            est_spec = stft(est_padded, cfg.analysis)
-            row = {
-                "item_id": item,
-                "snr_in": -losses.snr_loss(mix, clean, cfg.snr_clamp_db),
-                "snr_out": -losses.snr_loss(est_padded, clean, cfg.snr_clamp_db),
-                "stoi_surrogate": losses.stoi_surrogate(est_padded, clean),
-                "ild_err": losses.ild_loss(clean_spec, est_spec, cfg.cue_floor_db,
-                                           cfg.masked_cue_loss),
-                "ipd_err": losses.ipd_loss(clean_spec, est_spec, cfg.cue_floor_db,
-                                           cfg.masked_cue_loss),
-                "mbstoi": None,
-                "delta_pesq": None,
-            }
-            row.update(_gate_stats(result.gate))
-            if args.mbstoi_cmd or args.pesq_cmd:
-                est_path = tmp / f"{item}_enhanced.wav"
-                write_wav(est_path, est_padded.samples, cfg.analysis.sample_rate)
-                clean_path = dataset / f"{item}_clean.wav"
-                if args.mbstoi_cmd:
-                    row["mbstoi"] = losses.external_score(args.mbstoi_cmd, clean_path, est_path)
-                if args.pesq_cmd:
-                    pesq_out = losses.external_score(args.pesq_cmd, clean_path, est_path)
-                    pesq_in = losses.external_score(
-                        args.pesq_cmd, clean_path, dataset / f"{item}_mix.wav"
-                    )
-                    row["delta_pesq"] = pesq_out - pesq_in
+            try:
+                row = _metrics_row(args, cfg, model, bank, dataset, tmp, item)
+            except InvariantViolation:
+                raise
+            except (BinseError, ValueError, OSError) as exc:
+                print(json.dumps({"item_id": item, "error": str(exc)}), file=sys.stderr)
+                n_failed += 1
+                continue
             out.write(json.dumps(row, sort_keys=True) + "\n")
+            n_rows += 1
     if args.report:
-        print(f"wrote {args.report} ({len(records)} records)")
-    return 0
+        print(f"wrote {args.report} ({n_rows} records)")
+    return 2 if n_failed else 0
 
 
 def cmd_bench(args) -> int:

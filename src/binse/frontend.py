@@ -12,7 +12,7 @@ smallest power of two holding twice (taps - 1 + hop); every block yields a
 run of ``block_len - taps + 1`` samples rounded down to whole hops (3072 of
 4096 at the defaults). Hop-block energies are summed over a few blocks of
 a small channel group at a time, so the whole (channels, 2, n) filtered
-signal never exists. The gammatone FFTs come from ``scipy.fft``.
+signal never exists. All FFTs are ``numpy.fft``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import fft as sp_fft
 
 from .audio import Waveform
 from .config import AnalysisConfig
@@ -197,7 +196,7 @@ def build_gammatone_bank(
         ir = t ** 3 * np.exp(-2.0 * np.pi * b * t) * np.cos(2.0 * np.pi * fc * t)
         mag = np.abs(np.fft.rfft(ir, n=n_fft))
         irs[k] = ir / mag.max()
-    spectra = sp_fft.rfft(irs, n=_block_len(n_taps, cfg.hop), axis=-1)
+    spectra = np.fft.rfft(irs, n=_block_len(n_taps, cfg.hop), axis=-1)
     return GammatoneBank(centers, irs, spectra, sr)
 
 
@@ -230,7 +229,7 @@ def gammatone_frames(w: Waveform, bank: GammatoneBank, cfg: AnalysisConfig) -> n
     padded = np.zeros((2, (n_runs - 1) * run + size))
     padded[:, taps - 1 : taps - 1 + n_keep] = w.samples[:, :n_keep]
     blocks = sliding_window_view(padded, size, axis=-1)[:, ::run]
-    spec = sp_fft.rfft(blocks, axis=-1).reshape(2 * n_runs, -1)   # rows: (ear, block)
+    spec = np.fft.rfft(blocks, axis=-1).reshape(2 * n_runs, -1)   # rows: (ear, block)
     # causal FIR filtering of a few blocks of one small channel group at a
     # time; a frame's energy is the sum of the energies of its hop blocks
     hops = run // hop
@@ -239,7 +238,7 @@ def gammatone_frames(w: Waveform, bank: GammatoneBank, cfg: AnalysisConfig) -> n
     for c0 in range(0, bank.n_channels, _GAMMATONE_GROUP):
         h = bank.spectra[c0 : c0 + _GAMMATONE_GROUP, np.newaxis, :]
         for r0 in range(0, 2 * n_runs, rows):
-            filtered = sp_fft.irfft(spec[r0 : r0 + rows] * h, n=size, axis=-1, overwrite_x=True)
+            filtered = np.fft.irfft(spec[r0 : r0 + rows] * h, n=size, axis=-1)
             kept = filtered[..., taps - 1 : taps - 1 + run].reshape(*filtered.shape[:2], hops, hop)
             energy[c0 : c0 + _GAMMATONE_GROUP, r0 : r0 + rows] = np.einsum(
                 "...i,...i->...", kept, kept)

@@ -12,7 +12,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .audio import Waveform, read_mono, read_wav, write_wav
 from .errors import (
@@ -74,6 +73,21 @@ def load_hrir_dir(path, expected_rate: int = 16000) -> HrirSet:
     return HrirSet(entries, expected_rate)
 
 
+def _next_fast_len(n: int) -> int:
+    """Smallest 5-smooth length 2**a * 3**b * 5**c >= n, the real FFT sizes
+    pocketfft runs fastest (``scipy.fft.next_fast_len(n, True)``)."""
+    best = 1 << (n - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            # the least power-of-two multiple of f35 that reaches n
+            best = min(best, f35 << (-(-n // f35) - 1).bit_length())
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
 def spatialize(mono: np.ndarray, h: HrirSet, azimuth: float) -> Waveform:
     """Convolve a mono signal with the stereo pair at the nearest azimuth,
     truncated to the input length."""
@@ -85,10 +99,13 @@ def spatialize(mono: np.ndarray, h: HrirSet, azimuth: float) -> Waveform:
     if min(n_in, ir.shape[1]) == 1:
         # a one-sample factor makes the convolution a plain product
         return Waveform((mono * ir)[:, :n_in], h.sample_rate)
-    # full linear convolution on a fast real FFT length, as fftconvolve does
-    n = sp_fft.next_fast_len(n_in + ir.shape[1] - 1, True)
-    spec = sp_fft.rfft(mono[np.newaxis, :], n, axis=-1) * sp_fft.rfft(ir, n, axis=-1)
-    out = sp_fft.irfft(spec, n, axis=-1)[:, :n_in]
+    # full linear convolution on a fast real FFT length, as fftconvolve does;
+    # numpy.fft lays its output out like its input, and a C-ordered output
+    # keeps later sums over it (mix_at_snr) in one summation order
+    n = _next_fast_len(n_in + ir.shape[1] - 1)
+    spec = (np.fft.rfft(mono[np.newaxis, :], n, axis=-1)
+            * np.fft.rfft(np.ascontiguousarray(ir), n, axis=-1))
+    out = np.fft.irfft(spec, n, axis=-1)[:, :n_in]
     return Waveform(out, h.sample_rate)
 
 

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from binse import pipeline
+from binse import cli, pipeline
 from binse.audio import read_stereo, write_wav
 from binse.cli import main
+from binse.errors import InvariantViolation
 from binse.params import load_arrays
 from test_synth import write_corpus
 
@@ -72,6 +73,26 @@ class TestEnhanceCommand:
                    "--input", str(tmp_path / "nope.wav"),
                    "--output", str(tmp_path / "o.wav")])
         assert rc == 2
+
+    @pytest.mark.parametrize("damage", ["empty", "fmt_prefix", "partial_frame"])
+    def test_truncated_wav_exits_2(self, tmp_path, cfg_file, input_wav, capsys, damage):
+        wav = Path(input_wav).read_bytes()
+        if damage == "empty":
+            wav = b""
+        elif damage == "fmt_prefix":
+            wav = wav[:30]               # ends inside the 18-byte float fmt chunk
+        else:
+            # a data chunk two bytes short of a whole 8-byte stereo frame
+            at = wav.index(b"data") + 4
+            size = int.from_bytes(wav[at : at + 4], "little") - 2
+            wav = (wav[:4] + (len(wav) - 10).to_bytes(4, "little") + wav[8:at]
+                   + size.to_bytes(4, "little") + wav[at + 4 : -2])
+        bad = tmp_path / "bad.wav"
+        bad.write_bytes(wav)
+        rc = main(["enhance", "--config", cfg_file, "--input", str(bad),
+                   "--output", str(tmp_path / "o.wav")])
+        assert rc == 2
+        assert "cannot parse WAV" in capsys.readouterr().err
 
     def test_corrupt_weights_exit_3(self, tmp_path, cfg_file, input_wav):
         bad = tmp_path / "bad.bin"
@@ -191,6 +212,35 @@ class TestMetricsCommand:
         assert len(report.read_text().splitlines()) == 3
         assert len(calls) == 1
 
+    def test_bad_item_is_reported_and_skipped(self, tmp_path, rng, cfg_file, capsys):
+        _, manifest = write_corpus(tmp_path, rng, n_items=3, duration=0.5)
+        data = tmp_path / "data"
+        assert main(["synth", "--manifest", str(manifest), "--out", str(data)]) == 0
+        (data / "item001_mix.wav").write_bytes(b"RIFF\x00\x00")
+        capsys.readouterr()
+        report = tmp_path / "report.jsonl"
+        rc = main(["metrics", "--config", cfg_file, "--dataset", str(data),
+                   "--report", str(report)])
+        assert rc == 2
+        rows = [json.loads(l) for l in report.read_text().splitlines()]
+        assert [r["item_id"] for r in rows] == ["item000", "item002"]
+        (failure,) = [json.loads(l) for l in capsys.readouterr().err.splitlines()]
+        assert failure["item_id"] == "item001"
+        assert "cannot parse WAV" in failure["error"]
+
+    def test_invariant_violation_still_aborts(self, tmp_path, rng, cfg_file, monkeypatch):
+        _, manifest = write_corpus(tmp_path, rng, n_items=2, duration=0.5)
+        data = tmp_path / "data"
+        assert main(["synth", "--manifest", str(manifest), "--out", str(data)]) == 0
+
+        def broken(*args, **kwargs):
+            raise InvariantViolation("non-finite output")
+
+        monkeypatch.setattr(cli, "enhance", broken)
+        rc = main(["metrics", "--config", cfg_file, "--dataset", str(data),
+                   "--report", str(tmp_path / "report.jsonl")])
+        assert rc == 4
+
     def test_missing_dataset_exits_2(self, tmp_path, cfg_file):
         rc = main(["metrics", "--config", cfg_file,
                    "--dataset", str(tmp_path / "nope")])
@@ -240,12 +290,33 @@ class TestSelftestCommand:
         assert out.count("PASS") == 4
 
 
-def test_cli_import_does_not_load_scipy_signal():
+def test_cli_import_does_not_load_scipy_signal(tmp_path, rng, cfg_file):
+    """binse runs on numpy alone: neither the import a `binse` invocation
+    makes nor synth, metrics and enhance on a tiny corpus load any scipy."""
+    _, manifest = write_corpus(tmp_path, rng, n_items=1, duration=0.5)
+    data = tmp_path / "data"
+    commands = [
+        ["synth", "--manifest", str(manifest), "--out", str(data)],
+        ["metrics", "--config", cfg_file, "--dataset", str(data),
+         "--report", str(tmp_path / "report.jsonl")],
+        ["enhance", "--config", cfg_file, "--input", str(data / "item000_mix.wav"),
+         "--output", str(tmp_path / "enhanced.wav")],
+    ]
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, binse.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = (
+        "import json, sys\n"
+        "import binse.cli\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "loaded = {'import': scipy_modules()}\n"
+        f"for argv in {commands!r}:\n"
+        "    assert binse.cli.main(argv) == 0, argv\n"
+        "    loaded[argv[0]] = scipy_modules()\n"
+        "print(json.dumps(loaded))\n"
+    )
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert "scipy.fft" in out
-    assert "scipy.signal" not in out
+    loaded = json.loads(out.splitlines()[-1])
+    assert loaded == {"import": [], "synth": [], "metrics": [], "enhance": []}

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import fft as sp_fft
 from scipy.signal import fftconvolve
 
 from binse.audio import Waveform, read_stereo, read_wav, write_wav
@@ -22,6 +23,7 @@ from binse.synth import (
     make_diffuse_noise,
     mix_at_snr,
     read_manifest,
+    _next_fast_len,
     spatialize,
     synthesize_item,
 )
@@ -119,6 +121,26 @@ class TestSpatialize:
         x = rng.standard_normal(n)
         out = spatialize(x, HrirSet({0.0: ir}, SR), 0.0).samples
         assert np.array_equal(out, fftconvolve(x[np.newaxis], ir, axes=-1)[:, :n])
+
+    def test_wav_ordered_impulse_response_gives_contiguous_rows(self, rng):
+        # HRIRs read from a WAV are (2, taps) transposed views of (taps, 2)
+        ir = np.asfortranarray(rng.standard_normal((2, 64)) * 0.2)
+        x = rng.standard_normal(31690)
+        out = spatialize(x, HrirSet({0.0: ir}, SR), 0.0).samples
+        ref = fftconvolve(x[np.newaxis], np.ascontiguousarray(ir), axes=-1)[:, :31690]
+        assert np.array_equal(out, ref)
+        # each ear's row is contiguous, so sums over the output (mix_at_snr's
+        # powers) run in the same order as over a C-ordered oracle
+        assert out.strides[1] == out.itemsize
+
+    def test_next_fast_len_equals_scipy_up_to_20000(self):
+        ours = [_next_fast_len(n) for n in range(1, 20001)]
+        assert ours == [sp_fft.next_fast_len(n, True) for n in range(1, 20001)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 2 ** 24))
+    def test_next_fast_len_equals_scipy(self, n):
+        assert _next_fast_len(n) == sp_fft.next_fast_len(n, True)
 
     def test_output_truncated_to_input_length(self, rng):
         h = delta_hrirs([0.0], taps=128)
