@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -126,9 +127,10 @@ def _metrics_row(args, cfg: RunConfig, model, bank, dataset: Path, tmp: Path,
 def cmd_metrics(args) -> int:
     """Per-utterance machine-readable report over a synthesized dataset.
 
-    An item whose input is bad is reported on stderr as one JSON line
-    {"item_id", "error"} and skipped; the run then exits 2. An internal
-    invariant violation still aborts the run.
+    An item whose input is bad, or whose external scorer exits non-zero, is
+    reported on stderr as one JSON line {"item_id", "error"} and skipped;
+    the run then exits 2. An internal invariant violation still aborts the
+    run.
     """
     cfg = _load_config(args)
     model = _load_model(args, cfg)
@@ -146,7 +148,7 @@ def cmd_metrics(args) -> int:
                 row = _metrics_row(args, cfg, model, bank, dataset, tmp, item)
             except InvariantViolation:
                 raise
-            except (BinseError, ValueError, OSError) as exc:
+            except (BinseError, ValueError, OSError, subprocess.CalledProcessError) as exc:
                 print(json.dumps({"item_id": item, "error": str(exc)}), file=sys.stderr)
                 n_failed += 1
                 continue

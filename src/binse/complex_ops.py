@@ -21,6 +21,8 @@ elementwise arithmetic; only the BLAS product, whose summation order depends
 on the tile width, may differ from the untiled block in the last bits. The
 kernels keep their module-level names and are looked up as module globals on
 every call, so a wrapper bound to one of those names sees every call.
+``lightconv(x, p, rows=(lo, hi))`` runs the same tiles over output rows lo:hi
+only, which is how the pipeline runs a block on a band of a tensor.
 """
 
 from __future__ import annotations
@@ -110,7 +112,7 @@ def clinear(
         y = np.moveaxis(out, axis, 1)
     for i in range(moved.shape[0]):
         dst = y[i].reshape(c_out, -1)
-        if not np.may_share_memory(dst, y):
+        if dst.size and not np.may_share_memory(dst, y):
             raise ValueError("clinear out must merge its trailing axes without a copy")
         np.matmul(w, moved[i].astype(dtype, copy=False).reshape(c_in, -1), out=dst)
     y += p.bias.reshape((1, -1) + (1,) * (moved.ndim - 2))
@@ -230,29 +232,47 @@ def _depthwise_conv(
     return out if x.ndim == 4 else out[:, :, 0, :]
 
 
-def lightconv(x: np.ndarray, p: LightConvParams) -> np.ndarray:
+def lightconv(
+    x: np.ndarray,
+    p: LightConvParams,
+    rows: tuple[int, int] | None = None,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Light conv block: depthwise conv, pointwise mix, CLN, PReLU, residual.
 
     A (C, k) depthwise kernel convolves the trailing (time) axis of x,
     (B, C, T) or (B, C, F, T), shared across frequencies; a (C, k_f, k_t)
     kernel convolves (frequency, time) of a (B, C, F, T) input.
+
+    ``rows=(lo, hi)`` computes only output rows lo:hi of a 4-D x, as a
+    (B, C_out, hi - lo, T) array. A 2-D kernel then reads the k_f // 2 rows
+    on either side of them that x holds, and takes rows beyond x's edges as
+    zero, so a caller holding a band of a larger tensor gets that tensor's
+    rows wherever the band holds their halo. ``out``, if given, receives the
+    result; each of its (frequency, time) planes must be contiguous.
     """
     if x.ndim not in (3, 4):
         raise ShapeMismatch(f"light conv expects (B, C, T) or (B, C, F, T), got {x.shape}")
     if p.depthwise.ndim == 3 and x.ndim != 4:
         raise ShapeMismatch("2D depthwise conv expects (B, C, F, T) input")
     # contiguous planes let the depthwise conv read each tile flat, in place
-    x4 = np.ascontiguousarray(x if x.ndim == 4 else x[:, :, np.newaxis, :])
+    x4 = x if x.ndim == 4 else x[:, :, np.newaxis, :]
+    if not x4[:1, :1].flags.c_contiguous:
+        x4 = np.ascontiguousarray(x4)
     b, c_in, f, t = x4.shape
+    first, end = (0, f) if rows is None else rows
+    if rows is not None and (x.ndim != 4 or not 0 <= first <= end <= f):
+        raise ShapeMismatch(f"rows {rows} are not frequency rows of {x.shape}")
     c_out = p.pointwise.weight.shape[0]
     dtype = np.result_type(x4.dtype, p.depthwise.dtype, p.pointwise.weight.dtype,
                            p.pointwise.bias.dtype, p.norm.gamma.dtype, p.norm.beta.dtype)
-    out = np.empty((b, c_out, f, t), dtype)
+    if out is None:
+        out = np.empty((b, c_out, end - first, t), dtype)
     row_bytes = max(1, b * c_in * t * dtype.itemsize)
     step = max(1, _TILE_BYTES // row_bytes)
-    for lo in range(0, f, step):
-        hi = min(lo + step, f)
-        y = out[:, :, lo:hi]
+    for lo in range(first, end, step):
+        hi = min(lo + step, end)
+        y = out[:, :, lo - first : hi - first]
         clinear(_depthwise_conv(x4, p.depthwise, rows=(lo, hi)), p.pointwise, out=y)
         cln(y, p.norm, out=y)
         cprelu(y, p.prelu_slope, out=y)
@@ -261,11 +281,20 @@ def lightconv(x: np.ndarray, p: LightConvParams) -> np.ndarray:
     return out if x.ndim == 4 else out[:, :, 0, :]
 
 
-def cse(x: np.ndarray, p: CSEParams) -> np.ndarray:
+def cse_excitation(s: np.ndarray, p: CSEParams) -> np.ndarray:
+    """The SE excitation sigmoid(expand @ relu(reduce @ s)) of the squeeze s
+    (B, C): a real, positive per-channel scale."""
+    h = np.maximum(s @ p.reduce.T, 0.0)
+    return 1.0 / (1.0 + np.exp(-(h @ p.expand.T)))
+
+
+def cse(x: np.ndarray, p: CSEParams, excitation: np.ndarray | None = None) -> np.ndarray:
     """Complex squeeze-and-excitation: phase-preserving per-channel scaling.
 
-    The squeeze is the mean magnitude over (frequency, time) per channel;
-    the excitation is sigmoid(expand @ relu(reduce @ s)), a real scale.
+    The squeeze is the mean magnitude over (frequency, time) per channel,
+    and ``cse_excitation`` turns it into a real scale. A caller that holds
+    x in frequency bands passes the excitation of the whole tensor, so
+    each band is scaled alike. The result keeps x's dtype.
     """
     if x.ndim != 4:
         raise ShapeMismatch("cse expects (B, C, F, T) input")
@@ -273,7 +302,6 @@ def cse(x: np.ndarray, p: CSEParams) -> np.ndarray:
         raise ShapeMismatch(
             f"cse reduce expects {p.reduce.shape[1]} channels, input has {x.shape[1]}"
         )
-    s = np.mean(np.abs(x), axis=(2, 3))              # (B, C)
-    h = np.maximum(s @ p.reduce.T, 0.0)
-    e = 1.0 / (1.0 + np.exp(-(h @ p.expand.T)))       # (B, C)
-    return x * e[:, :, None, None]
+    if excitation is None:
+        excitation = cse_excitation(np.mean(np.abs(x), axis=(2, 3)), p)   # (B, C)
+    return np.multiply(x, excitation[:, :, None, None], out=np.empty_like(x))

@@ -27,7 +27,7 @@ class EncoderParams:
 
 
 def encode_stft(y: Spectrogram, p: EncoderParams) -> np.ndarray:
-    """Encode the STFT stream: (2, F, T) bins -> (1, C, F, T) features."""
+    """Encode the STFT stream: (2, F, T) bins, or a band of them, -> (1, C, F, T)."""
     x = y.bins[np.newaxis, :, :, :]       # ears as channels, batch of 1
     for block in p.stft_blocks:
         x = lightconv(x, block)
@@ -37,22 +37,31 @@ def encode_stft(y: Spectrogram, p: EncoderParams) -> np.ndarray:
 def encode_gamma(g: np.ndarray, p: EncoderParams) -> np.ndarray:
     """Encode gammatone frames (2, n_gamma, T) -> (1, C, F, T).
 
-    The blocks run on the gammatone feature axis; a fixed real linear map
-    then projects that axis onto the F STFT bins so the attention map is
+    The blocks run on the gammatone feature axis, each band alone, so they
+    run over tiles of about ``_TILE_BYTES`` of output bands, both blocks per
+    tile, into one (1, C, n_gamma, T) buffer. A fixed real linear map then
+    projects that axis onto the F STFT bins so the attention map is
     per-(channel, frequency, time).
     """
     if g.ndim != 3 or g.shape[0] != 2:
         raise ShapeMismatch(f"expected gammatone frames (2, n_gamma, T), got {g.shape}")
-    x = g[np.newaxis, :, :, :]
-    for block in p.gamma_blocks:
-        x = lightconv(x, block)
-    if p.gamma_proj.shape[1] != x.shape[2]:
+    if p.gamma_proj.shape[1] != g.shape[1]:
         raise ShapeMismatch(
-            f"gamma projection expects {p.gamma_proj.shape[1]} features, got {x.shape[2]}"
+            f"gamma projection expects {p.gamma_proj.shape[1]} features, got {g.shape[1]}"
         )
+    blocks = p.gamma_blocks
+    c = blocks[-1].pointwise.weight.shape[0] if blocks else g.shape[0]
+    step = max(1, _TILE_BYTES // max(1, c * g.shape[2] * g.itemsize))
+    x = None
+    for lo in range(0, g.shape[1], step):
+        band = g[np.newaxis, :, lo : lo + step]
+        for block in blocks:
+            band = lightconv(band, block)
+        if x is None:
+            x = np.empty(band.shape[:2] + g.shape[1:], band.dtype)
+        x[:, :, lo : lo + step] = band
     # the real map acts on re and im alike: one real matmul on the float view,
     # whose trailing axis interleaves (re, im) over T
-    x = np.ascontiguousarray(x)
     real = x.real.dtype
     proj = p.gamma_proj.astype(real, copy=False)
     return np.matmul(proj, x.view(real)).view(x.dtype)  # (F, G) @ (B, C, G, 2T)
@@ -63,12 +72,15 @@ def fuse(
     z_gamma: np.ndarray | None,
     p: EncoderParams,
     no_gammatone: bool = False,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Attention fusion: Z_stft gated by sigmoid(Conv(|Z_gamma|)).
 
     The gate is real in (0, 1) and broadcast over re/im, so the fused path
     is phase-transparent. Under the no_gammatone ablation the gate collapses
-    to a constant per-channel scale sigmoid(bias).
+    to a constant per-channel scale sigmoid(bias). ``out``, if given,
+    receives the result; it may be z_gamma itself, as each tile's gate is
+    read before its product is written.
     """
     c = z_stft.shape[1]
     if p.fusion_weight.shape != (c, c):
@@ -77,7 +89,7 @@ def fuse(
         )
     if no_gammatone:
         a = 1.0 / (1.0 + np.exp(-p.fusion_bias))
-        return z_stft * a[None, :, None, None]
+        return np.multiply(z_stft, a[None, :, None, None], out=out)
     if z_gamma is None:
         raise ShapeMismatch("gammatone features required unless no_gammatone is set")
     if z_gamma.shape != z_stft.shape:
@@ -85,8 +97,9 @@ def fuse(
             f"stream shapes differ after projection: {z_stft.shape} vs {z_gamma.shape}"
         )
     b, _, f, t = z_stft.shape
-    out = np.empty(z_stft.shape,
-                   np.result_type(z_stft.dtype, z_gamma.real.dtype, p.fusion_bias.dtype))
+    if out is None:
+        out = np.empty(z_stft.shape,
+                       np.result_type(z_stft.dtype, z_gamma.real.dtype, p.fusion_bias.dtype))
     w = p.fusion_weight.astype(z_gamma.real.dtype, copy=False)
     bias = p.fusion_bias[:, np.newaxis]
     # the gate and the product run over frequency tiles of about _TILE_BYTES
@@ -105,6 +118,12 @@ def fuse(
     return out
 
 
-def recalibrate(z_attended: np.ndarray, p: EncoderParams) -> np.ndarray:
-    """Channel recalibration through the complex squeeze-and-excitation block."""
-    return cse(z_attended, p.se)
+def recalibrate(
+    z_attended: np.ndarray, p: EncoderParams, excitation: np.ndarray | None = None
+) -> np.ndarray:
+    """Channel recalibration through the complex squeeze-and-excitation block.
+
+    ``excitation`` is passed when z_attended is a frequency band of the
+    tensor the squeeze ran over (see ``complex_ops.cse``).
+    """
+    return cse(z_attended, p.se, excitation)

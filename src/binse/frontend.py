@@ -29,17 +29,39 @@ from .errors import InputTooShort, InvalidBand, ShapeMismatch
 
 @dataclass
 class Spectrogram:
-    """Per-ear complex time-frequency grid, bins shaped (2, F, T)."""
+    """Per-ear complex time-frequency grid, bins shaped (2, F, T).
+
+    ``band(lo, hi)`` gives a frequency band of the grid: bins (2, hi - lo, T)
+    with ``f0`` its first grid row. A whole grid has ``f0`` None.
+    """
 
     bins: np.ndarray
     config: AnalysisConfig
+    f0: int | None = None
 
     def __post_init__(self):
         self.bins = np.asarray(self.bins)
-        if self.bins.ndim != 3 or self.bins.shape[:2] != (2, self.config.n_freq_bins):
+        f = self.config.n_freq_bins
+        if self.bins.ndim != 3 or self.bins.shape[0] != 2:
+            raise ShapeMismatch(f"expected bins (2, {f}, T), got {self.bins.shape}")
+        if self.f0 is None and self.bins.shape[1] != f:
+            raise ShapeMismatch(f"expected bins (2, {f}, T), got {self.bins.shape}")
+        if self.f0 is not None and not 0 <= self.f0 <= self.f0 + self.bins.shape[1] <= f:
             raise ShapeMismatch(
-                f"expected bins (2, {self.config.n_freq_bins}, T), got {self.bins.shape}"
+                f"band of {self.bins.shape[1]} rows at row {self.f0} does not fit F={f}"
             )
+
+    @property
+    def rows(self) -> tuple[int, int]:
+        """The grid rows held, (first, end)."""
+        f0 = self.f0 or 0
+        return f0, f0 + self.bins.shape[1]
+
+    def band(self, lo: int, hi: int) -> Spectrogram:
+        """Rows lo:hi of these bins as a band of the grid (a view)."""
+        if not 0 <= lo <= hi <= self.bins.shape[1]:
+            raise ShapeMismatch(f"rows {lo}:{hi} outside {self.bins.shape[1]} rows")
+        return Spectrogram(self.bins[:, lo:hi], self.config, self.rows[0] + lo)
 
 
 def sqrt_hann(n: int) -> np.ndarray:
@@ -80,6 +102,8 @@ def istft(s: Spectrogram) -> Waveform:
     sqrt-Hann window only sample 0 falls outside that region.
     """
     cfg = s.config
+    if s.rows != (0, cfg.n_freq_bins):
+        raise ShapeMismatch(f"istft needs the whole grid, got rows {s.rows}")
     win = sqrt_hann(cfg.fft_size)
     frames = np.fft.irfft(s.bins.transpose(0, 2, 1), n=cfg.fft_size, axis=-1)
     frames = frames * win

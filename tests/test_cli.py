@@ -228,6 +228,25 @@ class TestMetricsCommand:
         assert failure["item_id"] == "item001"
         assert "cannot parse WAV" in failure["error"]
 
+    def test_failing_scorer_is_a_per_item_failure(self, tmp_path, rng, cfg_file, capsys):
+        _, manifest = write_corpus(tmp_path, rng, n_items=2, duration=0.5)
+        data = tmp_path / "data"
+        assert main(["synth", "--manifest", str(manifest), "--out", str(data)]) == 0
+        scorer = tmp_path / "scorer.sh"
+        scorer.write_text('#!/bin/sh\ncase "$2" in *item001*) echo bad >&2; exit 3;; esac\n'
+                          "echo 0.5\n")
+        scorer.chmod(0o755)
+        capsys.readouterr()
+        report = tmp_path / "report.jsonl"
+        rc = main(["metrics", "--config", cfg_file, "--dataset", str(data),
+                   "--report", str(report), "--mbstoi-cmd", f"{scorer} {{ref}} {{est}}"])
+        assert rc == 2
+        rows = [json.loads(l) for l in report.read_text().splitlines()]
+        assert [(r["item_id"], r["mbstoi"]) for r in rows] == [("item000", 0.5)]
+        (failure,) = [json.loads(l) for l in capsys.readouterr().err.splitlines()]
+        assert failure["item_id"] == "item001"
+        assert "exit status 3" in failure["error"]
+
     def test_invariant_violation_still_aborts(self, tmp_path, rng, cfg_file, monkeypatch):
         _, manifest = write_corpus(tmp_path, rng, n_items=2, duration=0.5)
         data = tmp_path / "data"

@@ -17,6 +17,7 @@ from binse.complex_ops import (
     cln,
     cprelu,
     cse,
+    cse_excitation,
     lightconv,
 )
 from binse.errors import ShapeMismatch
@@ -244,6 +245,19 @@ class TestCse:
         with pytest.raises(ShapeMismatch):
             cse(rand_complex(rng, (1, 6, 2, 2)), make_cse(rng, 4))
 
+    def test_bands_scaled_by_the_whole_excitation(self, rng):
+        x = rand_complex(rng, (1, 4, 6, 7))
+        p = make_cse(rng, 4)
+        e = cse_excitation(np.mean(np.abs(x), axis=(2, 3)), p)
+        bands = [cse(x[:, :, lo:hi], p, e) for lo, hi in [(0, 1), (1, 4), (4, 6)]]
+        np.testing.assert_array_equal(np.concatenate(bands, axis=2), cse(x, p))
+
+    def test_keeps_the_input_dtype(self, rng):
+        x = c64_input(rng, (1, 4, 3, 5))
+        p = make_cse(rng, 4)      # float64 weights
+        assert cse(x, p).dtype == np.complex64
+        assert cse(x, p, np.ones((1, 4))).dtype == np.complex64
+
 
 class TestNumericalHygiene:
     def test_no_nan_inf_through_the_stack(self, rng):
@@ -337,6 +351,58 @@ class TestTiledLightConv:
         x = c64_input(rng, (1, 2, 3, t))
         y = lightconv(x, p)
         assert rel_l2(y, lightconv_oracle.lightconv(x, p)) <= 1e-6
+
+
+@st.composite
+def row_windows(draw):
+    two_d = draw(st.booleans())
+    f = draw(st.integers(1, 13))
+    lo = draw(st.integers(0, f))
+    return dict(
+        c_in=draw(st.sampled_from([1, 3])),
+        c_out=draw(st.sampled_from([3, 4])),
+        f=f, t=draw(st.integers(1, 20)),
+        kernel=(draw(st.sampled_from([1, 3, 5])), 3) if two_d else (5,),
+        rows=(lo, draw(st.integers(lo, f))),
+        tile_bytes=draw(st.sampled_from([1, 300, 1 << 22])),
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
+
+
+class TestLightConvRows:
+    """``rows=(lo, hi)`` against the same rows of the whole block."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(row_windows())
+    def test_equals_the_rows_of_the_whole_block(self, case):
+        rng = np.random.default_rng(case["seed"])
+        p = c64_block(rng, case["c_in"], case["c_out"], case["kernel"])
+        x = read_only(c64_input(rng, (1, case["c_in"], case["f"], case["t"])))
+        before = x.copy()
+        lo, hi = case["rows"]
+        with mock.patch.object(complex_ops, "_TILE_BYTES", case["tile_bytes"]):
+            y = lightconv(x, p, rows=(lo, hi))
+        expected = lightconv(x, p)[:, :, lo:hi]
+        assert y.shape == expected.shape and y.dtype == np.complex64
+        assert np.linalg.norm(y - expected) <= 1e-6 * np.linalg.norm(expected)
+        np.testing.assert_array_equal(x, before)
+
+    @pytest.mark.parametrize("kernel", [(5,), (3, 3), (5, 3)])
+    def test_windows_at_the_edges(self, rng, kernel):
+        f = 9
+        p = c64_block(rng, 4, 4, kernel)
+        x = c64_input(rng, (1, 4, f, 11))
+        whole = lightconv(x, p)
+        for lo, hi in [(0, 1), (0, 3), (f - 1, f), (f - 3, f), (0, f)]:
+            y = lightconv(x, p, rows=(lo, hi))
+            assert np.linalg.norm(y - whole[:, :, lo:hi]) <= 1e-6 * np.linalg.norm(whole[:, :, lo:hi])
+
+    def test_rejects_rows_outside_the_input_or_of_a_3d_input(self, rng):
+        p = c64_block(rng, 2, 2, (3,))
+        with pytest.raises(ShapeMismatch):
+            lightconv(c64_input(rng, (1, 2, 4, 5)), p, rows=(2, 5))
+        with pytest.raises(ShapeMismatch):
+            lightconv(c64_input(rng, (1, 2, 5)), p, rows=(0, 1))
 
 
 @pytest.mark.parametrize("slope", [-0.5, 0.0, 0.25, 1.0, 1.5])

@@ -121,6 +121,20 @@ class TestEncodeGamma:
             x = lightconv(x, block)
         assert_rel_close(encode_gamma(g, p), project_complex(x, p), 1e-6)
 
+    @pytest.mark.parametrize("tile_bytes", [1, 2 * C * T * 8, 4 << 20])
+    def test_band_tiles_match_the_whole_blocks(self, rng, tile_bytes):
+        from binse.complex_ops import lightconv
+
+        p = make_encoder(rng)
+        g = rand_complex(rng, (2, G, T))
+        x = g[None]
+        for block in p.gamma_blocks:
+            x = lightconv(x, block)
+        with mock.patch.object(encoder, "_TILE_BYTES", tile_bytes):
+            z = encode_gamma(g, p)
+        oracle = np.einsum("fg,bcgt->bcft", p.gamma_proj, x)
+        np.testing.assert_allclose(z, oracle, rtol=1e-10, atol=1e-12)
+
     def test_rejects_wrong_rank_or_ear_count(self, rng):
         p = make_encoder(rng)
         with pytest.raises(ShapeMismatch):
@@ -167,6 +181,16 @@ class TestFuse:
         with mock.patch.object(encoder, "_TILE_BYTES", tile_bytes):
             out = fuse(z_s, z_g, p)
         assert_rel_close(out, fuse_whole(z_s, z_g, p), 1e-6)
+
+    def test_fuses_in_place_over_the_gammatone_stream(self, rng):
+        p = make_encoder(rng)
+        z_s = rand_complex(rng, (1, C, F, T))
+        z_g = rand_complex(rng, (1, C, F, T))
+        expected = fuse(z_s, z_g, p)
+        with mock.patch.object(encoder, "_TILE_BYTES", 1):
+            out = fuse(z_s, z_g, p, out=z_g)
+        assert out is z_g
+        np.testing.assert_array_equal(z_g, expected)
 
     def test_gate_depends_only_on_magnitudes(self, rng):
         p = make_encoder(rng)

@@ -1,7 +1,14 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from binse import pipeline
 from binse.audio import Waveform
+from binse.config import RunConfig
 from binse.decoder import blend, ratf_solve
 from binse.errors import InvariantViolation, ShapeMismatch
 from binse.frontend import build_gammatone_bank, istft, stft
@@ -219,3 +226,158 @@ class TestEndToEndBehaviour:
         res = enhance(w, model, cfg, bank=bank)
         # zero input -> zero spectrogram -> RATF solve of zeros -> zeros
         np.testing.assert_allclose(res.wav_out.samples, 0.0, atol=1e-20)
+
+
+# --- the frequency-tiled plan ------------------------------------------------
+
+def rel_l2(a, b):
+    return np.linalg.norm(a - b) / np.linalg.norm(b)
+
+
+def enhance_in_tiles(w, model, cfg, bank, tile_bytes, **kwargs):
+    with mock.patch.object(pipeline, "_TILE_BYTES", tile_bytes):
+        return enhance(w, model, cfg, bank=bank, **kwargs)
+
+
+ONE_TILE = 1 << 62      # a tile budget that holds every row
+
+
+def assert_equivalent(w, model, cfg, bank, tile_bytes, waveform=True):
+    """Tiled against the one-tile plan. In complex64 the RATFs and the gate
+    agree to 1e-6 relative; in complex128 the waveforms agree to 1e-10, so
+    tiling adds nothing but rounding. With ``waveform``, the complex64
+    waveforms also agree within twice the one-tile plan's own
+    complex64-vs-complex128 distance."""
+    tiled = enhance_in_tiles(w, model, cfg, bank, tile_bytes)
+    one = enhance_in_tiles(w, model, cfg, bank, ONE_TILE)
+    for got, want in [(tiled.ratfs.w_s, one.ratfs.w_s), (tiled.ratfs.w_n, one.ratfs.w_n)]:
+        assert np.linalg.norm(got - want) <= 1e-6 * np.linalg.norm(want)
+    assert np.max(np.abs(tiled.gate - one.gate)) <= 1e-6 * np.max(np.abs(one.gate))
+    wide = enhance_in_tiles(w, model, cfg, bank, ONE_TILE, dtype=np.complex128)
+    wide_tiled = enhance_in_tiles(w, model, cfg, bank, tile_bytes, dtype=np.complex128)
+    assert (np.linalg.norm(wide_tiled.wav_out.samples - wide.wav_out.samples)
+            <= 1e-10 * np.linalg.norm(wide.wav_out.samples))
+    if waveform:
+        budget = np.linalg.norm(one.wav_out.samples - wide.wav_out.samples)
+        assert np.linalg.norm(tiled.wav_out.samples - one.wav_out.samples) <= 2 * budget
+    return tiled
+
+
+def tile_budget(cfg, w, rows):
+    """Bytes of ``rows`` rows of one (1, C, F, T) complex64 tensor of w."""
+    t = stft(pad_to_frame_grid(w, cfg), cfg.analysis).bins.shape[2]
+    return rows * cfg.channels * t * 8
+
+
+class TestTiledPlan:
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 12000), rows=st.sampled_from([1, 2, 5, 17, 64]),
+           seed=st.integers(0, 2**31 - 1))
+    def test_tiles_match_the_one_tile_plan(self, setup, n, rows, seed):
+        """Random white-noise inputs. The complex64 waveform is left out: the
+        solve amplifies last-bit RATF differences by an input-dependent
+        factor, and on rare inputs the tiling's share of them exceeds twice
+        the complex64-vs-complex128 distance."""
+        cfg, model, bank = setup
+        w = make_wave(np.random.default_rng(seed), n)
+        assert_equivalent(w, model, cfg, bank, tile_budget(cfg, w, rows), waveform=False)
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_waveform_within_the_precision_budget(self, setup, rows):
+        cfg, model, bank = setup
+        w = binaural_mixture(np.random.default_rng(0), 2 * SR)
+        assert_equivalent(w, model, cfg, bank, tile_budget(cfg, w, rows))
+
+    @pytest.mark.parametrize("tile_bytes", [1, 3 * 8 * 32 * 8])
+    def test_no_row_is_computed_twice(self, setup, rng, monkeypatch, tile_bytes):
+        from binse import decoder
+
+        cfg, model, bank = setup
+        counts = {}
+        modulate, conv = pipeline.modulator_block, decoder.lightconv
+
+        def counted_modulator(z, p):
+            counts["modulator"] = counts.get("modulator", 0) + z.shape[2]
+            return modulate(z, p)
+
+        def counted_lightconv(x, p, rows=None, out=None):
+            key = id(p)
+            counts[key] = counts.get(key, 0) + (rows[1] - rows[0])
+            return conv(x, p, rows=rows, out=out)
+
+        monkeypatch.setattr(pipeline, "modulator_block", counted_modulator)
+        monkeypatch.setattr(decoder, "lightconv", counted_lightconv)
+        enhance_in_tiles(make_wave(rng, 4096), model, cfg, bank, tile_bytes)
+        blocks = model.decoder.head_s + model.decoder.head_n
+        assert set(counts) == {"modulator"} | {id(b) for b in blocks}
+        assert set(counts.values()) == {cfg.analysis.n_freq_bins}
+
+    def test_stage_dump_is_whole_and_one_tile(self, setup, rng):
+        cfg, model, bank = setup
+        w = make_wave(rng, 4096)
+        res = enhance_in_tiles(w, model, cfg, bank, 1, collect_stages=True)
+        f, t = cfg.analysis.n_freq_bins, (4096 - 256) // 128 + 1
+        for name in ("z_gamma", "z_stft", "z_attended", "z_backbone", "z_out"):
+            assert res.stages[name].shape == (1, cfg.channels, f, t)
+        one = enhance_in_tiles(w, model, cfg, bank, ONE_TILE)
+        np.testing.assert_array_equal(res.wav_out.samples, one.wav_out.samples)
+
+    @pytest.mark.parametrize("kind", ["n1", "n100", "n256", "zeros", "silent_ear", "dc"])
+    @pytest.mark.parametrize("tile_bytes", [pipeline._TILE_BYTES, 1])
+    def test_edge_inputs(self, setup, kind, tile_bytes):
+        cfg, model, bank = setup
+        rng = np.random.default_rng(11)
+        n = {"n1": 1, "n100": 100, "n256": 256}.get(kind, 3000)
+        x = 0.2 * rng.standard_normal((2, n))
+        if kind == "zeros":
+            x[:] = 0.0
+        elif kind == "silent_ear":
+            x[1] = 0.0
+        elif kind == "dc":
+            x[:] = 0.5
+        res = assert_equivalent(Waveform(x, SR), model, cfg, bank, tile_bytes)
+        assert res.wav_out.samples.shape == (2, n)
+        assert np.all(np.isfinite(res.wav_out.samples))
+        if kind == "zeros":
+            assert not np.any(res.wav_out.samples)
+
+    def test_eight_second_array_peak(self):
+        """One default-config 8 s call; the whole-utterance plan peaked at 265 MB."""
+        cfg = RunConfig()
+        model = init_random(cfg, seed=0)
+        bank = pipeline.gammatone_bank(cfg)
+        w = make_wave(np.random.default_rng(0), 8 * SR)
+        tracemalloc.start()
+        try:
+            enhance(w, model, cfg, bank=bank)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 185e6
+
+
+def binaural_mixture(rng, n):
+    """A harmonic source reaching the ears 5 samples apart, in partly
+    correlated noise at about 0 dB SNR."""
+    t = np.arange(n) / SR
+    src = sum(np.sin(2 * np.pi * 150 * h * t + rng.uniform(0, 2 * np.pi)) / h
+              for h in range(1, 20))
+    src *= 0.5 - 0.5 * np.cos(2 * np.pi * 4 * t)
+    ears = np.stack([src, np.roll(src, 5)]) / np.std(src)
+    mix = ears + 0.6 * rng.standard_normal(n) + 0.8 * rng.standard_normal((2, n))
+    return Waveform(0.3 * mix / np.max(np.abs(mix)), SR)
+
+
+def test_precision_budget():
+    """complex64 against complex128 through the default network on a seeded
+    2 s mixture. The RATFs carry float32 rounding; the solve divides by
+    |W_s - W_n| and so amplifies it in the waveform, by an input-dependent
+    factor: white-noise inputs reach several times this bound."""
+    cfg = RunConfig()
+    model = init_random(cfg, seed=0)
+    w = binaural_mixture(np.random.default_rng(0), 2 * SR)
+    a = enhance(w, model, cfg, dtype=np.complex64)
+    b = enhance(w, model, cfg, dtype=np.complex128)
+    assert rel_l2(a.ratfs.w_s, b.ratfs.w_s) <= 1e-6
+    assert rel_l2(a.ratfs.w_n, b.ratfs.w_n) <= 1e-6
+    assert rel_l2(a.wav_out.samples, b.wav_out.samples) <= 5e-5
