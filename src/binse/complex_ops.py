@@ -22,7 +22,7 @@ on the tile width, may differ from the untiled block in the last bits. The
 kernels keep their module-level names and are looked up as module globals on
 every call, so a wrapper bound to one of those names sees every call.
 ``lightconv(x, p, rows=(lo, hi))`` runs the same tiles over output rows lo:hi
-only, which is how the pipeline runs a block on a band of a tensor.
+only, which is how the decoder runs a block a few rows at a time.
 """
 
 from __future__ import annotations
@@ -247,8 +247,8 @@ def lightconv(
     ``rows=(lo, hi)`` computes only output rows lo:hi of a 4-D x, as a
     (B, C_out, hi - lo, T) array. A 2-D kernel then reads the k_f // 2 rows
     on either side of them that x holds, and takes rows beyond x's edges as
-    zero, so a caller holding a band of a larger tensor gets that tensor's
-    rows wherever the band holds their halo. ``out``, if given, receives the
+    zero, so a caller holding some rows of a larger tensor gets that
+    tensor's rows wherever x holds their halo. ``out``, if given, receives the
     result; each of its (frequency, time) planes must be contiguous.
     """
     if x.ndim not in (3, 4):
@@ -292,9 +292,10 @@ def cse(x: np.ndarray, p: CSEParams, excitation: np.ndarray | None = None) -> np
     """Complex squeeze-and-excitation: phase-preserving per-channel scaling.
 
     The squeeze is the mean magnitude over (frequency, time) per channel,
-    and ``cse_excitation`` turns it into a real scale. A caller that holds
-    x in frequency bands passes the excitation of the whole tensor, so
-    each band is scaled alike. The result keeps x's dtype.
+    and ``cse_excitation`` turns it into a real scale. A caller that scales
+    a tensor a tile of frequency rows at a time passes the excitation of
+    the whole tensor, so each tile is scaled alike. The result keeps x's
+    dtype.
     """
     if x.ndim != 4:
         raise ShapeMismatch("cse expects (B, C, F, T) input")

@@ -3,7 +3,7 @@ per-frequency refinement gate, and output blending."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,7 +34,7 @@ class DecoderParams:
 
 class _Window:
     """The rows [first, first + count) of one level of a head that later
-    bands still read, kept at the front of a buffer reused band to band."""
+    tiles still read, kept at the front of a buffer reused tile to tile."""
 
     def __init__(self):
         self.buf, self.first, self.count = None, 0, 0
@@ -56,69 +56,57 @@ class _Window:
         return self.buf[:, :, kept : self.count]
 
 
-@dataclass
-class HeadStream:
-    """How far ``decode_heads`` has got through a tensor of ``n_rows``
-    frequency rows that it is handed in bands, top down.
-
-    ``made[l]`` is the number of rows made so far at level l: level 0 is
-    z_out, level l the output of block l. ``windows[i][l]`` holds the rows of
-    level l that block l + 1 of head i still reads; both heads share level 0.
-    """
-
-    n_rows: int
-    made: list[int] = field(default_factory=list)
-    windows: list[list[_Window]] = field(default_factory=list)
-
-
 def _halo(block: LightConvParams) -> int:
     return block.depthwise.shape[1] // 2 if block.depthwise.ndim == 3 else 0
 
 
 def decode_heads(
-    z_out: np.ndarray, p: DecoderParams, stream: HeadStream | None = None
+    z_out: np.ndarray, p: DecoderParams, tiles: list[tuple[int, int]] | None = None
 ) -> RatfPair:
     """Two independent stacks of 2D blocks estimating speech/noise RATFs.
 
-    z_out (B, C, F, T) gives RATFs (B, F, T). With a ``stream``, z_out is
-    instead the next band of rows of a tensor fed top down, and the call
-    returns the RATF rows that band completes, from where the last call
-    stopped. A 2-D block reads k_f // 2 rows on either side of each output
-    row, so each block's rows lag the rows of its input by that halo; each
-    level keeps the halo rows it still owes the next band, and no row is
-    computed twice. The band that reaches the last row completes every row.
+    z_out (B, C, F, T) gives RATFs (B, F, T). The blocks run over ``tiles``,
+    ascending (lo, hi) frequency rows that end at F (default: one tile of
+    every row), so each block's output exists only a few rows at a time. A
+    2-D block reads k_f // 2 rows on either side of each output row, so at
+    the tile ending at row hi, block l makes its rows up to l times that
+    halo short of hi, and the last tile completes every row. Block 1 reads
+    z_out itself; each deeper level keeps in a ``_Window`` the rows of its
+    output that the next block still reads, and no row is computed twice.
     The two heads have blocks of the same kernel shapes.
     """
     if z_out.ndim != 4:
         raise ShapeMismatch(f"expected (B, C, F, T), got {z_out.shape}")
+    f, t = z_out.shape[2:]
+    if tiles is None:
+        tiles = [(0, f)]
     heads = [(p.head_s, p.head_s_proj), (p.head_n, p.head_n_proj)]
     n = len(p.head_s)
-    if stream is None:
-        stream = HeadStream(z_out.shape[2])
-    if not stream.made:
-        stream.made = [0] * (n + 1)
-        shared = _Window()
-        stream.windows = [[shared] + [_Window() for _ in range(n - 1)] for _ in heads]
-    made = stream.made
-    # rows each level can reach: its input's end less its halo, or all of them
-    stops = [made[0] + z_out.shape[2]]
-    for block in p.head_s:
-        last = stops[-1] == stream.n_rows
-        stops.append(stream.n_rows if last else max(0, stops[-1] - _halo(block)))
-    # the first row of each level that this band's blocks read
-    keeps = [max(0, made[l + 1] - _halo(block)) for l, block in enumerate(p.head_s)]
-    if n:
-        stream.windows[0][0].extend(keeps[0], z_out.shape[2], z_out)[...] = z_out
-    ratfs = []
-    for (blocks, proj), windows in zip(heads, stream.windows):
-        x = z_out
-        for l, block in enumerate(blocks):
-            a, b = made[l + 1], stops[l + 1]
-            src = windows[l]
-            out = windows[l + 1].extend(keeps[l + 1], b - a, src.buf) if l + 1 < n else None
-            x = lightconv(src.rows, block, rows=(a - src.first, b - src.first), out=out)
-        ratfs.append(clinear(x, proj, axis=1)[:, 0, :, :])
-    stream.made = stops
+    ratfs = [np.empty((z_out.shape[0], f, t), np.result_type(z_out.dtype, proj.weight.dtype))
+             for _, proj in heads]
+    # levels 1 .. n - 1 of each head; level l is the output of block l
+    windows = [[_Window() for _ in range(n - 1)] for _ in heads]
+    made = [0] * (n + 1)            # rows made so far at each level; level 0 is z_out
+    for _, hi in tiles:
+        # rows each level can reach: its input's end less its halo, or all of them
+        stops = [hi]
+        for block in p.head_s:
+            stops.append(f if stops[-1] == f else max(0, stops[-1] - _halo(block)))
+        for (blocks, proj), ratf, levels in zip(heads, ratfs, windows):
+            src, first = z_out, 0
+            x = z_out[:, :, made[0] : hi]
+            for l, block in enumerate(blocks):
+                a, b = made[l + 1], stops[l + 1]
+                out = None
+                if l + 1 < n:
+                    # from the first row of it that block l + 2 reads, at this tile or later
+                    keep = max(0, made[l + 2] - _halo(blocks[l + 1]))
+                    out = levels[l].extend(keep, b - a, src)
+                x = lightconv(src, block, rows=(a - first, b - first), out=out)
+                if out is not None:
+                    src, first = levels[l].rows, levels[l].first
+            ratf[:, made[n] : stops[n]] = clinear(x, proj, axis=1)[:, 0]
+        made = stops
     return RatfPair(w_s=ratfs[0], w_n=ratfs[1])
 
 
@@ -155,7 +143,7 @@ def ratf_solve(
         denom = np.abs(diff) ** 2 + eps
     s_r = numer / denom
     s_l = w_s * s_r
-    return Spectrogram(np.stack([s_l, s_r]), y.config, y.f0)
+    return Spectrogram(np.stack([s_l, s_r]), y.config)
 
 
 def refinement_gate(z_out: np.ndarray, p: DecoderParams) -> np.ndarray:
@@ -184,20 +172,15 @@ def blend(s_hat: Spectrogram, y: Spectrogram, g: np.ndarray) -> Spectrogram:
     """Convex per-frequency blend of enhanced and noisy spectrograms.
 
     g is (F,) and broadcasts identically to both ears and all frames:
-    out_i = g * S_hat_i + (1 - g) * Y_i. Two bands of the grid blend with
-    the rows of g they hold.
+    out_i = g * S_hat_i + (1 - g) * Y_i.
     """
-    if s_hat.bins.shape != y.bins.shape or s_hat.rows != y.rows:
-        raise ShapeMismatch(
-            f"spectrograms differ: {s_hat.bins.shape} at rows {s_hat.rows} "
-            f"vs {y.bins.shape} at rows {y.rows}"
-        )
+    if s_hat.bins.shape != y.bins.shape:
+        raise ShapeMismatch(f"spectrograms differ: {s_hat.bins.shape} vs {y.bins.shape}")
     g = np.asarray(g)
     if g.ndim == 2 and g.shape[0] == 1:
         g = g[0]
-    f = y.config.n_freq_bins
+    f = y.bins.shape[1]
     if g.shape != (f,):
         raise ShapeMismatch(f"gate shape {g.shape} does not match F={f}")
-    lo, hi = y.rows
-    gg = g[None, lo:hi, None]
-    return Spectrogram(gg * s_hat.bins + (1.0 - gg) * y.bins, y.config, y.f0)
+    gg = g[None, :, None]
+    return Spectrogram(gg * s_hat.bins + (1.0 - gg) * y.bins, y.config)

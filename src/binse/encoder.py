@@ -13,7 +13,6 @@ import numpy as np
 
 from .complex_ops import _TILE_BYTES, CSEParams, LightConvParams, cse, lightconv
 from .errors import ShapeMismatch
-from .frontend import Spectrogram
 
 
 @dataclass
@@ -26,9 +25,14 @@ class EncoderParams:
     se: CSEParams
 
 
-def encode_stft(y: Spectrogram, p: EncoderParams) -> np.ndarray:
-    """Encode the STFT stream: (2, F, T) bins, or a band of them, -> (1, C, F, T)."""
-    x = y.bins[np.newaxis, :, :, :]       # ears as channels, batch of 1
+def encode_stft(bins: np.ndarray, p: EncoderParams) -> np.ndarray:
+    """Encode the STFT stream: bins (2, rows, T) -> (1, C, rows, T).
+
+    The blocks are 1-D in time, so any rows of the spectrogram encode alone.
+    """
+    if bins.ndim != 3 or bins.shape[0] != 2:
+        raise ShapeMismatch(f"expected STFT bins (2, rows, T), got {bins.shape}")
+    x = bins[np.newaxis, :, :, :]         # ears as channels, batch of 1
     for block in p.stft_blocks:
         x = lightconv(x, block)
     return x
@@ -79,8 +83,8 @@ def fuse(
     The gate is real in (0, 1) and broadcast over re/im, so the fused path
     is phase-transparent. Under the no_gammatone ablation the gate collapses
     to a constant per-channel scale sigmoid(bias). ``out``, if given,
-    receives the result; it may be z_gamma itself, as each tile's gate is
-    read before its product is written.
+    receives the result; it may be z_gamma itself, as the whole gate is read
+    before the product is written.
     """
     c = z_stft.shape[1]
     if p.fusion_weight.shape != (c, c):
@@ -96,26 +100,15 @@ def fuse(
         raise ShapeMismatch(
             f"stream shapes differ after projection: {z_stft.shape} vs {z_gamma.shape}"
         )
-    b, _, f, t = z_stft.shape
-    if out is None:
-        out = np.empty(z_stft.shape,
-                       np.result_type(z_stft.dtype, z_gamma.real.dtype, p.fusion_bias.dtype))
-    w = p.fusion_weight.astype(z_gamma.real.dtype, copy=False)
-    bias = p.fusion_bias[:, np.newaxis]
-    # the gate and the product run over frequency tiles of about _TILE_BYTES
-    # of |z_gamma|, so every temporary is tile-sized
-    step = max(1, _TILE_BYTES // max(1, b * c * t * z_gamma.real.itemsize))
-    for lo in range(0, f, step):
-        hi = min(lo + step, f)
-        mag = np.abs(z_gamma[:, :, lo:hi])
-        pre = np.matmul(w, mag.reshape(b, c, -1))
-        pre = pre + bias
-        np.negative(pre, out=pre)
-        np.exp(pre, out=pre)
-        np.add(1.0, pre, out=pre)
-        np.divide(1.0, pre, out=pre)
-        np.multiply(z_stft[:, :, lo:hi], pre.reshape(mag.shape), out=out[:, :, lo:hi])
-    return out
+    mag = np.abs(z_gamma)
+    w = p.fusion_weight.astype(mag.dtype, copy=False)
+    pre = np.matmul(w, mag.reshape(mag.shape[0], c, -1))
+    pre = pre + p.fusion_bias[:, np.newaxis]
+    np.negative(pre, out=pre)
+    np.exp(pre, out=pre)
+    np.add(1.0, pre, out=pre)
+    np.divide(1.0, pre, out=pre)
+    return np.multiply(z_stft, pre.reshape(mag.shape), out=out)
 
 
 def recalibrate(
@@ -123,7 +116,7 @@ def recalibrate(
 ) -> np.ndarray:
     """Channel recalibration through the complex squeeze-and-excitation block.
 
-    ``excitation`` is passed when z_attended is a frequency band of the
-    tensor the squeeze ran over (see ``complex_ops.cse``).
+    ``excitation`` is passed when z_attended is a tile of frequency rows
+    of the tensor the squeeze ran over (see ``complex_ops.cse``).
     """
     return cse(z_attended, p.se, excitation)

@@ -29,39 +29,16 @@ from .errors import InputTooShort, InvalidBand, ShapeMismatch
 
 @dataclass
 class Spectrogram:
-    """Per-ear complex time-frequency grid, bins shaped (2, F, T).
-
-    ``band(lo, hi)`` gives a frequency band of the grid: bins (2, hi - lo, T)
-    with ``f0`` its first grid row. A whole grid has ``f0`` None.
-    """
+    """Per-ear complex time-frequency grid, bins shaped (2, F, T)."""
 
     bins: np.ndarray
     config: AnalysisConfig
-    f0: int | None = None
 
     def __post_init__(self):
         self.bins = np.asarray(self.bins)
         f = self.config.n_freq_bins
-        if self.bins.ndim != 3 or self.bins.shape[0] != 2:
+        if self.bins.ndim != 3 or self.bins.shape[:2] != (2, f):
             raise ShapeMismatch(f"expected bins (2, {f}, T), got {self.bins.shape}")
-        if self.f0 is None and self.bins.shape[1] != f:
-            raise ShapeMismatch(f"expected bins (2, {f}, T), got {self.bins.shape}")
-        if self.f0 is not None and not 0 <= self.f0 <= self.f0 + self.bins.shape[1] <= f:
-            raise ShapeMismatch(
-                f"band of {self.bins.shape[1]} rows at row {self.f0} does not fit F={f}"
-            )
-
-    @property
-    def rows(self) -> tuple[int, int]:
-        """The grid rows held, (first, end)."""
-        f0 = self.f0 or 0
-        return f0, f0 + self.bins.shape[1]
-
-    def band(self, lo: int, hi: int) -> Spectrogram:
-        """Rows lo:hi of these bins as a band of the grid (a view)."""
-        if not 0 <= lo <= hi <= self.bins.shape[1]:
-            raise ShapeMismatch(f"rows {lo}:{hi} outside {self.bins.shape[1]} rows")
-        return Spectrogram(self.bins[:, lo:hi], self.config, self.rows[0] + lo)
 
 
 def sqrt_hann(n: int) -> np.ndarray:
@@ -98,12 +75,12 @@ def istft(s: Spectrogram) -> Waveform:
     """Overlap-add inverse STFT with window-square compensation.
 
     Output length is (T - 1) * hop + fft_size. Reconstruction is exact
-    wherever the accumulated squared window is non-negligible; with the
-    sqrt-Hann window only sample 0 falls outside that region.
+    wherever the accumulated squared window is non-negligible. The
+    sqrt-Hann window is zero at sample 0 of every frame, so output sample 0
+    has no window weight and is always zero; a 1-sample input therefore
+    enhances to silence.
     """
     cfg = s.config
-    if s.rows != (0, cfg.n_freq_bins):
-        raise ShapeMismatch(f"istft needs the whole grid, got rows {s.rows}")
     win = sqrt_hann(cfg.fft_size)
     frames = np.fft.irfft(s.bins.transpose(0, 2, 1), n=cfg.fft_size, axis=-1)
     frames = frames * win

@@ -64,11 +64,16 @@ def _gates_all_freqs(z: np.ndarray, basis: np.ndarray, p: ModulatorParams) -> np
 
 
 def modulator_block(
-    z: np.ndarray, p: ModulatorParams, basis: np.ndarray | None = None
+    z: np.ndarray,
+    p: ModulatorParams,
+    basis: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Residual modulator update applied to every frequency independently.
 
-    Per frequency f: out_f = CLN(z_f + CLinear(z_f * gate_f)).
+    Per frequency f: out_f = CLN(z_f + CLinear(z_f * gate_f)). ``out``, if
+    given, receives the result (as for ``clinear``, its (frequency, time)
+    axes must merge without a copy); it must not overlap z.
     """
     if z.ndim != 4:
         raise ShapeMismatch(f"expected (B, C, F, T) input, got shape {z.shape}")
@@ -84,7 +89,7 @@ def modulator_block(
     gates = _gates_all_freqs(z, basis, p)         # (B, F, T)
     gates = gates.astype(z.real.dtype, copy=False)  # keep z's precision
     modulated = z * gates[:, None, :, :]
-    projected = clinear(modulated, p.proj, axis=1)
+    projected = clinear(modulated, p.proj, axis=1, out=out)
     del modulated
-    projected += z                  # a fresh array here, so norm it in place
+    projected += z
     return cln(projected, p.norm, axis=1, out=projected)

@@ -4,11 +4,12 @@ stft + gammatone -> encode/fuse/recalibrate -> modulator backbone ->
 decoder heads -> closed-form solve -> refinement gate -> blend -> istft.
 
 The network runs as one plan over tiles of the F frequency rows, so only two
-network tensors are utterance-sized: the fused encoding ``z_att`` and the
-encoded gammatone bands. Nearly every stage acts on each frequency row
-alone. The exceptions are the gammatone projection, which reads every band,
-the SE squeeze, a mean over all rows, and the decoder's 2-D blocks, which
-read k_f // 2 rows on either side.
+network tensors are utterance-sized: the fused encoding ``z_att``, which
+pass B turns into ``z_out`` in place, and the encoded gammatone bands.
+Nearly every stage acts on each frequency row alone. The exceptions are the
+gammatone projection, which reads every band, the SE squeeze, a mean over
+all rows, and the decoder's 2-D blocks, which read k_f // 2 rows on either
+side.
 
 Pass A. ``encode_gamma`` runs the gammatone blocks over tiles of bands into
 one (1, C, n_gammatone, T) buffer and projects it onto the F rows. The
@@ -17,24 +18,22 @@ rows, the STFT blocks run and ``fuse`` overwrites the tile's projected rows
 with the fused ones, and the SE squeeze sums add up. The SE excitation is
 computed once after the last tile.
 
-Pass B walks the same tiles in ascending order. Per tile it scales the rows
-of ``z_att`` by the excitation, runs the modulator and the refinement gate
-on them, and hands the resulting ``z_out`` rows to ``decode_heads``. Each
-2-D block of a head needs k_f // 2 rows beyond its output on either side,
-so the decoder runs on a lagged schedule: block l of each head makes its
-rows up to l * (k_f // 2) rows behind the end of the ``z_out`` rows seen so
-far, and keeps the few rows of its input that the next tile still reads.
-No row is computed twice. The RATF rows that come out go through the
-solve and the blend into the whole (2, F, T) spectrum; the last tile
-completes every row. Tiles hold about ``complex_ops._TILE_BYTES`` of one
-(1, C, rows, T) tensor.
+Pass B walks the same tiles. Per tile it scales the rows of ``z_att`` by the
+excitation, runs the modulator on them and writes its output back into the
+same rows, so that after the last tile ``z_att`` holds ``z_out``; the
+refinement gate is taken from each tile's rows. ``decode_heads`` then runs
+its blocks over the same tiles in one call, on a lagged schedule that keeps
+only a few rows of each block's output (see there). The closed-form solve
+and the blend run once, on the whole (2, F, T) spectrum, which is small
+next to the network tensors. Tiles hold about ``complex_ops._TILE_BYTES``
+of one (1, C, rows, T) tensor.
 
-The stage dump (``collect_stages``) and the ablations run the same plan
-with one tile of all F rows, so every dumped array is whole. Ablation flags
-bypass exactly one stage each; a debug gate override is available for
-verification. The network runs in complex64 by default (parameters are
-stored in f32 anyway); the analysis/synthesis transforms and the final blend
-stay in float64.
+The stage dump (``collect_stages``) runs the same plan with one tile of all
+F rows, so every dumped array is whole. Ablation flags bypass exactly one
+stage each; a debug gate override is available for verification. The
+network runs in complex64 by default (parameters are stored in f32 anyway);
+the analysis/synthesis transforms and the final blend stay in float64.
+Output sample 0 is always zero (see ``frontend.istft``).
 """
 
 from __future__ import annotations
@@ -47,8 +46,6 @@ from .audio import Waveform
 from .complex_ops import _TILE_BYTES, cse_excitation
 from .config import RunConfig
 from .decoder import (
-    HeadStream,
-    RatfPair,
     blend,
     decode_heads,
     global_gate,
@@ -59,7 +56,6 @@ from .encoder import encode_gamma, encode_stft, fuse, recalibrate
 from .errors import InvariantViolation, ShapeMismatch
 from .frontend import (
     GammatoneBank,
-    Spectrogram,
     build_gammatone_bank,
     gammatone_frames,
     istft,
@@ -123,15 +119,15 @@ def _encode(w, y, tiles, model, cfg, bank, dtype, keep):
         # z_gamma, which fuse turns into z_att in place, tile by tile
         z_att = encode_gamma(gammatone_frames(w, bank, cfg.analysis).astype(dtype), enc)
         keep(z_gamma=z_att)
-    y_net = Spectrogram(y.bins.astype(dtype), y.config)
+    bins = y.bins.astype(dtype)
     squeeze = np.zeros((1, cfg.channels))
     for lo, hi in tiles:
-        z_stft = encode_stft(y_net.band(lo, hi), enc)
-        tile = z_att[:, :, lo:hi]
-        fuse(z_stft, None if cfg.no_gammatone else tile, enc,
-             no_gammatone=cfg.no_gammatone, out=tile)
+        z_stft = encode_stft(bins[:, lo:hi], enc)
+        rows = z_att[:, :, lo:hi]
+        fuse(z_stft, None if cfg.no_gammatone else rows, enc,
+             no_gammatone=cfg.no_gammatone, out=rows)
         # rows summed alone, then in float64: the same sums for any tiling
-        squeeze += np.abs(tile).sum(axis=3).sum(axis=2, dtype=np.float64)
+        squeeze += np.abs(rows).sum(axis=3).sum(axis=2, dtype=np.float64)
         keep(z_stft=z_stft)
     keep(z_attended=z_att)
     # kept in float64, so that tiles whose sums differ in the last bits
@@ -141,9 +137,10 @@ def _encode(w, y, tiles, model, cfg, bank, dtype, keep):
 
 
 def _decode(z_att, excitation, y, tiles, model, cfg, gate_override, keep):
-    """Pass B: the RATFs, the gate (F,) and the blended spectrum, all whole."""
+    """Pass B: turns z_att into z_out in place; returns the RATFs, the gate
+    (F,) and the blended spectrum."""
     enc, dec = model.encoder, model.decoder
-    f, t = y.bins.shape[1:]
+    f = y.bins.shape[1]
     net_gate = gate_override is None and not (cfg.no_drg or cfg.global_drg)
     if gate_override is not None:
         g = np.broadcast_to(np.asarray(gate_override, dtype=np.float64), (f,)).copy()
@@ -153,27 +150,23 @@ def _decode(z_att, excitation, y, tiles, model, cfg, gate_override, keep):
         g = global_gate(dec).astype(np.float64)
     else:
         g = np.empty(f)
-    w_s, w_n = (np.empty((1, f, t), z_att.dtype) for _ in range(2))
-    s_final = np.empty_like(y.bins)
-    stream = HeadStream(f)
-    done = 0                        # RATF rows made so far; they lag z_out's
     for lo, hi in tiles:
-        z = recalibrate(z_att[:, :, lo:hi], enc, excitation)
+        rows = z_att[:, :, lo:hi]
+        z = recalibrate(rows, enc, excitation)
         keep(z_backbone=z)
-        if not cfg.no_gafm:
-            z = modulator_block(z, model.modulator)
-        keep(z_out=z)
+        if cfg.no_gafm:
+            rows[...] = z
+        else:
+            modulator_block(z, model.modulator, out=rows)
         if net_gate:
-            g[lo:hi] = refinement_gate(z, dec)[0]
-        r = decode_heads(z, dec, stream)
-        a, done = done, done + r.w_s.shape[1]
-        w_s[:, a:done], w_n[:, a:done] = r.w_s, r.w_n
-        y_rows = y.band(a, done)
-        s_hat = ratf_solve(y_rows, r, eps=cfg.eps_ratf, literal_square=cfg.literal_ratf_square)
-        s_final[:, a:done] = blend(s_hat, y_rows, g).bins
-        keep(s_hat=s_hat.bins)
-    keep(ratf_s=w_s, ratf_n=w_n, gate=g, s_final=s_final)
-    return RatfPair(w_s, w_n), g, s_final
+            g[lo:hi] = refinement_gate(rows, dec)[0]
+    z_out = z_att                   # every row of it now overwritten
+    keep(z_out=z_out)
+    ratfs = decode_heads(z_out, dec, tiles)
+    s_hat = ratf_solve(y, ratfs, eps=cfg.eps_ratf, literal_square=cfg.literal_ratf_square)
+    s_final = blend(s_hat, y, g)
+    keep(ratf_s=ratfs.w_s, ratf_n=ratfs.w_n, s_hat=s_hat.bins, gate=g, s_final=s_final.bins)
+    return ratfs, g, s_final
 
 
 def enhance(
@@ -185,7 +178,11 @@ def enhance(
     collect_stages: bool = False,
     dtype=np.complex64,
 ) -> EnhanceResult:
-    """Enhance a stereo 16 kHz waveform; output length equals input length."""
+    """Enhance a stereo 16 kHz waveform; output length equals input length.
+
+    Output sample 0 is always zero, as the synthesis window has no weight
+    there (see ``frontend.istft``), so a 1-sample input returns silence.
+    """
     if wav_in.sample_rate != cfg.analysis.sample_rate:
         raise ShapeMismatch(
             f"input rate {wav_in.sample_rate} != configured {cfg.analysis.sample_rate}"
@@ -202,11 +199,10 @@ def enhance(
         if collect_stages:
             stages.update((k, v.copy()) for k, v in arrays.items())
 
-    whole = collect_stages or cfg.no_gammatone or cfg.no_gafm or cfg.no_drg or cfg.global_drg
-    tiles = _tiles(*y.bins.shape[1:], cfg, dtype, whole)
+    tiles = _tiles(*y.bins.shape[1:], cfg, dtype, collect_stages)
     z_att, excitation = _encode(w, y, tiles, model, cfg, bank, dtype, keep)
     ratfs, g, s_final = _decode(z_att, excitation, y, tiles, model, cfg, gate_override, keep)
-    out = istft(Spectrogram(s_final, y.config))
+    out = istft(s_final)
     samples = out.samples[:, :n_in]
     if not np.all(np.isfinite(samples)):
         raise InvariantViolation("non-finite samples in enhanced output")

@@ -5,7 +5,6 @@ from binse.complex_ops import CLinearParams
 from binse.config import AnalysisConfig
 from binse.decoder import (
     DecoderParams,
-    HeadStream,
     RatfPair,
     blend,
     decode_heads,
@@ -70,28 +69,34 @@ class TestDecodeHeads:
 
 
 class TestStreamedHeads:
-    """z_out handed to decode_heads in bands, top down, against one call."""
+    """decode_heads run over tiles of rows, the bands of the plan, against
+    one tile of every row."""
 
     @pytest.mark.parametrize("n_blocks", [0, 1, 2, 3])
     @pytest.mark.parametrize("kernel", [(3, 3), (5, 3), (1, 3)])
     @pytest.mark.parametrize("bands", [[9], [1] * 9, [2, 3, 4], [5, 1, 1, 2], [0, 4, 0, 5]])
-    def test_bands_give_the_rows_of_one_call(self, rng, n_blocks, kernel, bands):
+    def test_bands_give_the_rows_of_one_call(self, rng, monkeypatch, n_blocks, kernel, bands):
+        from binse import decoder
+
         p = make_decoder(rng)
         p.head_s = [make_lightconv(rng, C, C, kernel) for _ in range(n_blocks)]
         p.head_n = [make_lightconv(rng, C, C, kernel) for _ in range(n_blocks)]
         z = rand_complex(rng, (1, C, F, T))
         whole = decode_heads(z, p)
-        stream = HeadStream(F)
-        parts, lo = [], 0
-        for rows in bands:
-            parts.append(decode_heads(z[:, :, lo : lo + rows], p, stream))
-            lo += rows
-        assert sum(r.w_s.shape[1] for r in parts) == F
-        lag = n_blocks * (kernel[0] // 2)
-        assert parts[0].w_s.shape[1] == max(0, min(bands[0], F) - lag) or bands[0] == F
+        ends = np.cumsum(bands).tolist()
+        tiles = list(zip([0] + ends[:-1], ends))
+        made, conv = {}, decoder.lightconv
+
+        def counted_lightconv(x, block, rows=None, out=None):
+            made[id(block)] = made.get(id(block), 0) + rows[1] - rows[0]
+            return conv(x, block, rows=rows, out=out)
+
+        monkeypatch.setattr(decoder, "lightconv", counted_lightconv)
+        tiled = decode_heads(z, p, tiles)
+        assert made == {id(b): F for b in p.head_s + p.head_n}     # no row twice
         for name in ("w_s", "w_n"):
-            got = np.concatenate([getattr(r, name) for r in parts], axis=1)
-            np.testing.assert_allclose(got, getattr(whole, name), rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(getattr(tiled, name), getattr(whole, name),
+                                       rtol=1e-12, atol=1e-12)
 
 
 class TestRatfSolve:
@@ -148,14 +153,6 @@ class TestRatfSolve:
         r = RatfPair(w_s=rand_complex(rng, (1, F, T)), w_n=rand_complex(rng, (1, F, T)))
         est = ratf_solve(y, r)
         assert est.bins.shape == (2, F, T)
-
-    def test_band_solves_its_rows(self, rng):
-        y = make_spec(rng)
-        r = RatfPair(w_s=rand_complex(rng, (F, T)), w_n=rand_complex(rng, (F, T)))
-        whole = ratf_solve(y, r)
-        band = ratf_solve(y.band(3, 7), RatfPair(r.w_s[3:7], r.w_n[3:7]))
-        assert band.rows == (3, 7)
-        np.testing.assert_array_equal(band.bins, whole.bins[:, 3:7])
 
     def test_shape_mismatch_raises(self, rng):
         y = make_spec(rng)
@@ -234,20 +231,6 @@ class TestBlend:
         s, y = make_spec(rng), make_spec(rng)
         g = rng.random((1, F))
         np.testing.assert_array_equal(blend(s, y, g).bins, blend(s, y, g[0]).bins)
-
-    def test_bands_blend_their_own_gate_rows(self, rng):
-        s, y = make_spec(rng), make_spec(rng)
-        g = rng.random(F)
-        whole = blend(s, y, g).bins
-        for lo, hi in [(0, 2), (2, 7), (7, F)]:
-            band = blend(s.band(lo, hi), y.band(lo, hi), g)
-            assert band.rows == (lo, hi)
-            np.testing.assert_array_equal(band.bins, whole[:, lo:hi])
-
-    def test_bands_at_different_rows_raise(self, rng):
-        s, y = make_spec(rng), make_spec(rng)
-        with pytest.raises(ShapeMismatch):
-            blend(s.band(0, 3), y.band(1, 4), rng.random(F))
 
     def test_gate_length_mismatch_raises(self, rng):
         s, y = make_spec(rng), make_spec(rng)

@@ -150,27 +150,9 @@ class TestFraming:
 
 
 class TestSpectrogramBands:
-    def test_band_is_a_view_of_its_rows(self, rng, analysis):
-        s = Spectrogram(rand_bins(rng, 4), analysis)
-        band = s.band(10, 20)
-        assert band.rows == (10, 20) and s.rows == (0, 129)
-        assert np.shares_memory(band.bins, s.bins)
-        np.testing.assert_array_equal(band.bins, s.bins[:, 10:20])
-        assert band.band(2, 5).rows == (12, 15)
-
     def test_whole_grid_needs_every_row(self, rng, analysis):
         with pytest.raises(ShapeMismatch):
             Spectrogram(rand_bins(rng, 4)[:, :128], analysis)
-        with pytest.raises(ShapeMismatch):
-            Spectrogram(rand_bins(rng, 4)[:, :10], analysis, f0=120)
-        with pytest.raises(ShapeMismatch):
-            Spectrogram(rand_bins(rng, 4), analysis).band(5, 130)
-
-    def test_istft_rejects_a_band(self, rng, analysis):
-        s = Spectrogram(rand_bins(rng, 4), analysis)
-        with pytest.raises(ShapeMismatch):
-            istft(s.band(0, 128))
-        np.testing.assert_array_equal(istft(s.band(0, 129)).samples, istft(s).samples)
 
 
 class TestIstft:

@@ -188,6 +188,18 @@ class TestModulatorBlock:
         pre = z * (1 + gates(z, p))[:, None, :, :]
         np.testing.assert_allclose(out, cln(pre, p.norm, axis=1), rtol=1e-9, atol=1e-11)
 
+    def test_writes_into_rows_of_a_larger_tensor(self, rng):
+        """``out`` as the pipeline passes it: rows 2:5 of a whole tensor."""
+        p = make_modulator(rng)
+        z = rand_complex(rng, (1, C, 3, T))
+        whole = rand_complex(rng, (1, C, F, T))
+        before = whole.copy()
+        rows = whole[:, :, 2:5]
+        assert modulator_block(z, p, out=rows) is rows
+        np.testing.assert_array_equal(rows, modulator_block(z, p))
+        np.testing.assert_array_equal(np.delete(whole, [2, 3, 4], axis=2),
+                                      np.delete(before, [2, 3, 4], axis=2))
+
     def test_wrong_rank_raises(self, rng):
         p = make_modulator(rng)
         with pytest.raises(ShapeMismatch):

@@ -296,9 +296,9 @@ class TestTiledPlan:
         counts = {}
         modulate, conv = pipeline.modulator_block, decoder.lightconv
 
-        def counted_modulator(z, p):
+        def counted_modulator(z, p, out=None):
             counts["modulator"] = counts.get("modulator", 0) + z.shape[2]
-            return modulate(z, p)
+            return modulate(z, p, out=out)
 
         def counted_lightconv(x, p, rows=None, out=None):
             key = id(p)
@@ -312,6 +312,15 @@ class TestTiledPlan:
         assert set(counts) == {"modulator"} | {id(b) for b in blocks}
         assert set(counts.values()) == {cfg.analysis.n_freq_bins}
 
+    @pytest.mark.parametrize("flag", ["no_gammatone", "no_gafm", "no_drg", "global_drg"])
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_ablations_match_their_one_tile_plan(self, flag, rows):
+        cfg = small_config(**{flag: True})
+        model = init_random(cfg, seed=0)
+        w = make_wave(np.random.default_rng(3), 4096)
+        assert_equivalent(w, model, cfg, pipeline.gammatone_bank(cfg),
+                          tile_budget(cfg, w, rows))
+
     def test_stage_dump_is_whole_and_one_tile(self, setup, rng):
         cfg, model, bank = setup
         w = make_wave(rng, 4096)
@@ -322,7 +331,8 @@ class TestTiledPlan:
         one = enhance_in_tiles(w, model, cfg, bank, ONE_TILE)
         np.testing.assert_array_equal(res.wav_out.samples, one.wav_out.samples)
 
-    @pytest.mark.parametrize("kind", ["n1", "n100", "n256", "zeros", "silent_ear", "dc"])
+    @pytest.mark.parametrize(
+        "kind", ["n1", "n100", "n256", "zeros", "silent_ear", "dc", "amp1e6", "amp1e-30"])
     @pytest.mark.parametrize("tile_bytes", [pipeline._TILE_BYTES, 1])
     def test_edge_inputs(self, setup, kind, tile_bytes):
         cfg, model, bank = setup
@@ -335,9 +345,13 @@ class TestTiledPlan:
             x[1] = 0.0
         elif kind == "dc":
             x[:] = 0.5
+        elif kind.startswith("amp"):
+            x *= float(kind[3:]) / np.max(np.abs(x))
         res = assert_equivalent(Waveform(x, SR), model, cfg, bank, tile_bytes)
         assert res.wav_out.samples.shape == (2, n)
         assert np.all(np.isfinite(res.wav_out.samples))
+        # the synthesis window has no weight at sample 0
+        assert not np.any(res.wav_out.samples[:, 0])
         if kind == "zeros":
             assert not np.any(res.wav_out.samples)
 
