@@ -135,15 +135,17 @@ def cmd_metrics(args) -> int:
     cfg = _load_config(args)
     model = _load_model(args, cfg)
     dataset = Path(args.dataset)
-    with open(dataset / "metadata.jsonl") as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
+    items = []
+    for where, rec in synth.read_jsonl(dataset / "metadata.jsonl"):
+        if "item_id" not in rec:
+            raise UnsupportedFormat(f"{where}: no item_id")
+        items.append(rec["item_id"])
     bank = gammatone_bank(cfg)    # one bank serves every item
     tmp = Path(args.report).parent if args.report else dataset
     report = open(args.report, "w") if args.report else contextlib.nullcontext(sys.stdout)
     n_rows = n_failed = 0
     with report as out:
-        for rec in records:
-            item = rec["item_id"]
+        for item in items:
             try:
                 row = _metrics_row(args, cfg, model, bank, dataset, tmp, item)
             except InvariantViolation:

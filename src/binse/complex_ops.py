@@ -10,19 +10,14 @@ Execution contract. No public function mutates its input. ``clinear``,
 ``cln`` and ``cprelu`` take an optional ``out`` array; passing the input
 itself (``cln(y, p, out=y)``) runs them in place, which is how the light-conv
 block uses them. ``lightconv`` is the one block entry point; the rank of the
-depthwise kernel selects a 1-D (time) or 2-D (frequency, time) block. A
-block runs over frequency tiles of about ``_TILE_BYTES`` of input, so its
-temporaries are tile-sized, not utterance-sized: each tile reads its rows
-plus ``k_f // 2`` halo rows on either side (2-D kernels only), and its
-depthwise sum, pointwise mix, norm, PReLU and residual are written straight
-into one preallocated output. The depthwise conv further runs its taps over
-channel groups of about ``_DEPTHWISE_GROUP_BYTES``. Tiling changes no
-elementwise arithmetic; only the BLAS product, whose summation order depends
-on the tile width, may differ from the untiled block in the last bits. The
-kernels keep their module-level names and are looked up as module globals on
-every call, so a wrapper bound to one of those names sees every call.
-``lightconv(x, p, rows=(lo, hi))`` runs the same tiles over output rows lo:hi
-only, which is how the decoder runs a block a few rows at a time.
+depthwise kernel selects a 1-D (time) or 2-D (frequency, time) block.
+Callers tile: ``lightconv(x, p, rows=(lo, hi))`` computes rows lo:hi in one
+pass, with ``k_f // 2`` halo rows on either side (2-D kernels), writing its
+depthwise sum, pointwise mix, norm, PReLU and residual into one output, so
+its temporaries are the size of the rows it is handed. The depthwise conv
+runs its taps over channel groups of about ``_DEPTHWISE_GROUP_BYTES``, to
+stay in L2. The kernels keep their module-level names and are looked up as
+module globals on every call, so a wrapper bound to one sees every call.
 """
 
 from __future__ import annotations
@@ -33,10 +28,6 @@ import numpy as np
 
 from .errors import ShapeMismatch
 
-# Input bytes per light-conv tile. Each temporary of a tile is about this
-# size; smaller tiles measured slower on a 2 MB-L2 Xeon, as per-call costs
-# and narrow BLAS products take over.
-_TILE_BYTES = 4 << 20
 # Output bytes per depthwise channel group, so that a group's output, scratch
 # and input rows stay in a core's L2 while all of its taps are summed.
 _DEPTHWISE_GROUP_BYTES = 512 << 10
@@ -244,40 +235,33 @@ def lightconv(
     (B, C, T) or (B, C, F, T), shared across frequencies; a (C, k_f, k_t)
     kernel convolves (frequency, time) of a (B, C, F, T) input.
 
-    ``rows=(lo, hi)`` computes only output rows lo:hi of a 4-D x, as a
-    (B, C_out, hi - lo, T) array. A 2-D kernel then reads the k_f // 2 rows
-    on either side of them that x holds, and takes rows beyond x's edges as
-    zero, so a caller holding some rows of a larger tensor gets that
-    tensor's rows wherever x holds their halo. ``out``, if given, receives the
-    result; each of its (frequency, time) planes must be contiguous.
+    ``rows=(lo, hi)`` computes only output rows lo:hi of a 4-D x, in one
+    pass, as a (B, C_out, hi - lo, T) array. A 2-D kernel then reads the
+    k_f // 2 rows on either side of them that x holds, and takes rows beyond
+    x's edges as zero, so a caller holding some rows of a larger tensor gets
+    that tensor's rows wherever x holds their halo. ``out``, if given,
+    receives the result; each of its (frequency, time) planes must be
+    contiguous.
     """
     if x.ndim not in (3, 4):
         raise ShapeMismatch(f"light conv expects (B, C, T) or (B, C, F, T), got {x.shape}")
     if p.depthwise.ndim == 3 and x.ndim != 4:
         raise ShapeMismatch("2D depthwise conv expects (B, C, F, T) input")
-    # contiguous planes let the depthwise conv read each tile flat, in place
     x4 = x if x.ndim == 4 else x[:, :, np.newaxis, :]
-    if not x4[:1, :1].flags.c_contiguous:
-        x4 = np.ascontiguousarray(x4)
     b, c_in, f, t = x4.shape
-    first, end = (0, f) if rows is None else rows
-    if rows is not None and (x.ndim != 4 or not 0 <= first <= end <= f):
+    lo, hi = (0, f) if rows is None else rows
+    if rows is not None and (x.ndim != 4 or not 0 <= lo <= hi <= f):
         raise ShapeMismatch(f"rows {rows} are not frequency rows of {x.shape}")
     c_out = p.pointwise.weight.shape[0]
-    dtype = np.result_type(x4.dtype, p.depthwise.dtype, p.pointwise.weight.dtype,
-                           p.pointwise.bias.dtype, p.norm.gamma.dtype, p.norm.beta.dtype)
     if out is None:
-        out = np.empty((b, c_out, end - first, t), dtype)
-    row_bytes = max(1, b * c_in * t * dtype.itemsize)
-    step = max(1, _TILE_BYTES // row_bytes)
-    for lo in range(first, end, step):
-        hi = min(lo + step, end)
-        y = out[:, :, lo - first : hi - first]
-        clinear(_depthwise_conv(x4, p.depthwise, rows=(lo, hi)), p.pointwise, out=y)
-        cln(y, p.norm, out=y)
-        cprelu(y, p.prelu_slope, out=y)
-        if c_out == c_in:
-            y += x4[:, :, lo:hi]
+        dtype = np.result_type(x4.dtype, p.depthwise.dtype, p.pointwise.weight.dtype,
+                               p.pointwise.bias.dtype, p.norm.gamma.dtype, p.norm.beta.dtype)
+        out = np.empty((b, c_out, hi - lo, t), dtype)
+    clinear(_depthwise_conv(x4, p.depthwise, rows=(lo, hi)), p.pointwise, out=out)
+    cln(out, p.norm, out=out)
+    cprelu(out, p.prelu_slope, out=out)
+    if c_out == c_in:
+        out += x4[:, :, lo:hi]
     return out if x.ndim == 4 else out[:, :, 0, :]
 
 

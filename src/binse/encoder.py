@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complex_ops import _TILE_BYTES, CSEParams, LightConvParams, cse, lightconv
+from .complex_ops import CSEParams, LightConvParams, cse, lightconv
 from .errors import ShapeMismatch
 
 
@@ -38,13 +38,15 @@ def encode_stft(bins: np.ndarray, p: EncoderParams) -> np.ndarray:
     return x
 
 
-def encode_gamma(g: np.ndarray, p: EncoderParams) -> np.ndarray:
+def encode_gamma(
+    g: np.ndarray, p: EncoderParams, tiles: list[tuple[int, int]] | None = None
+) -> np.ndarray:
     """Encode gammatone frames (2, n_gamma, T) -> (1, C, F, T).
 
-    The blocks run on the gammatone feature axis, each band alone, so they
-    run over tiles of about ``_TILE_BYTES`` of output bands, both blocks per
-    tile, into one (1, C, n_gamma, T) buffer. A fixed real linear map then
-    projects that axis onto the F STFT bins so the attention map is
+    The blocks run on the gammatone feature axis, each band alone, so both
+    blocks run per tile of ``tiles``, (lo, hi) bands (default: one tile of
+    every band), into one (1, C, n_gamma, T) buffer. A fixed real linear map
+    then projects that axis onto the F STFT bins so the attention map is
     per-(channel, frequency, time).
     """
     if g.ndim != 3 or g.shape[0] != 2:
@@ -53,17 +55,14 @@ def encode_gamma(g: np.ndarray, p: EncoderParams) -> np.ndarray:
         raise ShapeMismatch(
             f"gamma projection expects {p.gamma_proj.shape[1]} features, got {g.shape[1]}"
         )
-    blocks = p.gamma_blocks
-    c = blocks[-1].pointwise.weight.shape[0] if blocks else g.shape[0]
-    step = max(1, _TILE_BYTES // max(1, c * g.shape[2] * g.itemsize))
     x = None
-    for lo in range(0, g.shape[1], step):
-        band = g[np.newaxis, :, lo : lo + step]
-        for block in blocks:
+    for lo, hi in tiles or [(0, g.shape[1])]:
+        band = g[np.newaxis, :, lo:hi]
+        for block in p.gamma_blocks:
             band = lightconv(band, block)
         if x is None:
             x = np.empty(band.shape[:2] + g.shape[1:], band.dtype)
-        x[:, :, lo : lo + step] = band
+        x[:, :, lo:hi] = band
     # the real map acts on re and im alike: one real matmul on the float view,
     # whose trailing axis interleaves (re, im) over T
     real = x.real.dtype
@@ -75,27 +74,24 @@ def fuse(
     z_stft: np.ndarray,
     z_gamma: np.ndarray | None,
     p: EncoderParams,
-    no_gammatone: bool = False,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Attention fusion: Z_stft gated by sigmoid(Conv(|Z_gamma|)).
 
     The gate is real in (0, 1) and broadcast over re/im, so the fused path
-    is phase-transparent. Under the no_gammatone ablation the gate collapses
-    to a constant per-channel scale sigmoid(bias). ``out``, if given,
-    receives the result; it may be z_gamma itself, as the whole gate is read
-    before the product is written.
+    is phase-transparent. Without a gammatone stream (z_gamma None, the
+    no_gammatone ablation) the gate collapses to a constant per-channel
+    scale sigmoid(bias). ``out``, if given, receives the result; it may be
+    z_gamma itself, as the whole gate is read before the product is written.
     """
     c = z_stft.shape[1]
     if p.fusion_weight.shape != (c, c):
         raise ShapeMismatch(
             f"fusion conv expects ({c}, {c}) weights, got {p.fusion_weight.shape}"
         )
-    if no_gammatone:
+    if z_gamma is None:
         a = 1.0 / (1.0 + np.exp(-p.fusion_bias))
         return np.multiply(z_stft, a[None, :, None, None], out=out)
-    if z_gamma is None:
-        raise ShapeMismatch("gammatone features required unless no_gammatone is set")
     if z_gamma.shape != z_stft.shape:
         raise ShapeMismatch(
             f"stream shapes differ after projection: {z_stft.shape} vs {z_gamma.shape}"

@@ -66,7 +66,6 @@ def _gates_all_freqs(z: np.ndarray, basis: np.ndarray, p: ModulatorParams) -> np
 def modulator_block(
     z: np.ndarray,
     p: ModulatorParams,
-    basis: np.ndarray | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Residual modulator update applied to every frequency independently.
@@ -77,15 +76,7 @@ def modulator_block(
     """
     if z.ndim != 4:
         raise ShapeMismatch(f"expected (B, C, F, T) input, got shape {z.shape}")
-    t = z.shape[-1]
-    if basis is None:
-        basis = fourier_basis(t, p.mlp_w2.shape[0])
-    if basis.shape[0] != t:
-        raise ShapeMismatch(f"basis built for T={basis.shape[0]}, input has T={t}")
-    if basis.shape[1] != p.mlp_w2.shape[0]:
-        raise ShapeMismatch(
-            f"basis has {basis.shape[1]} columns, coefficients have {p.mlp_w2.shape[0]}"
-        )
+    basis = fourier_basis(z.shape[-1], p.mlp_w2.shape[0])
     gates = _gates_all_freqs(z, basis, p)         # (B, F, T)
     gates = gates.astype(z.real.dtype, copy=False)  # keep z's precision
     modulated = z * gates[:, None, :, :]

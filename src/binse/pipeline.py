@@ -25,15 +25,16 @@ refinement gate is taken from each tile's rows. ``decode_heads`` then runs
 its blocks over the same tiles in one call, on a lagged schedule that keeps
 only a few rows of each block's output (see there). The closed-form solve
 and the blend run once, on the whole (2, F, T) spectrum, which is small
-next to the network tensors. Tiles hold about ``complex_ops._TILE_BYTES``
-of one (1, C, rows, T) tensor.
+next to the network tensors. ``_tiles`` sizes the tiles, about
+``_TILE_BYTES`` of one (1, C, rows, T) tensor, and every stage computes
+exactly the rows it is handed.
 
-The stage dump (``collect_stages``) runs the same plan with one tile of all
-F rows, so every dumped array is whole. Ablation flags bypass exactly one
-stage each; a debug gate override is available for verification. The
-network runs in complex64 by default (parameters are stored in f32 anyway);
-the analysis/synthesis transforms and the final blend stay in float64.
-Output sample 0 is always zero (see ``frontend.istft``).
+Stage dumps (``collect_stages``) run the same tiles and copy each tile's
+rows into whole arrays. Ablation flags bypass exactly one stage each; a
+debug gate override is available for verification. The network runs in
+complex64 by default (parameters are stored in f32 anyway); the
+analysis/synthesis transforms and the final blend stay in float64. Output
+sample 0 is always zero (see ``frontend.istft``).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .audio import Waveform
-from .complex_ops import _TILE_BYTES, cse_excitation
+from .complex_ops import cse_excitation
 from .config import RunConfig
 from .decoder import (
     blend,
@@ -63,6 +64,10 @@ from .frontend import (
 )
 from .modulator import modulator_block
 from .params import ModelParams
+
+# Bytes of one (1, C, rows, T) tensor per plan tile. Smaller tiles measured
+# slower on a 2 MB-L2 Xeon, as per-call costs and narrow BLAS products take over.
+_TILE_BYTES = 4 << 20
 
 
 @dataclass
@@ -101,9 +106,9 @@ def gammatone_bank(cfg: RunConfig) -> GammatoneBank | None:
     )
 
 
-def _tiles(f: int, t: int, cfg: RunConfig, dtype, whole: bool) -> list[tuple[int, int]]:
-    """The plan's tiles of frequency rows, (lo, hi) in ascending order."""
-    step = f if whole else max(1, _TILE_BYTES // (cfg.channels * t * np.dtype(dtype).itemsize))
+def _tiles(f: int, t: int, cfg: RunConfig, dtype) -> list[tuple[int, int]]:
+    """The plan's tiles of f frequency rows or bands, (lo, hi) ascending."""
+    step = max(1, _TILE_BYTES // (cfg.channels * t * np.dtype(dtype).itemsize))
     return [(lo, min(lo + step, f)) for lo in range(0, f, step)]
 
 
@@ -117,18 +122,18 @@ def _encode(w, y, tiles, model, cfg, bank, dtype, keep):
         if bank is None:
             bank = gammatone_bank(cfg)
         # z_gamma, which fuse turns into z_att in place, tile by tile
-        z_att = encode_gamma(gammatone_frames(w, bank, cfg.analysis).astype(dtype), enc)
+        z_att = encode_gamma(gammatone_frames(w, bank, cfg.analysis).astype(dtype), enc,
+                             _tiles(cfg.n_gammatone, t, cfg, dtype))
         keep(z_gamma=z_att)
     bins = y.bins.astype(dtype)
     squeeze = np.zeros((1, cfg.channels))
     for lo, hi in tiles:
         z_stft = encode_stft(bins[:, lo:hi], enc)
         rows = z_att[:, :, lo:hi]
-        fuse(z_stft, None if cfg.no_gammatone else rows, enc,
-             no_gammatone=cfg.no_gammatone, out=rows)
+        fuse(z_stft, None if cfg.no_gammatone else rows, enc, out=rows)
         # rows summed alone, then in float64: the same sums for any tiling
         squeeze += np.abs(rows).sum(axis=3).sum(axis=2, dtype=np.float64)
-        keep(z_stft=z_stft)
+        keep((lo, hi), z_stft=z_stft)
     keep(z_attended=z_att)
     # kept in float64, so that tiles whose sums differ in the last bits
     # cannot round a channel's scale apart
@@ -153,7 +158,7 @@ def _decode(z_att, excitation, y, tiles, model, cfg, gate_override, keep):
     for lo, hi in tiles:
         rows = z_att[:, :, lo:hi]
         z = recalibrate(rows, enc, excitation)
-        keep(z_backbone=z)
+        keep((lo, hi), z_backbone=z)
         if cfg.no_gafm:
             rows[...] = z
         else:
@@ -194,12 +199,18 @@ def enhance(
     y = stft(w, cfg.analysis)
     stages: dict[str, np.ndarray] = {}
 
-    def keep(**arrays):
-        # copies, as the plan later overwrites some buffers in place
-        if collect_stages:
-            stages.update((k, v.copy()) for k, v in arrays.items())
+    def keep(rows=None, **arrays):
+        # copies, as the plan later overwrites some buffers in place; a
+        # tile's rows lo:hi go into a whole (1, C, F, T) array
+        for name, a in arrays.items() if collect_stages else ():
+            if rows is None:
+                stages[name] = a.copy()
+                continue
+            if name not in stages:
+                stages[name] = np.empty(a.shape[:2] + y.bins.shape[1:], a.dtype)
+            stages[name][:, :, rows[0] : rows[1]] = a
 
-    tiles = _tiles(*y.bins.shape[1:], cfg, dtype, collect_stages)
+    tiles = _tiles(*y.bins.shape[1:], cfg, dtype)
     z_att, excitation = _encode(w, y, tiles, model, cfg, bank, dtype, keep)
     ratfs, g, s_final = _decode(z_att, excitation, y, tiles, model, cfg, gate_override, keep)
     out = istft(s_final)

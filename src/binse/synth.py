@@ -175,14 +175,30 @@ class MixSpec:
             raise ValueError("target azimuth must lie in the frontal span [-90, 90]")
 
 
-def read_manifest(path) -> list[MixSpec]:
-    """Read a line-delimited JSON manifest of MixSpec records."""
-    specs = []
+def read_jsonl(path):
+    """Yield ("path:line", object) per non-blank line; a non-object raises UnsupportedFormat."""
     with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                specs.append(MixSpec(**json.loads(line)))
+        for n, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            where = f"{path}:{n}"
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise UnsupportedFormat(f"{where}: {exc}") from None
+            if not isinstance(rec, dict):
+                raise UnsupportedFormat(f"{where}: not a JSON object")
+            yield where, rec
+
+
+def read_manifest(path) -> list[MixSpec]:
+    """Read a JSON-lines manifest of MixSpec records; a bad line raises UnsupportedFormat."""
+    specs = []
+    for where, rec in read_jsonl(path):
+        try:
+            specs.append(MixSpec(**rec))
+        except (TypeError, ValueError) as exc:
+            raise UnsupportedFormat(f"{where}: {exc}") from None
     return specs
 
 

@@ -58,6 +58,15 @@ class TestEnhanceCommand:
         assert tag == "stage-dump"
         assert {"noisy_spec", "z_out", "s_hat", "gate", "s_final"} <= set(arrays)
 
+    def test_dump_does_not_change_the_output(self, tmp_path, cfg_file, input_wav,
+                                             monkeypatch):
+        monkeypatch.setattr(pipeline, "_TILE_BYTES", 1)      # one row per tile
+        plain, dumped = tmp_path / "plain.wav", tmp_path / "dumped.wav"
+        args = ["enhance", "--config", cfg_file, "--input", input_wav]
+        assert main(args + ["--output", str(plain)]) == 0
+        assert main(args + ["--output", str(dumped), "--dump", str(tmp_path / "s.bin")]) == 0
+        assert dumped.read_bytes() == plain.read_bytes()
+
     def test_saved_model_reproduces_output(self, tmp_path, cfg_file, input_wav):
         out1, out2 = tmp_path / "o1.wav", tmp_path / "o2.wav"
         weights = tmp_path / "w.bin"
@@ -145,6 +154,23 @@ class TestSynthCommand:
                    "--out", str(tmp_path / "d")])
         assert rc == 2
 
+    @pytest.mark.parametrize("damage", ["not_an_object", "missing_key", "unknown_key"])
+    def test_malformed_manifest_line_exits_2(self, tmp_path, rng, capsys, damage):
+        _, manifest = write_corpus(tmp_path, rng, n_items=2)
+        lines = manifest.read_text().splitlines()
+        rec = json.loads(lines[1])
+        if damage == "not_an_object":
+            rec = [rec]
+        elif damage == "missing_key":
+            del rec["seed"]
+        else:
+            rec["gain_db"] = 3.0
+        manifest.write_text(lines[0] + "\n" + json.dumps(rec) + "\n")
+        rc = main(["synth", "--manifest", str(manifest), "--out", str(tmp_path / "d")])
+        assert rc == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert f"{manifest}:2:" in err
+
     def test_partial_failure_exits_2(self, tmp_path, rng, capsys):
         specs, manifest = write_corpus(tmp_path, rng, n_items=2)
         lines = manifest.read_text().splitlines()
@@ -158,6 +184,16 @@ class TestSynthCommand:
 
 
 class TestMetricsCommand:
+    @pytest.mark.parametrize("row", ['["item001"]', '{"snr_db": 0.0}'],
+                             ids=["not_an_object", "no_item_id"])
+    def test_malformed_metadata_row_exits_2(self, tmp_path, cfg_file, capsys, row):
+        meta = tmp_path / "metadata.jsonl"
+        meta.write_text('{"item_id": "item000"}\n' + row + "\n")
+        rc = main(["metrics", "--config", cfg_file, "--dataset", str(tmp_path)])
+        assert rc == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert f"{meta}:2:" in err
+
     def test_jsonl_rows_with_expected_columns(self, tmp_path, rng, cfg_file):
         _, manifest = write_corpus(tmp_path, rng, n_items=2, duration=0.5)
         data = tmp_path / "data"

@@ -1,4 +1,3 @@
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -7,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lightconv_oracle
-from binse import complex_ops
+from binse import complex_ops, pipeline
 from binse.complex_ops import (
     CLayerNormParams,
     CLinearParams,
@@ -320,15 +319,15 @@ def block_cases(draw):
         f=None if not two_d and draw(st.booleans()) else draw(st.sampled_from([1, 2, 7, 13])),
         t=draw(st.integers(1, 24)),
         kernel=kernel,
-        # from one row per tile and one channel per depthwise group up to one tile
-        tile_bytes=draw(st.sampled_from([1, 200, 2000, 1 << 22])),
+        # from one channel per depthwise group up to all of them
         group_bytes=draw(st.sampled_from([1, 100, 1 << 19])),
         seed=draw(st.integers(0, 2**31 - 1)),
     )
 
 
 class TestTiledLightConv:
-    """The tiled, in-place block against the untiled formulas in lightconv_oracle."""
+    """The in-place block, its depthwise conv in channel groups, against the
+    formulas in lightconv_oracle."""
 
     @settings(max_examples=80, deadline=None)
     @given(block_cases())
@@ -337,8 +336,7 @@ class TestTiledLightConv:
         p = c64_block(rng, case["c_in"], case["c_out"], case["kernel"])
         shape = (case["b"], case["c_in"]) + ((case["f"],) if case["f"] else ()) + (case["t"],)
         x = c64_input(rng, shape)
-        with mock.patch.object(complex_ops, "_TILE_BYTES", case["tile_bytes"]), \
-                mock.patch.object(complex_ops, "_DEPTHWISE_GROUP_BYTES", case["group_bytes"]):
+        with mock.patch.object(complex_ops, "_DEPTHWISE_GROUP_BYTES", case["group_bytes"]):
             y = lightconv(x, p)
         expected = lightconv_oracle.lightconv(x, p)
         assert y.shape == expected.shape and y.dtype == np.complex64
@@ -346,7 +344,7 @@ class TestTiledLightConv:
 
     @pytest.mark.parametrize("kernel", [(5,), (3, 3)])
     def test_row_longer_than_the_tile_budget(self, rng, kernel):
-        t = complex_ops._TILE_BYTES // (2 * 8) + 3      # one (2-channel) row > budget
+        t = pipeline._TILE_BYTES // (2 * 8) + 3      # one (2-channel) row > budget
         p = c64_block(rng, 2, 2, kernel)
         x = c64_input(rng, (1, 2, 3, t))
         y = lightconv(x, p)
@@ -364,7 +362,6 @@ def row_windows(draw):
         f=f, t=draw(st.integers(1, 20)),
         kernel=(draw(st.sampled_from([1, 3, 5])), 3) if two_d else (5,),
         rows=(lo, draw(st.integers(lo, f))),
-        tile_bytes=draw(st.sampled_from([1, 300, 1 << 22])),
         seed=draw(st.integers(0, 2**31 - 1)),
     )
 
@@ -380,8 +377,7 @@ class TestLightConvRows:
         x = read_only(c64_input(rng, (1, case["c_in"], case["f"], case["t"])))
         before = x.copy()
         lo, hi = case["rows"]
-        with mock.patch.object(complex_ops, "_TILE_BYTES", case["tile_bytes"]):
-            y = lightconv(x, p, rows=(lo, hi))
+        y = lightconv(x, p, rows=(lo, hi))
         expected = lightconv(x, p)[:, :, lo:hi]
         assert y.shape == expected.shape and y.dtype == np.complex64
         assert np.linalg.norm(y - expected) <= 1e-6 * np.linalg.norm(expected)
@@ -438,15 +434,3 @@ class TestKernelsLeaveInputsUnchanged:
         assert not np.shares_memory(y, x)
         np.testing.assert_array_equal(x, before)
 
-
-def test_lightconv2d_peak_memory_at_most_twice_its_output():
-    rng = np.random.default_rng(0)
-    x = c64_input(rng, (1, 80, 129, 999))
-    p = c64_block(rng, 80, 80, (3, 3))
-    tracemalloc.start()
-    try:
-        y = lightconv(x, p)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * y.nbytes

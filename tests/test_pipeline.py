@@ -321,15 +321,51 @@ class TestTiledPlan:
         assert_equivalent(w, model, cfg, pipeline.gammatone_bank(cfg),
                           tile_budget(cfg, w, rows))
 
-    def test_stage_dump_is_whole_and_one_tile(self, setup, rng):
+    def test_stage_dump_is_whole_and_equals_the_plain_call(self, setup, rng):
         cfg, model, bank = setup
         w = make_wave(rng, 4096)
-        res = enhance_in_tiles(w, model, cfg, bank, 1, collect_stages=True)
         f, t = cfg.analysis.n_freq_bins, (4096 - 256) // 128 + 1
-        for name in ("z_gamma", "z_stft", "z_attended", "z_backbone", "z_out"):
-            assert res.stages[name].shape == (1, cfg.channels, f, t)
-        one = enhance_in_tiles(w, model, cfg, bank, ONE_TILE)
-        np.testing.assert_array_equal(res.wav_out.samples, one.wav_out.samples)
+        for tile_bytes in (pipeline._TILE_BYTES, 1):
+            res = enhance_in_tiles(w, model, cfg, bank, tile_bytes, collect_stages=True)
+            for name in ("z_gamma", "z_stft", "z_attended", "z_backbone", "z_out"):
+                assert res.stages[name].shape == (1, cfg.channels, f, t)
+            plain = enhance_in_tiles(w, model, cfg, bank, tile_bytes)
+            np.testing.assert_array_equal(res.wav_out.samples, plain.wav_out.samples)
+            np.testing.assert_array_equal(res.ratfs.w_s, plain.ratfs.w_s)
+            np.testing.assert_array_equal(res.gate, plain.gate)
+
+    @pytest.mark.parametrize("collect_stages", [False, True])
+    def test_blocks_are_handed_one_tile(self, monkeypatch, collect_stages):
+        """Every light-conv block of a default-config 2 s call computes at most
+        one plan tile of rows, plus the decoder's lag of k_f // 2 rows per
+        2-D block, with or without a stage dump."""
+        from binse import decoder, encoder
+
+        cfg = RunConfig()
+        model = init_random(cfg, seed=0)
+        w = make_wave(np.random.default_rng(0), 2 * SR)
+        f, t = stft(pad_to_frame_grid(w, cfg), cfg.analysis).bins.shape[1:]
+        # rows of one (1, C, rows, T) complex64 tensor in the plan's tile budget
+        step = pipeline._TILE_BYTES // (cfg.channels * t * 8)
+        lag = sum(block.depthwise.shape[1] // 2 for block in model.decoder.head_s)
+        largest = {}
+
+        def sized(module):
+            conv = module.lightconv
+
+            def counted(x, p, rows=None, out=None):
+                n = x.shape[2] if rows is None else rows[1] - rows[0]
+                largest[module.__name__] = max(largest.get(module.__name__, 0), n)
+                return conv(x, p, rows=rows, out=out)
+
+            monkeypatch.setattr(module, "lightconv", counted)
+
+        sized(encoder)
+        sized(decoder)
+        enhance(w, model, cfg, collect_stages=collect_stages)
+        assert 1 <= step < f
+        assert 0 < largest["binse.encoder"] <= step
+        assert 0 < largest["binse.decoder"] <= step + lag
 
     @pytest.mark.parametrize(
         "kind", ["n1", "n100", "n256", "zeros", "silent_ear", "dc", "amp1e6", "amp1e-30"])
