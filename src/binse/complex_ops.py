@@ -2,16 +2,16 @@
 separable ("light") convolution blocks, and squeeze-and-excitation.
 Inference only: there is no dropout.
 
-All functions operate on complex ndarrays with the channel axis at
-position 1, i.e. (B, C, T) or (B, C, F, T). Parameter containers are plain
-dataclasses of ndarrays, immutable by convention.
+One layout: every kernel takes complex x of shape (B, C, F, T), channels on
+axis 1, as the plan's (1, C, rows, T) tiles are. Parameter containers are
+plain dataclasses of ndarrays, immutable by convention.
 
 Execution contract. No public function mutates its input. ``clinear``,
 ``cln`` and ``cprelu`` take an optional ``out`` array; passing the input
 itself (``cln(y, p, out=y)``) runs them in place, which is how the light-conv
 block uses them. ``lightconv`` is the one block entry point; the rank of the
-depthwise kernel selects a 1-D (time) or 2-D (frequency, time) block.
-Callers tile: ``lightconv(x, p, rows=(lo, hi))`` computes rows lo:hi in one
+depthwise kernel selects a time-only or a (frequency, time) conv. Callers
+pass the rows: ``lightconv(x, p, rows=(lo, hi))`` computes rows lo:hi in one
 pass, with ``k_f // 2`` halo rows on either side (2-D kernels), writing its
 depthwise sum, pointwise mix, norm, PReLU and residual into one output, so
 its temporaries are the size of the rows it is handed. The depthwise conv
@@ -75,45 +75,31 @@ def _fill(x: np.ndarray, out: np.ndarray | None, dtype) -> np.ndarray:
     return out
 
 
-def clinear(
-    x: np.ndarray, p: CLinearParams, axis: int = 1, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Complex affine map y = W x + b along the given feature axis.
+def clinear(x: np.ndarray, p: CLinearParams, out: np.ndarray | None = None) -> np.ndarray:
+    """Complex affine map y = W x + b over the channels of x (B, C_in, F, T).
 
-    One BLAS matrix product per batch item. ``out``, if given, receives y;
-    its axes after the feature axis must merge into one without a copy.
+    One stacked BLAS matrix product over x.reshape(B, C_in, F * T). ``out``,
+    if given, receives y; its (frequency, time) axes must merge into one
+    without a copy.
     """
-    x = np.asarray(x)
-    if x.shape[axis] != p.weight.shape[1]:
-        raise ShapeMismatch(
-            f"feature axis {axis} has length {x.shape[axis]}, "
-            f"weight expects {p.weight.shape[1]}"
-        )
-    moved = np.moveaxis(x, axis, 1)
-    if moved.ndim == 1:
-        y = p.weight @ moved + p.bias
-        return y
-    dtype = np.result_type(moved.dtype, p.weight.dtype)
-    w = p.weight.astype(dtype, copy=False)
-    c_out, c_in = w.shape
+    b, c_in = x.shape[:2]
+    c_out = p.weight.shape[0]
+    if c_in != p.weight.shape[1]:
+        raise ShapeMismatch(f"input has {c_in} channels, weight expects {p.weight.shape[1]}")
+    dtype = np.result_type(x.dtype, p.weight.dtype)
     if out is None:
-        y = np.empty((moved.shape[0], c_out) + moved.shape[2:], dtype)
-        out = np.moveaxis(y, 1, axis)
-    else:
-        y = np.moveaxis(out, axis, 1)
-    for i in range(moved.shape[0]):
-        dst = y[i].reshape(c_out, -1)
-        if dst.size and not np.may_share_memory(dst, y):
-            raise ValueError("clinear out must merge its trailing axes without a copy")
-        np.matmul(w, moved[i].astype(dtype, copy=False).reshape(c_in, -1), out=dst)
-    y += p.bias.reshape((1, -1) + (1,) * (moved.ndim - 2))
+        out = np.empty((b, c_out) + x.shape[2:], dtype)
+    y = out.reshape(b, c_out, -1)
+    if y.size and not np.may_share_memory(y, out):
+        raise ValueError("clinear out must merge its trailing axes without a copy")
+    np.matmul(p.weight.astype(dtype, copy=False),
+              x.astype(dtype, copy=False).reshape(b, c_in, -1), out=y)
+    y += p.bias[:, np.newaxis]
     return out
 
 
-def cln(
-    x: np.ndarray, p: CLayerNormParams, axis: int = 1, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Complex layer norm over the channel axis.
+def cln(x: np.ndarray, p: CLayerNormParams, out: np.ndarray | None = None) -> np.ndarray:
+    """Complex layer norm over the channels of x (B, C, F, T).
 
     The complex mean is removed per position and the centered values are
     divided by sqrt(E[|x - mu|^2] + eps) -- a single real scale shared by
@@ -121,24 +107,19 @@ def cln(
     ``out`` (may be x itself) receives the result; its last axis must have
     unit stride.
     """
-    x = np.asarray(x)
     y = _fill(x, out, np.result_type(x.dtype, p.gamma.dtype, p.beta.dtype, np.complex64))
-    if axis < 0:
-        axis += y.ndim
-    y -= np.mean(y, axis=axis, keepdims=True)
+    y -= np.mean(y, axis=1, keepdims=True)
     scale = np.abs(y)
     np.square(scale, out=scale)
-    scale = np.mean(scale, axis=axis, keepdims=True)
+    scale = np.mean(scale, axis=1, keepdims=True)
     scale += p.eps
     np.sqrt(scale, out=scale)
     np.reciprocal(scale, out=scale)
     # real scale on the interleaved (re, im) floats: one real product each
     v = y.view(y.real.dtype)
-    v *= scale if axis == y.ndim - 1 else np.repeat(scale, 2, axis=-1)
-    shape = [1] * y.ndim
-    shape[axis] = -1
-    y *= p.gamma.reshape(shape)
-    y += p.beta.reshape(shape)
+    v *= np.repeat(scale, 2, axis=-1)
+    y *= p.gamma[:, np.newaxis, np.newaxis]
+    y += p.beta[:, np.newaxis, np.newaxis]
     return y
 
 
@@ -158,45 +139,35 @@ def cprelu(x: np.ndarray, slope, out: np.ndarray | None = None) -> np.ndarray:
     return y
 
 
-def _depthwise_conv(
-    x: np.ndarray, kernel: np.ndarray, rows: tuple[int, int] | None = None
-) -> np.ndarray:
-    """Zero-padded same-size depthwise correlation over the trailing axes.
+def _depthwise_conv(x: np.ndarray, kernel: np.ndarray, rows: tuple[int, int]) -> np.ndarray:
+    """Zero-padded same-size depthwise correlation of x (B, C, F, T): output
+    frequency rows ``rows=(lo, hi)``, as a (B, C, hi - lo, T) array.
 
-    kernel (C, k) correlates along the last axis of x (B, C, T) or
-    (B, C, F, T); kernel (C, k_f, k_t) correlates along the last two of
-    x (B, C, F, T). y[t] = sum_j h[j] x[t + j - k//2].
+    kernel (C, k) correlates along time only; kernel (C, k_f, k_t) along
+    (frequency, time). y[t] = sum_j h[j] x[t + j - k//2].
 
-    ``rows=(lo, hi)`` computes only frequency rows lo:hi of a 4-D output,
-    reading input rows lo - k_f//2 .. hi + k_f//2 (the halo) and treating
-    rows outside x as zero. No padded copy of x is made: each (frequency,
-    time) plane is read flat, so every tap is one contiguous shifted run,
-    and the products a time shift carries across a row end are zeroed.
-    Taps are summed from zero in kernel order through one reused scratch
-    array, the order of the padded formula, so the result is the same to
-    the bit.
+    Input rows lo - k_f//2 .. hi + k_f//2 (the halo) are read, and rows
+    outside x are taken as zero. No padded copy of x is made: each
+    (frequency, time) plane is read flat, so every tap is one contiguous
+    shifted run, and the products a time shift carries across a row end are
+    zeroed. Taps are summed from zero in kernel order through one reused
+    scratch array, the order of the padded formula, so the result is the
+    same to the bit.
     """
-    c = x.shape[1]
+    b, c, f, t = x.shape
     if kernel.shape[0] != c:
         raise ShapeMismatch(f"depthwise kernel for {kernel.shape[0]} channels, input has {c}")
-    if x.ndim not in (3, 4):
-        raise ShapeMismatch(f"depthwise conv expects (B, C, T) or (B, C, F, T), got {x.shape}")
     if kernel.ndim == 2:
         kernel = kernel[:, np.newaxis, :]
-    elif kernel.ndim == 3:
-        if x.ndim != 4:
-            raise ShapeMismatch("2D depthwise conv expects (B, C, F, T) input")
-    else:
+    elif kernel.ndim != 3:
         raise ShapeMismatch(f"unsupported depthwise kernel ndim {kernel.ndim}")
-    x4 = x if x.ndim == 4 else x[:, :, np.newaxis, :]
-    b, _, f, t = x4.shape
-    lo, hi = (0, f) if rows is None else rows
+    lo, hi = rows
     kf, kt = kernel.shape[1:]
     pf, pt = kf // 2, kt // 2
-    flat = x4.reshape(b, c, f * t)
+    flat = x.reshape(b, c, f * t)
     start, stop = lo * t, hi * t
     n = stop - start
-    out = np.zeros((b, c, n), np.result_type(x4.dtype, kernel.dtype))
+    out = np.zeros((b, c, n), np.result_type(x.dtype, kernel.dtype))
     # channels are independent: run every tap on a cache-sized channel group
     group = min(c, max(1, _DEPTHWISE_GROUP_BYTES // max(1, b * n * out.itemsize)))
     scratch = np.empty((b, group, n), out.dtype)
@@ -219,8 +190,7 @@ def _depthwise_conv(
                 elif dt < 0:
                     tmp_rows[..., :-dt] = 0
                 acc[:, :, a - start : z - start] += tmp
-    out = out.reshape(b, c, hi - lo, t)
-    return out if x.ndim == 4 else out[:, :, 0, :]
+    return out.reshape(b, c, hi - lo, t)
 
 
 def lightconv(
@@ -229,40 +199,32 @@ def lightconv(
     rows: tuple[int, int] | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Light conv block: depthwise conv, pointwise mix, CLN, PReLU, residual.
+    """Light conv block on x (B, C, F, T): depthwise conv, pointwise mix,
+    CLN, PReLU, residual.
 
-    A (C, k) depthwise kernel convolves the trailing (time) axis of x,
-    (B, C, T) or (B, C, F, T), shared across frequencies; a (C, k_f, k_t)
-    kernel convolves (frequency, time) of a (B, C, F, T) input.
+    A (C, k) depthwise kernel convolves time only, each frequency row alone;
+    a (C, k_f, k_t) kernel convolves (frequency, time).
 
-    ``rows=(lo, hi)`` computes only output rows lo:hi of a 4-D x, in one
-    pass, as a (B, C_out, hi - lo, T) array. A 2-D kernel then reads the
-    k_f // 2 rows on either side of them that x holds, and takes rows beyond
-    x's edges as zero, so a caller holding some rows of a larger tensor gets
-    that tensor's rows wherever x holds their halo. ``out``, if given,
-    receives the result; each of its (frequency, time) planes must be
+    ``rows=(lo, hi)`` (default: every row) computes only output rows lo:hi,
+    in one pass, as a (B, C_out, hi - lo, T) array. A 2-D kernel then reads
+    the k_f // 2 rows on either side of them that x holds, and takes rows
+    beyond x's edges as zero, so a caller holding some rows of a larger
+    tensor gets that tensor's rows wherever x holds their halo. ``out``, if
+    given, receives the result; each of its (frequency, time) planes must be
     contiguous.
     """
-    if x.ndim not in (3, 4):
-        raise ShapeMismatch(f"light conv expects (B, C, T) or (B, C, F, T), got {x.shape}")
-    if p.depthwise.ndim == 3 and x.ndim != 4:
-        raise ShapeMismatch("2D depthwise conv expects (B, C, F, T) input")
-    x4 = x if x.ndim == 4 else x[:, :, np.newaxis, :]
-    b, c_in, f, t = x4.shape
+    if x.ndim != 4:
+        raise ShapeMismatch(f"light conv expects (B, C, F, T), got {x.shape}")
+    f = x.shape[2]
     lo, hi = (0, f) if rows is None else rows
-    if rows is not None and (x.ndim != 4 or not 0 <= lo <= hi <= f):
+    if not 0 <= lo <= hi <= f:
         raise ShapeMismatch(f"rows {rows} are not frequency rows of {x.shape}")
-    c_out = p.pointwise.weight.shape[0]
-    if out is None:
-        dtype = np.result_type(x4.dtype, p.depthwise.dtype, p.pointwise.weight.dtype,
-                               p.pointwise.bias.dtype, p.norm.gamma.dtype, p.norm.beta.dtype)
-        out = np.empty((b, c_out, hi - lo, t), dtype)
-    clinear(_depthwise_conv(x4, p.depthwise, rows=(lo, hi)), p.pointwise, out=out)
+    out = clinear(_depthwise_conv(x, p.depthwise, (lo, hi)), p.pointwise, out=out)
     cln(out, p.norm, out=out)
     cprelu(out, p.prelu_slope, out=out)
-    if c_out == c_in:
-        out += x4[:, :, lo:hi]
-    return out if x.ndim == 4 else out[:, :, 0, :]
+    if out.shape[1] == x.shape[1]:
+        out += x[:, :, lo:hi]
+    return out
 
 
 def cse_excitation(s: np.ndarray, p: CSEParams) -> np.ndarray:

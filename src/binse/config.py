@@ -77,8 +77,8 @@ class RunConfig:
     masked_cue_loss: bool = True
 
     def __post_init__(self):
-        if self.channels <= 0 or self.n_basis <= 0:
-            raise ValueError("channels and n_basis must be positive")
+        if self.channels <= 0 or self.n_basis <= 0 or self.se_reduction <= 0:
+            raise ValueError("channels, n_basis and se_reduction must be positive")
         if self.n_basis % 2 == 0:
             raise ValueError("n_basis must be odd (DC plus cos/sin pairs)")
         if self.channels % self.se_reduction != 0:

@@ -29,7 +29,6 @@ class DecoderParams:
     drg_weight: np.ndarray          # real (C,) 1x1 conv to one channel
     drg_bias: np.ndarray            # real scalar
     drg_global: np.ndarray          # real (F,), used only under global_drg
-    eps: float = 1e-8
 
 
 class _Window:
@@ -105,7 +104,7 @@ def decode_heads(
                 x = lightconv(src, block, rows=(a - first, b - first), out=out)
                 if out is not None:
                     src, first = levels[l].rows, levels[l].first
-            ratf[:, made[n] : stops[n]] = clinear(x, proj, axis=1)[:, 0]
+            ratf[:, made[n] : stops[n]] = clinear(x, proj)[:, 0]
         made = stops
     return RatfPair(w_s=ratfs[0], w_n=ratfs[1])
 

@@ -80,7 +80,7 @@ def modulator_block(
     gates = _gates_all_freqs(z, basis, p)         # (B, F, T)
     gates = gates.astype(z.real.dtype, copy=False)  # keep z's precision
     modulated = z * gates[:, None, :, :]
-    projected = clinear(modulated, p.proj, axis=1, out=out)
+    projected = clinear(modulated, p.proj, out=out)
     del modulated
     projected += z
-    return cln(projected, p.norm, axis=1, out=projected)
+    return cln(projected, p.norm, out=projected)

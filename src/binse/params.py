@@ -203,7 +203,6 @@ def _build(cfg: RunConfig, make) -> ModelParams:
         drg_weight=make.rweight("decoder.drg.weight", (c,), c),
         drg_bias=make.zeros("decoder.drg.bias", ()),
         drg_global=make.zeros("decoder.drg_global", (f,)),
-        eps=cfg.eps_ratf,
     )
     return ModelParams(
         encoder=encoder,

@@ -213,10 +213,10 @@ def enhance(
     tiles = _tiles(*y.bins.shape[1:], cfg, dtype)
     z_att, excitation = _encode(w, y, tiles, model, cfg, bank, dtype, keep)
     ratfs, g, s_final = _decode(z_att, excitation, y, tiles, model, cfg, gate_override, keep)
-    out = istft(s_final)
-    samples = out.samples[:, :n_in]
-    if not np.all(np.isfinite(samples)):
-        raise InvariantViolation("non-finite samples in enhanced output")
+    # checked here, as istft's Waveform rejects non-finite samples as bad input
+    if not np.all(np.isfinite(s_final.bins)):
+        raise InvariantViolation("non-finite values in the enhanced spectrum")
+    samples = istft(s_final).samples[:, :n_in]
 
     keep(noisy_spec=y.bins)
     return EnhanceResult(

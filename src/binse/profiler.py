@@ -109,6 +109,8 @@ def measure_rtf(
     seed: int = 0,
 ) -> float:
     """Median wall-clock processing time divided by audio duration."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     if wav is None:
         rng = np.random.default_rng(seed)
         wav = Waveform(

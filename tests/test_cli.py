@@ -83,6 +83,17 @@ class TestEnhanceCommand:
                    "--output", str(tmp_path / "o.wav")])
         assert rc == 2
 
+    def test_overflowing_input_exits_4(self, tmp_path, cfg_file, rng, capsys):
+        # finite float-32 samples whose spectrum overflows the complex64 network
+        x = rng.standard_normal((2, 6000))
+        path = tmp_path / "loud.wav"
+        write_wav(path, 3e38 * x / np.max(np.abs(x)), SR)
+        with np.errstate(all="ignore"):
+            rc = main(["enhance", "--config", cfg_file, "--input", str(path),
+                       "--output", str(tmp_path / "o.wav")])
+        assert rc == 4
+        assert "non-finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("damage", ["empty", "fmt_prefix", "partial_frame"])
     def test_truncated_wav_exits_2(self, tmp_path, cfg_file, input_wav, capsys, damage):
         wav = Path(input_wav).read_bytes()
@@ -320,6 +331,11 @@ class TestBenchCommand:
         payload = json.loads(out.splitlines()[0])
         assert payload["rtf"] > 0
 
+    @pytest.mark.parametrize("repeats", ["0", "-1"])
+    def test_repeats_below_one_exit_2(self, cfg_file, capsys, repeats):
+        assert main(["bench", "--config", cfg_file, "--rtf", f"--repeats={repeats}"]) == 2
+        assert "repeats must be at least 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("overrides, problem", [
         ({"dropout_rate": 0.1}, "unknown config keys: dropout_rate"),
         ([1, 2], "config must be a JSON object"),
@@ -328,8 +344,11 @@ class TestBenchCommand:
         ({"kernel_2d": 3}, "config key 'kernel_2d' must be a list of 2 int values"),
         ({"no_drg": 1}, "config key 'no_drg' must be of type bool"),
         ({"analysis": {"hop": 64.0}}, "analysis key 'hop' must be of type int"),
+        ({"se_reduction": 0}, "se_reduction must be positive"),
+        ({"se_reduction": -4}, "se_reduction must be positive"),
     ], ids=["unknown_key", "not_an_object", "unknown_analysis_key", "str_for_int",
-            "int_for_pair", "int_for_bool", "float_for_int"])
+            "int_for_pair", "int_for_bool", "float_for_int", "zero_se_reduction",
+            "negative_se_reduction"])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, overrides, problem):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(overrides))

@@ -25,22 +25,22 @@ from conftest import make_clinear, make_cse, make_lightconv, make_norm, rand_com
 
 class TestClinear:
     def test_identity_weights(self, rng):
-        x = rand_complex(rng, (2, 4, 3))
+        x = rand_complex(rng, (2, 4, 1, 3))
         p = CLinearParams(np.eye(4, dtype=complex), np.zeros(4, dtype=complex))
         np.testing.assert_allclose(clinear(x, p), x, rtol=1e-12)
 
     def test_linearity_with_bias_compensation(self, rng):
         p = make_clinear(rng, 5, 4)
-        x1, x2 = rand_complex(rng, (2, 4, 6)), rand_complex(rng, (2, 4, 6))
+        x1, x2 = rand_complex(rng, (2, 4, 1, 6)), rand_complex(rng, (2, 4, 1, 6))
         alpha = 0.7 - 1.3j
         lhs = clinear(alpha * x1 + x2, p)
-        rhs = alpha * clinear(x1, p) + clinear(x2, p) - alpha * p.bias[None, :, None]
+        rhs = alpha * clinear(x1, p) + clinear(x2, p) - alpha * p.bias[None, :, None, None]
         np.testing.assert_allclose(lhs, rhs, atol=1e-6)
 
     def test_one_by_one_imaginary_unit(self):
         p = CLinearParams(np.array([[1j]]), np.zeros(1, dtype=complex))
-        out = clinear(np.ones((1, 1, 1), dtype=complex), p)
-        np.testing.assert_allclose(out, 1j * np.ones((1, 1, 1)))
+        out = clinear(np.ones((1, 1, 1, 1), dtype=complex), p)
+        np.testing.assert_allclose(out, 1j * np.ones((1, 1, 1, 1)))
 
     def test_matches_explicit_sum_oracle(self, rng):
         p = make_clinear(rng, 3, 4)
@@ -55,7 +55,7 @@ class TestClinear:
 
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ShapeMismatch):
-            clinear(rand_complex(rng, (1, 3, 2)), make_clinear(rng, 3, 4))
+            clinear(rand_complex(rng, (1, 3, 1, 2)), make_clinear(rng, 3, 4))
 
 
 class TestCln:
@@ -63,14 +63,14 @@ class TestCln:
         p = CLayerNormParams(
             gamma=rand_complex(rng, (6,)), beta=np.zeros(6, dtype=complex), eps=1e-5
         )
-        x = np.full((1, 6, 4), 2.0 - 1.0j)
+        x = np.full((1, 6, 1, 4), 2.0 - 1.0j)
         np.testing.assert_allclose(cln(x, p), 0.0, atol=1e-12)
 
     def test_pre_affine_unit_power(self, rng):
         p = CLayerNormParams(
             gamma=np.ones(64, dtype=complex), beta=np.zeros(64, dtype=complex), eps=1e-8
         )
-        x = rand_complex(rng, (2, 64, 9))
+        x = rand_complex(rng, (2, 64, 1, 9))
         y = cln(x, p)
         power = np.mean(np.abs(y) ** 2, axis=1)
         np.testing.assert_allclose(power, 1.0, atol=1e-4)
@@ -79,12 +79,12 @@ class TestCln:
         p = CLayerNormParams(
             gamma=np.ones(1, dtype=complex), beta=np.zeros(1, dtype=complex), eps=1e-5
         )
-        x = np.full((1, 1, 3), 5.0 + 2.0j)
+        x = np.full((1, 1, 1, 3), 5.0 + 2.0j)
         np.testing.assert_allclose(cln(x, p), 0.0, atol=1e-12)
 
 
 def naive_depthwise_1d(x, kernel):
-    b, c, t = x.shape
+    c, t = x.shape[1], x.shape[-1]
     k = kernel.shape[1]
     pad = k // 2
     out = np.zeros_like(x)
@@ -93,7 +93,7 @@ def naive_depthwise_1d(x, kernel):
             for j in range(k):
                 src = ti + j - pad
                 if 0 <= src < t:
-                    out[:, ci, ti] += kernel[ci, j] * x[:, ci, src]
+                    out[:, ci, ..., ti] += kernel[ci, j] * x[:, ci, ..., src]
     return out
 
 
@@ -134,13 +134,13 @@ class TestLightConv1d:
     def test_impulse_kernel_reduces_to_norm_activation_residual(self, rng):
         c = 4
         p = identity_block(c, (5,))
-        x = rand_complex(rng, (2, c, 9))
+        x = rand_complex(rng, (2, c, 1, 9))
         expected = cprelu(cln(x, p.norm), 0.25) + x
         np.testing.assert_allclose(lightconv(x, p), expected, rtol=1e-10, atol=1e-12)
 
     def test_matches_naive_convolution_oracle(self, rng):
         p = make_lightconv(rng, 3, 5, (5,))
-        x = rand_complex(rng, (2, 3, 8))
+        x = rand_complex(rng, (2, 3, 1, 8))
         y = lightconv(x, p)
         h = naive_depthwise_1d(x, p.depthwise)
         h = clinear(h, p.pointwise)
@@ -151,17 +151,17 @@ class TestLightConv1d:
         from binse.complex_ops import _depthwise_conv
 
         kernel = rand_complex(rng, (2, 5))
-        x = rand_complex(rng, (1, 2, 30))
+        x = rand_complex(rng, (1, 2, 1, 30))
         shifted = np.roll(x, 3, axis=-1)
-        y = _depthwise_conv(x, kernel)
-        y_shifted = _depthwise_conv(shifted, kernel)
+        y = _depthwise_conv(x, kernel, rows=(0, 1))
+        y_shifted = _depthwise_conv(shifted, kernel, rows=(0, 1))
         np.testing.assert_allclose(
             y_shifted[..., 8:-8], np.roll(y, 3, axis=-1)[..., 8:-8], rtol=1e-9, atol=1e-11
         )
 
     def test_residual_applied_when_channels_match(self, rng):
         p = make_lightconv(rng, 4, 4, (3,))
-        x = rand_complex(rng, (1, 4, 7))
+        x = rand_complex(rng, (1, 4, 1, 7))
         h = naive_depthwise_1d(x, p.depthwise)
         h = cprelu(cln(clinear(h, p.pointwise), p.norm), p.prelu_slope)
         np.testing.assert_allclose(lightconv(x, p), h + x, rtol=1e-8, atol=1e-10)
@@ -172,8 +172,8 @@ class TestLightConv1d:
         y = lightconv(x, p)
         # frequency rows are independent: per-row application must agree
         for fi in range(4):
-            row = lightconv(x[:, :, fi, :], p)
-            np.testing.assert_allclose(y[:, :, fi, :], row, rtol=1e-9, atol=1e-11)
+            row = lightconv(x[:, :, fi : fi + 1, :], p)
+            np.testing.assert_allclose(y[:, :, fi : fi + 1, :], row, rtol=1e-9, atol=1e-11)
 
     def test_wrong_kernel_rank_raises(self, rng):
         p = make_lightconv(rng, 3, 3, (3, 3, 3))
@@ -204,15 +204,16 @@ class TestLightConv2d:
         v = rand_complex(rng, (3, 5))   # time taps per channel
         kernel = u[:, :, None] * v[:, None, :]
         x = rand_complex(rng, (1, 3, 7, 9))
-        y2d = _depthwise_conv(x, kernel)
-        yf = _depthwise_conv(x.swapaxes(-1, -2), u).swapaxes(-1, -2)
-        yft = _depthwise_conv(yf, v)
+        y2d = _depthwise_conv(x, kernel, rows=(0, 7))
+        yf = _depthwise_conv(x.swapaxes(-1, -2), u, rows=(0, 9)).swapaxes(-1, -2)
+        yft = _depthwise_conv(yf, v, rows=(0, 7))
         np.testing.assert_allclose(y2d, yft, rtol=1e-9, atol=1e-11)
 
     def test_requires_four_axes(self, rng):
-        p = make_lightconv(rng, 3, 3, (3, 3))
-        with pytest.raises(ShapeMismatch):
-            lightconv(rand_complex(rng, (1, 3, 8)), p)
+        for kernel in [(3, 3), (3,)]:
+            p = make_lightconv(rng, 3, 3, kernel)
+            with pytest.raises(ShapeMismatch):
+                lightconv(rand_complex(rng, (1, 3, 8)), p)
 
 
 class TestCse:
@@ -270,15 +271,15 @@ class TestNumericalHygiene:
     def test_real_block_matrix_oracle_for_composition(self, rng):
         # complex linear map realized as a 2x2 real block matrix on (re; im)
         p = make_clinear(rng, 3, 3)
-        x = rand_complex(rng, (1, 3, 4))
+        x = rand_complex(rng, (1, 3, 1, 4))
         y = clinear(x, p)
         big = np.block(
             [[p.weight.real, -p.weight.imag], [p.weight.imag, p.weight.real]]
         )
-        stacked = np.concatenate([x[0].real, x[0].imag], axis=0)
+        stacked = np.concatenate([x[0, :, 0].real, x[0, :, 0].imag], axis=0)
         out = big @ stacked
         expected = out[:3] + 1j * out[3:] + p.bias[:, None]
-        np.testing.assert_allclose(y[0], expected, rtol=1e-9, atol=1e-11)
+        np.testing.assert_allclose(y[0, :, 0], expected, rtol=1e-9, atol=1e-11)
 
 
 def c64_block(rng, c_in, c_out, kernel):
@@ -316,7 +317,7 @@ def block_cases(draw):
         b=draw(st.sampled_from([1, 2])),
         c_in=c_in,
         c_out=draw(st.sampled_from([c_in, 4])),
-        f=None if not two_d and draw(st.booleans()) else draw(st.sampled_from([1, 2, 7, 13])),
+        f=draw(st.sampled_from([1, 2, 7, 13])),
         t=draw(st.integers(1, 24)),
         kernel=kernel,
         # from one channel per depthwise group up to all of them
@@ -334,8 +335,7 @@ class TestTiledLightConv:
     def test_matches_untiled_oracle(self, case):
         rng = np.random.default_rng(case["seed"])
         p = c64_block(rng, case["c_in"], case["c_out"], case["kernel"])
-        shape = (case["b"], case["c_in"]) + ((case["f"],) if case["f"] else ()) + (case["t"],)
-        x = c64_input(rng, shape)
+        x = c64_input(rng, (case["b"], case["c_in"], case["f"], case["t"]))
         with mock.patch.object(complex_ops, "_DEPTHWISE_GROUP_BYTES", case["group_bytes"]):
             y = lightconv(x, p)
         expected = lightconv_oracle.lightconv(x, p)
@@ -425,8 +425,8 @@ class TestKernelsLeaveInputsUnchanged:
             "clinear": lambda: clinear(x, c64_block(rng, 4, 3, (3,)).pointwise),
             "cln": lambda: cln(x, c64_block(rng, 4, 4, (3,)).norm),
             "cprelu": lambda: cprelu(x, 0.25),
-            "depthwise1d": lambda: _depthwise_conv(x, rand_complex(rng, (4, 3))),
-            "depthwise2d": lambda: _depthwise_conv(x, rand_complex(rng, (4, 3, 3))),
+            "depthwise1d": lambda: _depthwise_conv(x, rand_complex(rng, (4, 3)), rows=(0, 5)),
+            "depthwise2d": lambda: _depthwise_conv(x, rand_complex(rng, (4, 3, 3)), rows=(0, 5)),
             "lightconv1d": lambda: lightconv(x, c64_block(rng, 4, 4, (3,))),
             "lightconv2d": lambda: lightconv(x, c64_block(rng, 4, 4, (3, 3))),
         }

@@ -114,6 +114,15 @@ class TestEnhance:
         with pytest.raises(InvariantViolation):
             enhance(make_wave(rng, 2048), wrong_model, cfg)
 
+    def test_non_finite_network_output_is_an_invariant_violation(self, setup, rng):
+        cfg, _, bank = setup
+        model = init_random(cfg, seed=0)
+        bias = model.decoder.head_s_proj.bias.copy()
+        bias[0] = np.nan
+        model.decoder.head_s_proj.bias = bias
+        with np.errstate(all="ignore"), pytest.raises(InvariantViolation):
+            enhance(make_wave(rng, 4096), model, cfg, bank=bank)
+
     def test_float64_network_close_to_float32(self, setup, rng):
         cfg, model, bank = setup
         w = make_wave(rng, 4096)

@@ -1,3 +1,7 @@
+import importlib
+import runpy
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -145,3 +149,12 @@ class TestFullReport:
         bad = ComplexityReport(n_params=10, param_rows={"encoder": 5})
         with pytest.raises(AssertionError):
             bad.check_totals()
+
+
+def test_benchmark_trace_targets_resolve():
+    """The benchmark's trace mode wraps each (module, attr) of its TARGETS,
+    looked up with getattr, so every one must name a callable in binse."""
+    tracing = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"))
+    for _, module, attr in tracing["TARGETS"]:
+        assert module.split(".")[0] == "binse"
+        assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
