@@ -172,6 +172,8 @@ def cmd_bench(args) -> int:
         "macs": report.macs,
         "audio_seconds": report.audio_seconds,
         "rtf": report.rtf,
+        "cpu_s": report.cpu_s,
+        "workers": report.workers,
         "param_rows": report.param_rows,
         "mac_rows": report.mac_rows,
     }

@@ -150,9 +150,11 @@ def _depthwise_conv(x: np.ndarray, kernel: np.ndarray, rows: tuple[int, int]) ->
     outside x are taken as zero. No padded copy of x is made: each
     (frequency, time) plane is read flat, so every tap is one contiguous
     shifted run, and the products a time shift carries across a row end are
-    zeroed. Taps are summed from zero in kernel order through one reused
-    scratch array, the order of the padded formula, so the result is the
-    same to the bit.
+    zeroed. Taps are summed in kernel order, the order of the padded formula,
+    so the result equals it: the first tap of a channel group is written
+    into the output, zero where it does not reach, and each later one is
+    added through one reused scratch array. The centre tap reaches every
+    output, so every group has a first tap.
     """
     b, c, f, t = x.shape
     if kernel.shape[0] != c:
@@ -167,14 +169,14 @@ def _depthwise_conv(x: np.ndarray, kernel: np.ndarray, rows: tuple[int, int]) ->
     flat = x.reshape(b, c, f * t)
     start, stop = lo * t, hi * t
     n = stop - start
-    out = np.zeros((b, c, n), np.result_type(x.dtype, kernel.dtype))
+    out = np.empty((b, c, n), np.result_type(x.dtype, kernel.dtype))
     # channels are independent: run every tap on a cache-sized channel group
     group = min(c, max(1, _DEPTHWISE_GROUP_BYTES // max(1, b * n * out.itemsize)))
     scratch = np.empty((b, group, n), out.dtype)
     for c0 in range(0, c, group):
         c1 = min(c, c0 + group)
-        acc, src, tmp_all = out[:, c0:c1], flat[:, c0:c1], scratch[:, : c1 - c0]
-        tmp_rows = tmp_all.reshape(b, c1 - c0, hi - lo, t)
+        acc, src, part = out[:, c0:c1], flat[:, c0:c1], scratch[:, : c1 - c0]
+        first = True
         taps = kernel[np.newaxis, c0:c1, :, :, np.newaxis]      # (1, group, kf, kt, 1)
         for jf in range(kf):
             for jt in range(kt):
@@ -183,13 +185,22 @@ def _depthwise_conv(x: np.ndarray, kernel: np.ndarray, rows: tuple[int, int]) ->
                 a, z = max(start, -shift), min(stop, f * t - shift)
                 if abs(dt) >= t or a >= z:
                     continue
-                tmp = tmp_all[:, :, a - start : z - start]
+                # the first tap goes straight into the accumulator, zeroed
+                # where it does not reach; later ones through the scratch
+                into = acc if first else part
+                if first:
+                    acc[:, :, : a - start] = 0
+                    acc[:, :, z - start :] = 0
+                tmp = into[:, :, a - start : z - start]
                 np.multiply(taps[:, :, jf, jt], src[:, :, a + shift : z + shift], out=tmp)
+                into_rows = into.reshape(b, c1 - c0, hi - lo, t)
                 if dt > 0:
-                    tmp_rows[..., t - dt :] = 0
+                    into_rows[..., t - dt :] = 0
                 elif dt < 0:
-                    tmp_rows[..., :-dt] = 0
-                acc[:, :, a - start : z - start] += tmp
+                    into_rows[..., :-dt] = 0
+                if not first:
+                    acc[:, :, a - start : z - start] += tmp
+                first = False
     return out.reshape(b, c, hi - lo, t)
 
 

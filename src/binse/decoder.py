@@ -60,7 +60,8 @@ def _halo(block: LightConvParams) -> int:
 
 
 def decode_heads(
-    z_out: np.ndarray, p: DecoderParams, tiles: list[tuple[int, int]] | None = None
+    z_out: np.ndarray, p: DecoderParams, tiles: list[tuple[int, int]] | None = None,
+    pmap=None,
 ) -> RatfPair:
     """Two independent stacks of 2D blocks estimating speech/noise RATFs.
 
@@ -68,45 +69,50 @@ def decode_heads(
     ascending (lo, hi) frequency rows that end at F (default: one tile of
     every row), so each block's output exists only a few rows at a time. A
     2-D block reads k_f // 2 rows on either side of each output row, so at
-    the tile ending at row hi, block l makes its rows up to l times that
-    halo short of hi, and the last tile completes every row. Block 1 reads
-    z_out itself; each deeper level keeps in a ``_Window`` the rows of its
-    output that the next block still reads, and no row is computed twice.
-    The two heads have blocks of the same kernel shapes.
+    the tile ending at row hi, block l makes its rows up to the halos of
+    blocks 1 .. l short of hi, and the last tile completes every row. Block 1
+    reads z_out itself; each deeper level keeps in a ``_Window`` the rows of
+    its output that the next block still reads, and no row is computed
+    twice. Each head runs its own schedule and only reads z_out, so the heads
+    are independent units: ``pmap(fn, heads)``, a map returning results in
+    order, runs them (default: one after the other).
     """
     if z_out.ndim != 4:
         raise ShapeMismatch(f"expected (B, C, F, T), got {z_out.shape}")
-    f, t = z_out.shape[2:]
     if tiles is None:
-        tiles = [(0, f)]
+        tiles = [(0, z_out.shape[2])]
     heads = [(p.head_s, p.head_s_proj), (p.head_n, p.head_n_proj)]
-    n = len(p.head_s)
-    ratfs = [np.empty((z_out.shape[0], f, t), np.result_type(z_out.dtype, proj.weight.dtype))
-             for _, proj in heads]
-    # levels 1 .. n - 1 of each head; level l is the output of block l
-    windows = [[_Window() for _ in range(n - 1)] for _ in heads]
+    w_s, w_n = (pmap or map)(lambda head: _decode_head(z_out, *head, tiles), heads)
+    return RatfPair(w_s=w_s, w_n=w_n)
+
+
+def _decode_head(z_out, blocks, proj, tiles) -> np.ndarray:
+    """One head's RATF (B, F, T), its blocks run on the lagged schedule."""
+    f, t = z_out.shape[2:]
+    n = len(blocks)
+    ratf = np.empty((z_out.shape[0], f, t), np.result_type(z_out.dtype, proj.weight.dtype))
+    levels = [_Window() for _ in range(n - 1)]  # level l is the output of block l
     made = [0] * (n + 1)            # rows made so far at each level; level 0 is z_out
     for _, hi in tiles:
         # rows each level can reach: its input's end less its halo, or all of them
         stops = [hi]
-        for block in p.head_s:
+        for block in blocks:
             stops.append(f if stops[-1] == f else max(0, stops[-1] - _halo(block)))
-        for (blocks, proj), ratf, levels in zip(heads, ratfs, windows):
-            src, first = z_out, 0
-            x = z_out[:, :, made[0] : hi]
-            for l, block in enumerate(blocks):
-                a, b = made[l + 1], stops[l + 1]
-                out = None
-                if l + 1 < n:
-                    # from the first row of it that block l + 2 reads, at this tile or later
-                    keep = max(0, made[l + 2] - _halo(blocks[l + 1]))
-                    out = levels[l].extend(keep, b - a, src)
-                x = lightconv(src, block, rows=(a - first, b - first), out=out)
-                if out is not None:
-                    src, first = levels[l].rows, levels[l].first
-            ratf[:, made[n] : stops[n]] = clinear(x, proj)[:, 0]
+        src, first = z_out, 0
+        x = z_out[:, :, made[0] : hi]
+        for l, block in enumerate(blocks):
+            a, b = made[l + 1], stops[l + 1]
+            out = None
+            if l + 1 < n:
+                # from the first row of it that block l + 2 reads, at this tile or later
+                keep = max(0, made[l + 2] - _halo(blocks[l + 1]))
+                out = levels[l].extend(keep, b - a, src)
+            x = lightconv(src, block, rows=(a - first, b - first), out=out)
+            if out is not None:
+                src, first = levels[l].rows, levels[l].first
+        ratf[:, made[n] : stops[n]] = clinear(x, proj)[:, 0]
         made = stops
-    return RatfPair(w_s=ratfs[0], w_n=ratfs[1])
+    return ratf
 
 
 def ratf_solve(

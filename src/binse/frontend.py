@@ -201,12 +201,16 @@ def build_gammatone_bank(
     return GammatoneBank(centers, irs, spectra, sr)
 
 
-def gammatone_frames(w: Waveform, bank: GammatoneBank, cfg: AnalysisConfig) -> np.ndarray:
+def gammatone_frames(
+    w: Waveform, bank: GammatoneBank, cfg: AnalysisConfig, pmap=None
+) -> np.ndarray:
     """Per-ear log frame energies of the gammatone-filtered signal.
 
     Output is complex with zero imaginary part, shaped (2, n_channels, T)
     with the same T as stft on the same waveform, so downstream encoders
-    treat both feature streams uniformly.
+    treat both feature streams uniformly. The channel groups are independent
+    units: ``pmap(fn, groups)``, a map returning results in order, runs them
+    (default: one after the other).
     """
     if w.sample_rate != cfg.sample_rate:
         raise ShapeMismatch(
@@ -236,13 +240,16 @@ def gammatone_frames(w: Waveform, bank: GammatoneBank, cfg: AnalysisConfig) -> n
     hops = run // hop
     energy = np.empty((bank.n_channels, 2 * n_runs, hops))
     rows = max(1, _FILTER_BYTES // (_GAMMATONE_GROUP * size * 8))
-    for c0 in range(0, bank.n_channels, _GAMMATONE_GROUP):
+
+    def filter_group(c0):
         h = bank.spectra[c0 : c0 + _GAMMATONE_GROUP, np.newaxis, :]
         for r0 in range(0, 2 * n_runs, rows):
             filtered = np.fft.irfft(spec[r0 : r0 + rows] * h, n=size, axis=-1)
             kept = filtered[..., taps - 1 : taps - 1 + run].reshape(*filtered.shape[:2], hops, hop)
             energy[c0 : c0 + _GAMMATONE_GROUP, r0 : r0 + rows] = np.einsum(
                 "...i,...i->...", kept, kept)
+
+    list((pmap or map)(filter_group, range(0, bank.n_channels, _GAMMATONE_GROUP)))
     energy = energy.reshape(bank.n_channels, 2, n_runs * hops)[..., :n_blocks]
     energy = sliding_window_view(energy, per_frame, axis=-1).sum(axis=-1)
     feats = np.log1p(energy).transpose(1, 0, 2)    # (2, n_ch, T)

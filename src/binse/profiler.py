@@ -18,7 +18,7 @@ from .audio import Waveform
 from .config import RunConfig
 from .frontend import frame_count
 from .params import ModelParams
-from .pipeline import enhance, gammatone_bank
+from .pipeline import enhance, gammatone_bank, plan_workers
 
 
 @dataclass
@@ -27,6 +27,8 @@ class ComplexityReport:
     macs: int = 0
     audio_seconds: float = 1.0
     rtf: float | None = None
+    cpu_s: float | None = None        # process CPU seconds per audio second
+    workers: int | None = None        # threads that ran the plan's units
     param_rows: dict[str, int] = field(default_factory=dict)
     mac_rows: dict[str, int] = field(default_factory=dict)
 
@@ -100,6 +102,27 @@ def count_macs(cfg: RunConfig, audio_seconds: float = 1.0) -> ComplexityReport:
     return report
 
 
+def _time_enhance(model, cfg, wav, seconds, repeats, warmup, seed):
+    """The input timed, the wall seconds of each timed call, and the process
+    CPU seconds (every thread) over all of them."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
+    if wav is None:
+        rng = np.random.default_rng(seed)
+        sr = cfg.analysis.sample_rate
+        wav = Waveform(0.1 * rng.standard_normal((2, int(round(seconds * sr)))), sr)
+    bank = gammatone_bank(cfg)
+    for _ in range(warmup):
+        enhance(wav, model, cfg, bank=bank)
+    times = []
+    cpu = time.process_time()
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        enhance(wav, model, cfg, bank=bank)
+        times.append(time.perf_counter() - t0)
+    return wav, times, time.process_time() - cpu
+
+
 def measure_rtf(
     model: ModelParams,
     cfg: RunConfig,
@@ -107,24 +130,11 @@ def measure_rtf(
     repeats: int = 20,
     warmup: int = 2,
     seed: int = 0,
+    seconds: float = 2.0,
 ) -> float:
-    """Median wall-clock processing time divided by audio duration."""
-    if repeats < 1:
-        raise ValueError(f"repeats must be at least 1, got {repeats}")
-    if wav is None:
-        rng = np.random.default_rng(seed)
-        wav = Waveform(
-            0.1 * rng.standard_normal((2, 2 * cfg.analysis.sample_rate)),
-            cfg.analysis.sample_rate,
-        )
-    bank = gammatone_bank(cfg)
-    for _ in range(warmup):
-        enhance(wav, model, cfg, bank=bank)
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        enhance(wav, model, cfg, bank=bank)
-        times.append(time.perf_counter() - t0)
+    """Median wall-clock processing time divided by audio duration, on
+    ``wav`` or else on seeded noise of ``seconds``."""
+    wav, times, _ = _time_enhance(model, cfg, wav, seconds, repeats, warmup, seed)
     return float(np.median(times) / wav.duration_s)
 
 
@@ -145,6 +155,9 @@ def full_report(
         mac_rows=macs.mac_rows,
     )
     if with_rtf:
-        report.rtf = measure_rtf(model, cfg, repeats=repeats)
+        wav, times, cpu = _time_enhance(model, cfg, None, audio_seconds, repeats, 2, 0)
+        report.rtf = float(np.median(times) / wav.duration_s)
+        report.cpu_s = cpu / (repeats * wav.duration_s)
+        report.workers = plan_workers()
     report.check_totals()
     return report

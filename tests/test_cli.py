@@ -67,6 +67,19 @@ class TestEnhanceCommand:
         assert main(args + ["--output", str(dumped), "--dump", str(tmp_path / "s.bin")]) == 0
         assert dumped.read_bytes() == plain.read_bytes()
 
+    def test_invariant_violation_in_a_worker_exits_4(self, tmp_path, cfg_file, input_wav,
+                                                     monkeypatch, capsys):
+        monkeypatch.setattr(pipeline, "_TILE_BYTES", 1)      # one row per tile
+
+        def broken(z, p, out=None):
+            raise InvariantViolation("non-finite modulator output")
+
+        monkeypatch.setattr(pipeline, "modulator_block", broken)
+        rc = main(["enhance", "--config", cfg_file, "--input", input_wav,
+                   "--output", str(tmp_path / "out.wav")])
+        assert rc == 4
+        assert "non-finite modulator output" in capsys.readouterr().err
+
     def test_saved_model_reproduces_output(self, tmp_path, cfg_file, input_wav):
         out1, out2 = tmp_path / "o1.wav", tmp_path / "o2.wav"
         weights = tmp_path / "w.bin"
@@ -330,6 +343,23 @@ class TestBenchCommand:
         assert "total" in out and "RTF" in out
         payload = json.loads(out.splitlines()[0])
         assert payload["rtf"] > 0
+        assert payload["cpu_s"] > 0
+        assert payload["workers"] == pipeline.plan_workers()
+
+    def test_rtf_times_inputs_of_the_requested_length(self, cfg_file, capsys, monkeypatch):
+        from binse import profiler
+
+        lengths, enhance = [], profiler.enhance
+
+        def recorded(wav, *args, **kwargs):
+            lengths.append(wav.duration_s)
+            return enhance(wav, *args, **kwargs)
+
+        monkeypatch.setattr(profiler, "enhance", recorded)
+        assert main(["bench", "--config", cfg_file, "--seconds", "8", "--rtf",
+                     "--repeats", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["audio_seconds"] == 8.0
+        assert lengths and set(lengths) == {8.0}
 
     @pytest.mark.parametrize("repeats", ["0", "-1"])
     def test_repeats_below_one_exit_2(self, cfg_file, capsys, repeats):

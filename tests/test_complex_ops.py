@@ -352,6 +352,34 @@ class TestTiledLightConv:
 
 
 @st.composite
+def depthwise_cases(draw):
+    f = draw(st.integers(1, 9))
+    lo = draw(st.integers(0, f))
+    kernel = draw(st.sampled_from([(1,), (3,), (5,), (1, 3), (3, 3), (5, 3), (3, 5)]))
+    return dict(
+        b=draw(st.sampled_from([1, 2])), c=draw(st.sampled_from([1, 3, 5])),
+        f=f, t=draw(st.integers(1, 12)), kernel=kernel,
+        rows=(lo, draw(st.integers(lo, f))),
+        group_bytes=draw(st.sampled_from([1, 100, 1 << 19])),
+        seed=draw(st.integers(0, 2**31 - 1)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(depthwise_cases())
+def test_depthwise_rows_equal_the_padded_formula(case):
+    """The first tap written into the output, the later ones added: the same
+    values as summing every tap of the padded formula from zero."""
+    rng = np.random.default_rng(case["seed"])
+    x = c64_input(rng, (case["b"], case["c"], case["f"], case["t"]))
+    kernel = c64_input(rng, (case["c"],) + case["kernel"])
+    lo, hi = case["rows"]
+    with mock.patch.object(complex_ops, "_DEPTHWISE_GROUP_BYTES", case["group_bytes"]):
+        y = _depthwise_conv(x, kernel, rows=(lo, hi))
+    np.testing.assert_array_equal(y, lightconv_oracle.depthwise(x, kernel)[:, :, lo:hi])
+
+
+@st.composite
 def row_windows(draw):
     two_d = draw(st.booleans())
     f = draw(st.integers(1, 13))

@@ -1,4 +1,10 @@
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -302,16 +308,18 @@ class TestTiledPlan:
         from binse import decoder
 
         cfg, model, bank = setup
-        counts = {}
+        counts, lock = {}, threading.Lock()     # the plan's units run on worker threads
         modulate, conv = pipeline.modulator_block, decoder.lightconv
 
         def counted_modulator(z, p, out=None):
-            counts["modulator"] = counts.get("modulator", 0) + z.shape[2]
+            with lock:
+                counts["modulator"] = counts.get("modulator", 0) + z.shape[2]
             return modulate(z, p, out=out)
 
         def counted_lightconv(x, p, rows=None, out=None):
             key = id(p)
-            counts[key] = counts.get(key, 0) + (rows[1] - rows[0])
+            with lock:
+                counts[key] = counts.get(key, 0) + (rows[1] - rows[0])
             return conv(x, p, rows=rows, out=out)
 
         monkeypatch.setattr(pipeline, "modulator_block", counted_modulator)
@@ -357,14 +365,15 @@ class TestTiledPlan:
         # rows of one (1, C, rows, T) complex64 tensor in the plan's tile budget
         step = pipeline._TILE_BYTES // (cfg.channels * t * 8)
         lag = sum(block.depthwise.shape[1] // 2 for block in model.decoder.head_s)
-        largest = {}
+        largest, lock = {}, threading.Lock()    # the plan's units run on worker threads
 
         def sized(module):
             conv = module.lightconv
 
             def counted(x, p, rows=None, out=None):
                 n = x.shape[2] if rows is None else rows[1] - rows[0]
-                largest[module.__name__] = max(largest.get(module.__name__, 0), n)
+                with lock:
+                    largest[module.__name__] = max(largest.get(module.__name__, 0), n)
                 return conv(x, p, rows=rows, out=out)
 
             monkeypatch.setattr(module, "lightconv", counted)
@@ -440,3 +449,169 @@ def test_precision_budget():
     assert rel_l2(a.ratfs.w_s, b.ratfs.w_s) <= 1e-6
     assert rel_l2(a.ratfs.w_n, b.ratfs.w_n) <= 1e-6
     assert rel_l2(a.wav_out.samples, b.wav_out.samples) <= 5e-5
+
+
+# --- the worker pool -----------------------------------------------------------
+
+def blas_threads():
+    """The live thread count of each loaded OpenBLAS."""
+    return [get() for get, _ in pipeline._openblas()]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """OpenBLAS set to 2 threads for the test, then reset."""
+    found = pipeline._openblas()
+    if not found:
+        pytest.skip("no OpenBLAS loaded")
+    before = [get() for get, _ in found]
+    for _, set_ in found:
+        set_(2)
+    yield [2] * len(found)
+    for (_, set_), n in zip(found, before):
+        set_(n)
+
+
+BLAS_PROBE = """
+import hashlib, sys
+import numpy as np
+from binse.audio import Waveform
+from binse.config import RunConfig
+from binse.params import init_random
+from binse.pipeline import enhance
+cfg = RunConfig()
+w = Waveform(0.1 * np.random.default_rng(0).standard_normal((2, 32000)), 16000)
+res = enhance(w, init_random(cfg, seed=0), cfg)
+digest = hashlib.sha256()
+for a in (res.wav_out.samples, res.ratfs.w_s, res.ratfs.w_n, res.gate):
+    digest.update(np.ascontiguousarray(a).tobytes())
+print(digest.hexdigest())
+"""
+
+
+class TestWorkerPool:
+    def test_output_does_not_depend_on_the_blas_thread_count(self):
+        """A seeded default-config 2 s call, in fresh processes that start
+        OpenBLAS at 1 and at 2 threads, gives the same bytes."""
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        digests = []
+        for n in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=n,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            out = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env, check=True,
+                                 capture_output=True, text=True, timeout=300)
+            digests.append(out.stdout.strip())
+        assert digests[0] == digests[1]
+
+    def test_concurrent_calls_give_the_serial_outputs(self, setup, two_blas_threads):
+        """More calling threads than cores share the pool, with a short switch
+        interval; each call gives what it gives alone."""
+        cfg, model, bank = setup
+        waves = [make_wave(np.random.default_rng(seed), 6000) for seed in range(4)]
+        results = [[] for _ in waves]
+        with mock.patch.object(pipeline, "_TILE_BYTES", tile_budget(cfg, waves[0], 3)):
+            serial = [enhance(w, model, cfg, bank=bank) for w in waves]
+
+            def call(i):
+                for _ in range(3):
+                    results[i].append(enhance(waves[i], model, cfg, bank=bank))
+
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(len(waves))]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for th in threads:
+                    th.start()
+                for th in threads:
+                    th.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        for want, got in zip(serial, results):
+            assert len(got) == 3
+            for res in got:
+                np.testing.assert_array_equal(res.wav_out.samples, want.wav_out.samples)
+                np.testing.assert_array_equal(res.ratfs.w_n, want.ratfs.w_n)
+                np.testing.assert_array_equal(res.gate, want.gate)
+        assert blas_threads() == two_blas_threads
+
+    def test_blas_runs_one_thread_in_the_plan_and_is_restored(
+            self, setup, rng, monkeypatch, two_blas_threads):
+        cfg, model, bank = setup
+        seen, threads, lock = [], set(), threading.Lock()
+        encode = pipeline.encode_stft
+
+        def probed(bins, p):
+            with lock:
+                seen.append(blas_threads())
+                threads.add(threading.current_thread().name)
+            return encode(bins, p)
+
+        monkeypatch.setattr(pipeline, "encode_stft", probed)
+        w = make_wave(rng, 6000)
+        enhance_in_tiles(w, model, cfg, bank, tile_budget(cfg, w, 3))
+        assert len(seen) > 1 and all(counts == [1] * len(two_blas_threads) for counts in seen)
+        assert blas_threads() == two_blas_threads
+        if pipeline.plan_workers() > 1:
+            assert all(name.startswith("binse-plan") for name in threads)
+
+        broken = init_random(cfg, seed=0)
+        bias = broken.decoder.head_s_proj.bias.copy()
+        bias[0] = np.nan
+        broken.decoder.head_s_proj.bias = bias
+        with np.errstate(all="ignore"), pytest.raises(InvariantViolation):
+            enhance(w, broken, cfg, bank=bank)
+        assert blas_threads() == two_blas_threads
+
+    def test_a_workers_exception_reaches_the_caller_unchanged(self, setup, rng, monkeypatch):
+        cfg, model, bank = setup
+        error = InvariantViolation("raised in a tile")
+        modulate, started, finished, lock = pipeline.modulator_block, [], [], threading.Lock()
+
+        def failing(z, p, out=None):
+            with lock:
+                started.append(z.shape[2])
+                fail = len(started) == 2
+            if fail:
+                raise error
+            time.sleep(0.01)            # long enough that units are still queued
+            out = modulate(z, p, out=out)
+            finished.append(z.shape[2])
+            return out
+
+        monkeypatch.setattr(pipeline, "modulator_block", failing)
+        w = make_wave(rng, 6000)
+        with pytest.raises(InvariantViolation) as info:
+            enhance_in_tiles(w, model, cfg, bank, tile_budget(cfg, w, 2))
+        assert info.value is error
+        # the units not started were cancelled, and every started one but the
+        # failed one had finished, when the caller saw the error
+        n_started, n_finished = len(started), len(finished)
+        time.sleep(0.2)
+        assert n_finished == n_started - 1
+        assert len(started) == n_started < cfg.analysis.n_freq_bins // 2   # of 65 tiles
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_makes_its_own_pool(self, setup, rng):
+        """A child forked after a call gets the pool object but not its
+        threads; its calls must not wait on them."""
+        import multiprocessing
+
+        cfg, model, bank = setup
+        w = make_wave(rng, 6000)
+        with mock.patch.object(pipeline, "_TILE_BYTES", tile_budget(cfg, w, 3)):
+            want = enhance(w, model, cfg, bank=bank).wav_out.samples
+            ctx = multiprocessing.get_context("fork")
+            done = ctx.Queue()
+
+            def child():
+                got = enhance(w, model, cfg, bank=bank).wav_out.samples
+                done.put(bool(np.array_equal(got, want)))
+
+            proc = ctx.Process(target=child)
+            proc.start()
+            proc.join(timeout=60)
+        if proc.is_alive():
+            proc.kill()
+        assert proc.exitcode == 0
+        assert done.get(timeout=5)
