@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .complex_ops import CLinearParams, LightConvParams, clinear, lightconv
 from .errors import ShapeMismatch
 from .frontend import Spectrogram
@@ -60,8 +61,7 @@ def _halo(block: LightConvParams) -> int:
 
 
 def decode_heads(
-    z_out: np.ndarray, p: DecoderParams, tiles: list[tuple[int, int]] | None = None,
-    pmap=None,
+    z_out: np.ndarray, p: DecoderParams, tiles: list[tuple[int, int]] | None = None
 ) -> RatfPair:
     """Two independent stacks of 2D blocks estimating speech/noise RATFs.
 
@@ -74,15 +74,14 @@ def decode_heads(
     reads z_out itself; each deeper level keeps in a ``_Window`` the rows of
     its output that the next block still reads, and no row is computed
     twice. Each head runs its own schedule and only reads z_out, so the heads
-    are independent units: ``pmap(fn, heads)``, a map returning results in
-    order, runs them (default: one after the other).
+    run as independent units on the worker pool (``workers.map``).
     """
     if z_out.ndim != 4:
         raise ShapeMismatch(f"expected (B, C, F, T), got {z_out.shape}")
     if tiles is None:
         tiles = [(0, z_out.shape[2])]
     heads = [(p.head_s, p.head_s_proj), (p.head_n, p.head_n_proj)]
-    w_s, w_n = (pmap or map)(lambda head: _decode_head(z_out, *head, tiles), heads)
+    w_s, w_n = workers.map(lambda head: _decode_head(z_out, *head, tiles), heads)
     return RatfPair(w_s=w_s, w_n=w_n)
 
 

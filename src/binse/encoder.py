@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .complex_ops import CSEParams, LightConvParams, cse, lightconv
 from .errors import ShapeMismatch
 
@@ -39,18 +40,16 @@ def encode_stft(bins: np.ndarray, p: EncoderParams) -> np.ndarray:
 
 
 def encode_gamma(
-    g: np.ndarray, p: EncoderParams, tiles: list[tuple[int, int]] | None = None,
-    pmap=None,
+    g: np.ndarray, p: EncoderParams, tiles: list[tuple[int, int]] | None = None
 ) -> np.ndarray:
     """Encode gammatone frames (2, n_gamma, T) -> (1, C, F, T).
 
     The blocks run on the gammatone feature axis, each band alone, so both
     blocks run per tile of ``tiles``, (lo, hi) bands (default: one tile of
-    every band), and the tiles are joined into one (1, C, n_gamma, T)
-    buffer. The tiles are independent units: ``pmap(fn, tiles)``, a map
-    returning results in order, runs them (default: one after the other). A
-    fixed real linear map then projects that axis onto the F STFT bins so
-    the attention map is per-(channel, frequency, time).
+    every band), as independent units on the worker pool (``workers.map``),
+    each writing its bands into one (1, C, n_gamma, T) buffer. A fixed real
+    linear map then projects that axis onto the F STFT bins so the attention
+    map is per-(channel, frequency, time).
     """
     if g.ndim != 3 or g.shape[0] != 2:
         raise ShapeMismatch(f"expected gammatone frames (2, n_gamma, T), got {g.shape}")
@@ -58,14 +57,19 @@ def encode_gamma(
         raise ShapeMismatch(
             f"gamma projection expects {p.gamma_proj.shape[1]} features, got {g.shape[1]}"
         )
+    blocks = p.gamma_blocks
+    c = blocks[-1].pointwise.weight.shape[0] if blocks else g.shape[0]
+    x = np.empty((1, c) + g.shape[1:], np.result_type(
+        g.dtype, *(a.dtype for b in blocks for a in (b.depthwise, b.pointwise.weight))))
 
     def encode_bands(tile):
-        band = g[np.newaxis, :, tile[0] : tile[1]]
-        for block in p.gamma_blocks:
+        lo, hi = tile
+        band = g[np.newaxis, :, lo:hi]
+        for block in blocks:
             band = lightconv(band, block)
-        return band
+        x[:, :, lo:hi] = band
 
-    x = np.concatenate(list((pmap or map)(encode_bands, tiles or [(0, g.shape[1])])), axis=2)
+    workers.map(encode_bands, tiles or [(0, g.shape[1])])
     # the real map acts on re and im alike: one real matmul on the float view,
     # whose trailing axis interleaves (re, im) over T
     real = x.real.dtype

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import workers
 from .audio import Waveform
 from .config import AnalysisConfig
 from .errors import InputTooShort, InvalidBand, ShapeMismatch
@@ -201,16 +202,13 @@ def build_gammatone_bank(
     return GammatoneBank(centers, irs, spectra, sr)
 
 
-def gammatone_frames(
-    w: Waveform, bank: GammatoneBank, cfg: AnalysisConfig, pmap=None
-) -> np.ndarray:
+def gammatone_frames(w: Waveform, bank: GammatoneBank, cfg: AnalysisConfig) -> np.ndarray:
     """Per-ear log frame energies of the gammatone-filtered signal.
 
     Output is complex with zero imaginary part, shaped (2, n_channels, T)
     with the same T as stft on the same waveform, so downstream encoders
-    treat both feature streams uniformly. The channel groups are independent
-    units: ``pmap(fn, groups)``, a map returning results in order, runs them
-    (default: one after the other).
+    treat both feature streams uniformly. The channel groups are filtered as
+    independent units on the worker pool (``workers.map``).
     """
     if w.sample_rate != cfg.sample_rate:
         raise ShapeMismatch(
@@ -249,7 +247,7 @@ def gammatone_frames(
             energy[c0 : c0 + _GAMMATONE_GROUP, r0 : r0 + rows] = np.einsum(
                 "...i,...i->...", kept, kept)
 
-    list((pmap or map)(filter_group, range(0, bank.n_channels, _GAMMATONE_GROUP)))
+    workers.map(filter_group, range(0, bank.n_channels, _GAMMATONE_GROUP))
     energy = energy.reshape(bank.n_channels, 2, n_runs * hops)[..., :n_blocks]
     energy = sliding_window_view(energy, per_frame, axis=-1).sum(axis=-1)
     feats = np.log1p(energy).transpose(1, 0, 2)    # (2, n_ch, T)

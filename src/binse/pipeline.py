@@ -29,14 +29,12 @@ next to the network tensors. ``_tiles`` sizes the tiles, about
 ``_TILE_BYTES`` of one (1, C, rows, T) tensor, and every stage computes
 exactly the rows it is handed.
 
-The independent units of the plan run on a pool of worker threads, one per
-usable CPU: the channel groups of the gammatone filter, the tiles of
-gammatone bands, the tiles of pass A and of pass B, and the two decoder
-heads. Each unit computes what it computes run alone, and the SE squeeze
-sums are added in tile order, so the output does not depend on the pool.
-While any plan runs, OpenBLAS is held to one thread (``_one_blas_thread``):
-the pool, not BLAS, uses the other cores, and BLAS rounds alike whatever
-thread count it was configured with.
+The independent units of the plan run on the worker pool of ``workers``:
+the channel groups of the gammatone filter, the tiles of gammatone bands,
+the tiles of pass A and of pass B, and the two decoder heads. Each unit
+computes what it computes run alone, and the SE squeeze sums are added in
+tile order, so the output does not depend on the pool. While a plan runs,
+OpenBLAS is held to one thread (``workers.plan``).
 
 Stage dumps (``collect_stages``) run the same tiles and copy each tile's
 rows into whole arrays. Ablation flags bypass exactly one stage each; a
@@ -48,15 +46,12 @@ sample 0 is always zero (see ``frontend.istft``).
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
-import ctypes
-import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .audio import Waveform
 from .complex_ops import cse_excitation
 from .config import RunConfig
@@ -82,112 +77,6 @@ from .params import ModelParams
 # Bytes of one (1, C, rows, T) tensor per plan tile. Smaller tiles measured
 # slower on a 2 MB-L2 Xeon, as per-call costs and narrow BLAS products take over.
 _TILE_BYTES = 4 << 20
-
-# (get, set) thread-count entry points, by OpenBLAS build flavour
-_OPENBLAS_API = [(f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
-                 for prefix in ("scipy_openblas_", "openblas_") for suffix in ("64_", "")]
-_M_ARENA_MAX = -8                   # glibc mallopt parameter
-
-_lock = threading.Lock()
-_pool = None                        # a ThreadPoolExecutor, made by the first call
-_pool_pid = None                    # a forked child gets _pool but not its threads
-_openblas_threads: list | None = None
-_plans_running = 0
-_blas_saved: list[tuple] = []
-
-
-def plan_workers() -> int:
-    """Threads that run the plan's units: the CPUs this process may use."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _openblas() -> list[tuple]:
-    """(get, set) thread-count functions of every OpenBLAS loaded here."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return []
-    found = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get, set_ in _OPENBLAS_API:
-            if hasattr(lib, get) and hasattr(lib, set_):
-                get, set_ = getattr(lib, get), getattr(lib, set_)
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                found.append((get, set_))
-                break
-    return found
-
-
-def _start():
-    """On the first call of a process: find OpenBLAS, and make the worker
-    pool (none on one CPU) after capping glibc at one malloc arena, so that
-    the workers' ~4 MB tile temporaries reuse the main heap rather than each
-    growing a heap of its own."""
-    global _pool, _pool_pid, _openblas_threads
-    with _lock:
-        if _openblas_threads is None:
-            _openblas_threads = _openblas()
-        if _pool_pid == os.getpid():
-            return
-        n = plan_workers()
-        if n > 1:
-            with contextlib.suppress(OSError, AttributeError):
-                mallopt = ctypes.CDLL(None).mallopt
-                mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-                mallopt(_M_ARENA_MAX, 1)
-        # imported here, as it loads logging: ~8 ms of every process's set-up
-        from concurrent.futures import ThreadPoolExecutor
-
-        _pool = ThreadPoolExecutor(n, thread_name_prefix="binse-plan") if n > 1 else None
-        _pool_pid = os.getpid()
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold OpenBLAS to one thread while any plan runs; the count from before
-    the first of overlapping plans is restored after the last, also when a
-    plan raises."""
-    global _plans_running, _blas_saved
-    with _lock:
-        if _plans_running == 0:
-            _blas_saved = [(set_, get()) for get, set_ in _openblas_threads]
-            for set_, _ in _blas_saved:
-                set_(1)
-        _plans_running += 1
-    try:
-        yield
-    finally:
-        with _lock:
-            _plans_running -= 1
-            if _plans_running == 0:
-                for set_, n in _blas_saved:
-                    set_(n)
-
-
-def _map(fn, items) -> list:
-    """[fn(item) for item in items], run on the worker pool, each unit in a
-    copy of the caller's context (numpy's errstate lives there). If a unit
-    raises, the units not yet started are cancelled and the first failure in
-    item order is raised unchanged, once the started units have finished."""
-    items = list(items)
-    if _pool is None or len(items) < 2:
-        return [fn(item) for item in items]
-    futures = [_pool.submit(contextvars.copy_context().run, fn, item) for item in items]
-    try:
-        return [future.result() for future in futures]
-    finally:
-        # all cancelled first: a worker freed by one waited on takes the next
-        started = [future for future in futures if not future.cancel()]
-        for future in started:
-            future.exception()          # waits for the unit to finish
 
 
 @dataclass
@@ -242,8 +131,8 @@ def _encode(w, y, tiles, model, cfg, bank, dtype, keep):
         if bank is None:
             bank = gammatone_bank(cfg)
         # z_gamma, which fuse turns into z_att in place, tile by tile
-        g = gammatone_frames(w, bank, cfg.analysis, pmap=_map).astype(dtype)
-        z_att = encode_gamma(g, enc, _tiles(cfg.n_gammatone, t, cfg, dtype), pmap=_map)
+        g = gammatone_frames(w, bank, cfg.analysis).astype(dtype)
+        z_att = encode_gamma(g, enc, _tiles(cfg.n_gammatone, t, cfg, dtype))
         keep(z_gamma=z_att)
     bins = y.bins.astype(dtype)
 
@@ -257,7 +146,7 @@ def _encode(w, y, tiles, model, cfg, bank, dtype, keep):
         return np.abs(rows).sum(axis=3).sum(axis=2, dtype=np.float64)
 
     squeeze = np.zeros((1, cfg.channels))
-    for part in _map(encode_tile, tiles):
+    for part in workers.map(encode_tile, tiles):
         squeeze += part
     keep(z_attended=z_att)
     # kept in float64, so that tiles whose sums differ in the last bits
@@ -293,10 +182,10 @@ def _decode(z_att, excitation, y, tiles, model, cfg, gate_override, keep):
         if net_gate:
             g[lo:hi] = refinement_gate(rows, dec)[0]
 
-    _map(modulate_tile, tiles)
+    workers.map(modulate_tile, tiles)
     z_out = z_att                   # every row of it now overwritten
     keep(z_out=z_out)
-    ratfs = decode_heads(z_out, dec, tiles, pmap=_map)
+    ratfs = decode_heads(z_out, dec, tiles)
     s_hat = ratf_solve(y, ratfs, eps=cfg.eps_ratf, literal_square=cfg.literal_ratf_square)
     s_final = blend(s_hat, y, g)
     keep(ratf_s=ratfs.w_s, ratf_n=ratfs.w_n, s_hat=s_hat.bins, gate=g, s_final=s_final.bins)
@@ -323,8 +212,7 @@ def enhance(
         )
     if model.fingerprint != cfg.fingerprint():
         raise InvariantViolation("model weights do not match the active config")
-    _start()
-    with _one_blas_thread():
+    with workers.plan():
         n_in = wav_in.n_samples
         w = pad_to_frame_grid(wav_in, cfg)
         y = stft(w, cfg.analysis)

@@ -14,11 +14,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import workers
 from .audio import Waveform
 from .config import RunConfig
 from .frontend import frame_count
 from .params import ModelParams
-from .pipeline import enhance, gammatone_bank, plan_workers
+from .pipeline import enhance, gammatone_bank
 
 
 @dataclass
@@ -102,9 +103,10 @@ def count_macs(cfg: RunConfig, audio_seconds: float = 1.0) -> ComplexityReport:
     return report
 
 
-def _time_enhance(model, cfg, wav, seconds, repeats, warmup, seed):
-    """The input timed, the wall seconds of each timed call, and the process
-    CPU seconds (every thread) over all of them."""
+def _time_enhance(model, cfg, *, seconds, wav=None, repeats, warmup, seed):
+    """The input timed (``wav``, or else seeded noise of ``seconds``), the
+    wall seconds of each timed call, and the process CPU seconds (every
+    thread) over all of them."""
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
     if wav is None:
@@ -130,11 +132,11 @@ def measure_rtf(
     repeats: int = 20,
     warmup: int = 2,
     seed: int = 0,
-    seconds: float = 2.0,
 ) -> float:
     """Median wall-clock processing time divided by audio duration, on
-    ``wav`` or else on seeded noise of ``seconds``."""
-    wav, times, _ = _time_enhance(model, cfg, wav, seconds, repeats, warmup, seed)
+    ``wav`` or else on 2 s of seeded noise."""
+    wav, times, _ = _time_enhance(model, cfg, seconds=2.0, wav=wav, repeats=repeats,
+                                  warmup=warmup, seed=seed)
     return float(np.median(times) / wav.duration_s)
 
 
@@ -155,9 +157,10 @@ def full_report(
         mac_rows=macs.mac_rows,
     )
     if with_rtf:
-        wav, times, cpu = _time_enhance(model, cfg, None, audio_seconds, repeats, 2, 0)
+        wav, times, cpu = _time_enhance(model, cfg, seconds=audio_seconds, repeats=repeats,
+                                        warmup=2, seed=0)
         report.rtf = float(np.median(times) / wav.duration_s)
         report.cpu_s = cpu / (repeats * wav.duration_s)
-        report.workers = plan_workers()
+        report.workers = workers.size()
     report.check_totals()
     return report

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from binse import cli, pipeline
+from binse import cli, pipeline, workers
 from binse.audio import read_stereo, write_wav
 from binse.cli import main
 from binse.errors import InvariantViolation
@@ -344,7 +344,7 @@ class TestBenchCommand:
         payload = json.loads(out.splitlines()[0])
         assert payload["rtf"] > 0
         assert payload["cpu_s"] > 0
-        assert payload["workers"] == pipeline.plan_workers()
+        assert payload["workers"] == workers.size()
 
     def test_rtf_times_inputs_of_the_requested_length(self, cfg_file, capsys, monkeypatch):
         from binse import profiler

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binse import pipeline
+from binse import pipeline, workers
 from binse.audio import Waveform
 from binse.config import RunConfig
 from binse.decoder import blend, ratf_solve
@@ -411,17 +411,22 @@ class TestTiledPlan:
 
     def test_eight_second_array_peak(self):
         """One default-config 8 s call; the whole-utterance plan peaked at 265 MB."""
-        cfg = RunConfig()
-        model = init_random(cfg, seed=0)
-        bank = pipeline.gammatone_bank(cfg)
-        w = make_wave(np.random.default_rng(0), 8 * SR)
-        tracemalloc.start()
-        try:
-            enhance(w, model, cfg, bank=bank)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 185e6
+        assert eight_second_array_peak() <= 185e6
+
+
+def eight_second_array_peak():
+    """The tracemalloc peak of one default-config 8 s call."""
+    cfg = RunConfig()
+    model = init_random(cfg, seed=0)
+    bank = pipeline.gammatone_bank(cfg)
+    w = make_wave(np.random.default_rng(0), 8 * SR)
+    tracemalloc.start()
+    try:
+        enhance(w, model, cfg, bank=bank)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
 
 
 def binaural_mixture(rng, n):
@@ -455,13 +460,13 @@ def test_precision_budget():
 
 def blas_threads():
     """The live thread count of each loaded OpenBLAS."""
-    return [get() for get, _ in pipeline._openblas()]
+    return [get() for get, _ in workers.openblas()]
 
 
 @pytest.fixture
 def two_blas_threads():
     """OpenBLAS set to 2 threads for the test, then reset."""
-    found = pipeline._openblas()
+    found = workers.openblas()
     if not found:
         pytest.skip("no OpenBLAS loaded")
     before = [get() for get, _ in found]
@@ -552,7 +557,7 @@ class TestWorkerPool:
         enhance_in_tiles(w, model, cfg, bank, tile_budget(cfg, w, 3))
         assert len(seen) > 1 and all(counts == [1] * len(two_blas_threads) for counts in seen)
         assert blas_threads() == two_blas_threads
-        if pipeline.plan_workers() > 1:
+        if workers.size() > 1:
             assert all(name.startswith("binse-plan") for name in threads)
 
         broken = init_random(cfg, seed=0)
@@ -590,6 +595,21 @@ class TestWorkerPool:
         time.sleep(0.2)
         assert n_finished == n_started - 1
         assert len(started) == n_started < cfg.analysis.n_freq_bins // 2   # of 65 tiles
+
+    def test_many_cpus_keep_the_eight_second_array_peak(self, monkeypatch):
+        """Each unit in flight holds a tile's temporaries, so the pool is
+        capped: on a 64-CPU host a fresh pool runs 2 units at once, and the
+        8 s call stays within the array peak of TestTiledPlan (a pool of 64
+        threads peaked at 280 MB)."""
+        monkeypatch.setattr(workers, "usable_cpus", lambda: 64)
+        monkeypatch.setattr(workers, "_pool", None)
+        monkeypatch.setattr(workers, "_pool_pid", None)
+        try:
+            assert eight_second_array_peak() <= 185e6
+            assert workers._pool._max_workers == workers.size() == 2
+        finally:
+            if workers._pool is not None:
+                workers._pool.shutdown()
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_a_forked_child_makes_its_own_pool(self, setup, rng):
