@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import losses, synth
+from . import losses, synth, workers
 from .audio import Waveform, read_stereo, write_wav
 from .config import RunConfig, config_from_dict
 from .errors import (
@@ -68,7 +68,8 @@ def cmd_enhance(args) -> int:
 
 def cmd_synth(args) -> int:
     specs = synth.read_manifest(args.manifest)
-    summary = synth.generate_dataset(specs, args.out)
+    with workers.plan():
+        summary = synth.generate_dataset(specs, args.out)
     print(json.dumps(summary))
     return 0 if not summary["failures"] else 2
 
@@ -130,7 +131,8 @@ def cmd_metrics(args) -> int:
     An item whose input is bad, or whose external scorer exits non-zero, is
     reported on stderr as one JSON line {"item_id", "error"} and skipped;
     the run then exits 2. An internal invariant violation still aborts the
-    run.
+    run. Like ``synth``, it runs in one ``workers.plan``, so the scoring
+    runs on the worker pool too.
     """
     cfg = _load_config(args)
     model = _load_model(args, cfg)
@@ -144,7 +146,7 @@ def cmd_metrics(args) -> int:
     tmp = Path(args.report).parent if args.report else dataset
     report = open(args.report, "w") if args.report else contextlib.nullcontext(sys.stdout)
     n_rows = n_failed = 0
-    with report as out:
+    with report as out, workers.plan():
         for item in items:
             try:
                 row = _metrics_row(args, cfg, model, bank, dataset, tmp, item)

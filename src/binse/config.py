@@ -72,8 +72,7 @@ class RunConfig:
     no_drg: bool = False
     global_drg: bool = False
 
-    # interpretation flags
-    literal_ratf_square: bool = False   # complex square in the solve denominator
+    # interpretation flag
     masked_cue_loss: bool = True
 
     def __post_init__(self):

@@ -114,19 +114,13 @@ def _decode_head(z_out, blocks, proj, tiles) -> np.ndarray:
     return ratf
 
 
-def ratf_solve(
-    y: Spectrogram,
-    r: RatfPair,
-    eps: float = 1e-8,
-    literal_square: bool = False,
-) -> Spectrogram:
+def ratf_solve(y: Spectrogram, r: RatfPair, eps: float = 1e-8) -> Spectrogram:
     """Closed-form binaural solve with the right ear as reference.
 
     S_R = (Y_L - W_n Y_R)(W_s - W_n)* / (|W_s - W_n|^2 + eps);  S_L = W_s S_R.
 
     The denominator uses the squared magnitude of the complex difference,
-    which makes the quotient a regularized complex division; the literal
-    complex-square reading is kept behind ``literal_square`` for comparison.
+    which makes the quotient a regularized complex division.
     """
     w_s = np.asarray(r.w_s)
     w_n = np.asarray(r.w_n)
@@ -141,11 +135,7 @@ def ratf_solve(
     y_l, y_r = y.bins[0], y.bins[1]
     diff = w_s - w_n
     numer = (y_l - w_n * y_r) * np.conj(diff)
-    if literal_square:
-        denom = diff * diff + eps
-    else:
-        denom = np.abs(diff) ** 2 + eps
-    s_r = numer / denom
+    s_r = numer / (np.abs(diff) ** 2 + eps)
     s_l = w_s * s_r
     return Spectrogram(np.stack([s_l, s_r]), y.config)
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .audio import Waveform
 from .errors import DegenerateReference, EmptyMask, InputTooShort, ShapeMismatch
 from .frontend import Spectrogram
@@ -61,6 +62,13 @@ def stoi_surrogate(s_hat: Waveform, s: Waveform, segment_s: float = 0.384) -> fl
     correlation between clean and estimated band segments is computed per
     ear. The result is 1 - mean correlation: 0 for a perfect estimate, 2
     for a sign-flipped one, ~1 for independent signals.
+
+    The two forward FFTs, and then the bands, run as units on the worker
+    pool (``workers.map``). Every FFT here runs at the signal's own length:
+    at a length with a large prime factor it is several times slower than
+    at a 5-smooth one, but padding would change the circular band filter.
+    The correlations are joined in band order, so the score does not
+    depend on the pool.
     """
     if s_hat.n_samples != s.n_samples:
         raise ShapeMismatch("waveform lengths differ")
@@ -69,20 +77,20 @@ def stoi_surrogate(s_hat: Waveform, s: Waveform, segment_s: float = 0.384) -> fl
     n = s.n_samples
     if n < seg:
         raise InputTooShort(f"need at least {seg} samples ({segment_s * 1000:.0f} ms)")
-    bands = _third_octave_bands(sr)
     freqs = np.fft.rfftfreq(n, d=1.0 / sr)
-    spec_ref = np.fft.rfft(s.samples, axis=-1)
-    spec_est = np.fft.rfft(s_hat.samples, axis=-1)
+    spec_ref, spec_est = workers.map(lambda w: np.fft.rfft(w.samples, axis=-1), (s, s_hat))
     n_seg = n // seg
-    corrs = []
-    for lo, hi in bands:
+
+    def band_corrs(band) -> list:
+        lo, hi = band
         sel = (freqs >= lo) & (freqs < hi)
         if not np.any(sel):
-            continue
+            return []
         mask = np.zeros_like(freqs)
         mask[sel] = 1.0
         band_ref = np.fft.irfft(spec_ref * mask, n=n, axis=-1)
         band_est = np.fft.irfft(spec_est * mask, n=n, axis=-1)
+        corrs = []
         for ear in range(2):
             for k in range(n_seg):
                 a = band_ref[ear, k * seg : (k + 1) * seg]
@@ -93,6 +101,9 @@ def stoi_surrogate(s_hat: Waveform, s: Waveform, segment_s: float = 0.384) -> fl
                 if na < _LOG_CLAMP or nb < _LOG_CLAMP:
                     continue
                 corrs.append(np.dot(a, b) / (na * nb))
+        return corrs
+
+    corrs = [c for band in workers.map(band_corrs, _third_octave_bands(sr)) for c in band]
     if not corrs:
         raise DegenerateReference("no band segment carries energy")
     return float(1.0 - np.mean(corrs))

@@ -186,7 +186,7 @@ def _decode(z_att, excitation, y, tiles, model, cfg, gate_override, keep):
     z_out = z_att                   # every row of it now overwritten
     keep(z_out=z_out)
     ratfs = decode_heads(z_out, dec, tiles)
-    s_hat = ratf_solve(y, ratfs, eps=cfg.eps_ratf, literal_square=cfg.literal_ratf_square)
+    s_hat = ratf_solve(y, ratfs, eps=cfg.eps_ratf)
     s_final = blend(s_hat, y, g)
     keep(ratf_s=ratfs.w_s, ratf_n=ratfs.w_n, s_hat=s_hat.bins, gate=g, s_final=s_final.bins)
     return ratfs, g, s_final

@@ -1,10 +1,10 @@
 """Worker threads for the independent units of the enhancement plan.
 
 ``map(fn, items)`` runs units on a pool of at most ``_MAX_WORKERS`` threads,
-or one after the other when there is no pool. The pool is made on a
-process's first ``plan()``: while any plan runs, OpenBLAS is held to one
-thread, so the pool, not BLAS, uses the other cores, and BLAS rounds alike
-whatever thread count it was configured with.
+or one after the other when there is no pool or when a unit calls it. The
+pool is made on a process's first ``plan()``: while any plan runs, OpenBLAS
+is held to one thread, so the pool, not BLAS, uses the other cores, and
+BLAS rounds alike whatever thread count it was configured with.
 
 Each unit in flight holds a tile's temporaries (see ``pipeline._TILE_BYTES``),
 so the pool size bounds the plan's memory above its utterance-sized arrays.
@@ -28,6 +28,7 @@ _OPENBLAS_API = [(f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{
 _M_ARENA_MAX = -8                   # glibc mallopt parameter
 
 _lock = threading.Lock()
+_local = threading.local()          # .in_pool is set on the pool's threads
 _pool = None                        # a ThreadPoolExecutor, made by the first plan
 _pool_pid = None                    # a forked child gets _pool but not its threads
 _openblas_threads: list | None = None
@@ -90,8 +91,13 @@ def _start():
         # imported here, as it loads logging: ~8 ms of every process's set-up
         from concurrent.futures import ThreadPoolExecutor
 
-        _pool = ThreadPoolExecutor(n, thread_name_prefix="binse-plan") if n > 1 else None
+        _pool = ThreadPoolExecutor(n, thread_name_prefix="binse-plan",
+                                   initializer=_mark_pool_thread) if n > 1 else None
         _pool_pid = os.getpid()
+
+
+def _mark_pool_thread():
+    _local.in_pool = True
 
 
 @contextlib.contextmanager
@@ -121,11 +127,12 @@ def map(fn, items) -> list:
     """[fn(item) for item in items], run on the pool, each unit in a copy of
     the caller's context (numpy's errstate lives there). If a unit raises,
     the units not yet started are cancelled and the first failure in item
-    order is raised unchanged, once the started units have finished. A unit
-    must not call map itself: with every worker waiting on units queued
-    behind it, none would be left to run them."""
+    order is raised unchanged, once the started units have finished. A map
+    called by a unit runs its items one after the other on the unit's
+    thread: queued behind the caller, they could wait on workers that all
+    wait on them."""
     items = list(items)
-    if _pool is None or len(items) < 2:
+    if _pool is None or len(items) < 2 or getattr(_local, "in_pool", False):
         return [fn(item) for item in items]
     futures = [_pool.submit(contextvars.copy_context().run, fn, item) for item in items]
     try:

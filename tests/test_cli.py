@@ -394,6 +394,38 @@ class TestSelftestCommand:
         assert out.count("PASS") == 4
 
 
+CORPUS_PROBE = """
+import sys
+from binse import cli, workers
+data, report, manifest, cfg, pool = sys.argv[1:]
+if pool == "no-pool":
+    workers.usable_cpus = lambda: 1
+assert cli.main(["synth", "--manifest", manifest, "--out", data]) == 0
+assert cli.main(["metrics", "--config", cfg, "--dataset", data, "--report", report]) == 0
+"""
+
+
+def test_synth_and_metrics_bytes_do_not_depend_on_threads(tmp_path, rng, cfg_file):
+    """`binse synth` then `binse metrics` on items of prime lengths give the
+    same bytes with OpenBLAS started at 1 and at 2 threads, and with no pool."""
+    specs, manifest = write_corpus(tmp_path, rng, n_items=2)
+    specs[0].duration_s, specs[1].duration_s = 9973 / SR, 8009 / SR
+    manifest.write_text("".join(json.dumps(sp.__dict__) + "\n" for sp in specs))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for blas, pool in (("1", "pool"), ("2", "pool"), ("2", "no-pool")):
+        run = tmp_path / f"blas{blas}-{pool}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        subprocess.run([sys.executable, "-c", CORPUS_PROBE, str(run / "data"),
+                        str(run / "report.jsonl"), str(manifest), cfg_file, pool],
+                       env=env, check=True, capture_output=True, timeout=300)
+        outputs.append({path.relative_to(run): path.read_bytes()
+                        for path in sorted(run.rglob("*")) if path.is_file()})
+    assert len(outputs[0]) == 2 * 3 + 2        # 3 WAVs per item, metadata, report
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_cli_import_does_not_load_scipy_signal(tmp_path, rng, cfg_file):
     """binse runs on numpy alone: neither the import a `binse` invocation
     makes nor synth, metrics and enhance on a tiny corpus load any scipy."""

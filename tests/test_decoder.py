@@ -136,18 +136,6 @@ class TestRatfSolve:
         assert np.all(np.isfinite(est.bins))
         np.testing.assert_allclose(est.bins[1], 0.0, atol=1e-3)
 
-    def test_literal_square_variant_differs(self, rng):
-        y = make_spec(rng)
-        w_s = rand_complex(rng, (F, T))
-        w_n = rand_complex(rng, (F, T))
-        r = RatfPair(w_s=w_s, w_n=w_n)
-        a = ratf_solve(y, r)
-        b = ratf_solve(y, r, literal_square=True)
-        assert np.max(np.abs(a.bins - b.bins)) > 1e-9
-        d = w_s - w_n
-        s_r = (y.bins[0] - w_n * y.bins[1]) * np.conj(d) / (d * d + 1e-8)
-        np.testing.assert_allclose(b.bins[1], s_r, rtol=1e-12)
-
     def test_accepts_batched_ratfs(self, rng):
         y = make_spec(rng)
         r = RatfPair(w_s=rand_complex(rng, (1, F, T)), w_n=rand_complex(rng, (1, F, T)))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from binse import workers
 from binse.audio import Waveform
 from binse.config import AnalysisConfig
 from binse.errors import (
@@ -11,6 +12,7 @@ from binse.errors import (
 )
 from binse.frontend import Spectrogram
 from binse.losses import (
+    _third_octave_bands,
     cue_maps,
     external_score,
     ild_loss,
@@ -31,6 +33,35 @@ def make_wave(rng, n=16000, scale=0.3):
 
 def make_spec(rng, f=129, t=12):
     return Spectrogram(rand_complex(rng, (2, f, t)), AnalysisConfig())
+
+
+def stoi_oracle(s_hat, s, segment_s=0.384):
+    """The surrogate as one serial loop over bands, ears and segments."""
+    seg = int(round(segment_s * s.sample_rate))
+    n = s.n_samples
+    freqs = np.fft.rfftfreq(n, d=1.0 / s.sample_rate)
+    spec_ref = np.fft.rfft(s.samples, axis=-1)
+    spec_est = np.fft.rfft(s_hat.samples, axis=-1)
+    corrs = []
+    for lo, hi in _third_octave_bands(s.sample_rate):
+        sel = (freqs >= lo) & (freqs < hi)
+        if not np.any(sel):
+            continue
+        mask = np.zeros_like(freqs)
+        mask[sel] = 1.0
+        band_ref = np.fft.irfft(spec_ref * mask, n=n, axis=-1)
+        band_est = np.fft.irfft(spec_est * mask, n=n, axis=-1)
+        for ear in range(2):
+            for k in range(n // seg):
+                a = band_ref[ear, k * seg : (k + 1) * seg]
+                b = band_est[ear, k * seg : (k + 1) * seg]
+                a = a - a.mean()
+                b = b - b.mean()
+                na, nb = np.linalg.norm(a), np.linalg.norm(b)
+                if na < 1e-12 or nb < 1e-12:
+                    continue
+                corrs.append(np.dot(a, b) / (na * nb))
+    return float(1.0 - np.mean(corrs))
 
 
 class TestSnrLoss:
@@ -105,6 +136,17 @@ class TestStoiSurrogate:
     def test_length_mismatch_raises(self, rng):
         with pytest.raises(ShapeMismatch):
             stoi_surrogate(make_wave(rng, 8000), make_wave(rng, 8001))
+
+    @pytest.mark.parametrize("n", [31991, 32000, 8009])
+    def test_bands_on_the_pool_score_the_serial_loop(self, n):
+        """Prime, 5-smooth and short prime lengths: the bands run as pool
+        units and the score equals the serial loop's exactly."""
+        rng = np.random.default_rng(n)
+        s = make_wave(rng, n)
+        est = Waveform(s.samples + make_wave(rng, n, scale=0.2).samples, SR)
+        with workers.plan():
+            got = stoi_surrogate(est, s)
+        assert got == stoi_oracle(est, s)
 
 
 class TestCueMaps:

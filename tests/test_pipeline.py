@@ -494,7 +494,43 @@ print(digest.hexdigest())
 """
 
 
+NESTED_PROBE = """
+import threading
+import numpy as np
+from binse import losses, workers
+from binse.audio import Waveform
+workers.usable_cpus = lambda: 2         # a pool of two on any host
+
+def outer(i):
+    here = threading.current_thread().name
+    inner = workers.map(lambda j: (i * j, threading.current_thread().name), range(4))
+    return [v for v, _ in inner], all(name == here for _, name in inner)
+
+rng = np.random.default_rng(0)
+s = Waveform(0.3 * rng.standard_normal((2, 8009)), 16000)
+est = Waveform(s.samples + 0.1 * rng.standard_normal((2, 8009)), 16000)
+with workers.plan():
+    nested = workers.map(outer, range(4))
+    scores = workers.map(lambda _: losses.stoi_surrogate(est, s), range(3))
+    score = losses.stoi_surrogate(est, s)
+print(nested == [([i * j for j in range(4)], True) for i in range(4)],
+      scores == [score] * 3)
+"""
+
+
 class TestWorkerPool:
+    def test_a_map_inside_a_unit_runs_on_the_units_thread(self):
+        """A unit that calls map, itself or through the band units of
+        stoi_surrogate, gets its items run in order on its own thread; queued
+        on the pool they would wait on workers that all wait on them. Run in
+        a subprocess, so that a deadlock fails the test on its timeout."""
+        src = str(Path(pipeline.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", NESTED_PROBE], env=env, check=True,
+                             capture_output=True, text=True, timeout=30)
+        assert out.stdout.split() == ["True", "True"]
+
     def test_output_does_not_depend_on_the_blas_thread_count(self):
         """A seeded default-config 2 s call, in fresh processes that start
         OpenBLAS at 1 and at 2 threads, gives the same bytes."""

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import fft as sp_fft
 from scipy.signal import fftconvolve
 
+from binse import synth, workers
 from binse.audio import Waveform, read_stereo, read_wav, write_wav
 from binse.errors import (
     AzimuthUnavailable,
@@ -200,6 +201,18 @@ class TestDiffuseNoise:
         acc /= np.sqrt(np.mean(acc ** 2))
         np.testing.assert_allclose(noise.samples, acc, atol=1e-10)
 
+    def test_azimuths_on_the_pool_equal_the_serial_sum(self, rng):
+        h = delta_hrirs(range(-180, 180, 10), taps=64, rng=rng)
+        n, seed = 4099, 11
+        src = rng.standard_normal(n * len(h.azimuths) + 777)
+        with workers.plan():
+            noise = make_diffuse_noise(src, h, n / SR, seed=seed)
+        start = int(np.random.default_rng(seed).integers(0, 777 + 1))
+        acc = np.zeros((2, n))
+        for k, az in enumerate(h.azimuths):
+            acc += spatialize(src[start + k * n : start + (k + 1) * n], h, az).samples
+        assert np.array_equal(noise.samples, acc / np.sqrt(np.mean(acc ** 2)))
+
 
 class TestMixAtSnr:
     def test_hits_requested_snr_exactly(self, rng):
@@ -314,6 +327,27 @@ class TestManifestAndDataset:
             mix = read_stereo(out / f"{rec['item_id']}_mix.wav")
             expected = clean.samples + rec["noise_scale"] * noise.samples
             np.testing.assert_allclose(mix.samples, expected, atol=1e-6)
+
+    def test_each_source_is_loaded_once(self, tmp_path, rng, monkeypatch):
+        specs, _ = write_corpus(tmp_path, rng, n_items=3)
+        want = generate_dataset(specs, tmp_path / "want")
+        loads = []
+
+        def counted(load):
+            def wrapper(path, **kwargs):
+                loads.append(path)
+                return load(path, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(synth, "load_hrir_dir", counted(synth.load_hrir_dir))
+        monkeypatch.setattr(synth, "read_mono", counted(synth.read_mono))
+        got = generate_dataset(specs, tmp_path / "got")
+        assert sorted(loads) == sorted([specs[0].hrir_dir, specs[0].speech, specs[0].noise])
+        assert got["n_ok"] == want["n_ok"] == len(specs)
+        for sp in specs:
+            for kind in ("clean", "noise", "mix"):
+                name = f"{sp.item_id}_{kind}.wav"
+                assert (tmp_path / "got" / name).read_bytes() == (tmp_path / "want" / name).read_bytes()
 
     def test_per_item_failures_are_collected(self, tmp_path, rng):
         specs, _ = write_corpus(tmp_path, rng)
