@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import subprocess
 import sys
@@ -88,31 +89,23 @@ def _metrics_row(args, cfg: RunConfig, model, bank, dataset: Path, tmp: Path,
     clean = read_stereo(dataset / f"{item}_clean.wav", cfg.analysis.sample_rate)
     mix = read_stereo(dataset / f"{item}_mix.wav", cfg.analysis.sample_rate)
     result = enhance(mix, model, cfg, bank=bank)
-    est = result.wav_out
+    est = result.wav_out            # as long as mix, so snr_in rejects other lengths
     clean_spec = stft(clean, cfg.analysis)
-    est_padded = Waveform(
-        np.pad(est.samples, ((0, 0), (0, clean.n_samples - est.n_samples)))
-        if est.n_samples < clean.n_samples
-        else est.samples[:, : clean.n_samples],
-        est.sample_rate,
-    )
-    est_spec = stft(est_padded, cfg.analysis)
+    est_spec = stft(est, cfg.analysis)
     row = {
         "item_id": item,
-        "snr_in": -losses.snr_loss(mix, clean, cfg.snr_clamp_db),
-        "snr_out": -losses.snr_loss(est_padded, clean, cfg.snr_clamp_db),
-        "stoi_surrogate": losses.stoi_surrogate(est_padded, clean),
-        "ild_err": losses.ild_loss(clean_spec, est_spec, cfg.cue_floor_db,
-                                   cfg.masked_cue_loss),
-        "ipd_err": losses.ipd_loss(clean_spec, est_spec, cfg.cue_floor_db,
-                                   cfg.masked_cue_loss),
+        "snr_in": -losses.snr_loss(mix, clean),
+        "snr_out": -losses.snr_loss(est, clean),
+        "stoi_surrogate": losses.stoi_surrogate(est, clean),
+        "ild_err": losses.ild_loss(clean_spec, est_spec),
+        "ipd_err": losses.ipd_loss(clean_spec, est_spec),
         "mbstoi": None,
         "delta_pesq": None,
     }
     row.update(_gate_stats(result.gate))
     if args.mbstoi_cmd or args.pesq_cmd:
         est_path = tmp / f"{item}_enhanced.wav"
-        write_wav(est_path, est_padded.samples, cfg.analysis.sample_rate)
+        write_wav(est_path, est.samples, cfg.analysis.sample_rate)
         clean_path = dataset / f"{item}_clean.wav"
         if args.mbstoi_cmd:
             row["mbstoi"] = losses.external_score(args.mbstoi_cmd, clean_path, est_path)
@@ -169,17 +162,7 @@ def cmd_bench(args) -> int:
     report = full_report(
         model, cfg, audio_seconds=args.seconds, with_rtf=args.rtf, repeats=args.repeats
     )
-    payload = {
-        "n_params": report.n_params,
-        "macs": report.macs,
-        "audio_seconds": report.audio_seconds,
-        "rtf": report.rtf,
-        "cpu_s": report.cpu_s,
-        "workers": report.workers,
-        "param_rows": report.param_rows,
-        "mac_rows": report.mac_rows,
-    }
-    print(json.dumps(payload))
+    print(json.dumps(dataclasses.asdict(report)))
     if args.table:
         print(f"{'module':<12}{'params':>12}{'MACs':>16}")
         for module in sorted(set(report.param_rows) | set(report.mac_rows)):

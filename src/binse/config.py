@@ -63,17 +63,12 @@ class RunConfig:
     # numerics
     eps_ratf: float = 1e-8
     eps_norm: float = 1e-5
-    snr_clamp_db: float = 60.0
-    cue_floor_db: float = 40.0
 
     # ablation flags
     no_gammatone: bool = False
     no_gafm: bool = False
     no_drg: bool = False
     global_drg: bool = False
-
-    # interpretation flag
-    masked_cue_loss: bool = True
 
     def __post_init__(self):
         if self.channels <= 0 or self.n_basis <= 0 or self.se_reduction <= 0:
@@ -84,6 +79,10 @@ class RunConfig:
             raise ValueError("se_reduction must divide channels")
         if self.kernel_time % 2 == 0 or any(k % 2 == 0 for k in self.kernel_2d):
             raise ValueError("depthwise kernel lengths must be odd")
+        if self.n_encoder_blocks < 1:
+            raise ValueError("n_encoder_blocks must be at least 1")
+        if self.gammatone_taps < 2:   # one tap is t = 0, where the envelope is 0
+            raise ValueError("gammatone_taps must be at least 2")
 
     @property
     def hidden(self) -> int:

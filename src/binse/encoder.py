@@ -58,7 +58,7 @@ def encode_gamma(
             f"gamma projection expects {p.gamma_proj.shape[1]} features, got {g.shape[1]}"
         )
     blocks = p.gamma_blocks
-    c = blocks[-1].pointwise.weight.shape[0] if blocks else g.shape[0]
+    c = blocks[-1].pointwise.weight.shape[0]
     x = np.empty((1, c) + g.shape[1:], np.result_type(
         g.dtype, *(a.dtype for b in blocks for a in (b.depthwise, b.pointwise.weight))))
 

@@ -159,7 +159,6 @@ class GammatoneBank:
     impulse_responses: np.ndarray
     spectra: np.ndarray
     sample_rate: int
-    order: int = 4
 
     @property
     def n_channels(self) -> int:

@@ -133,29 +133,25 @@ def cue_maps(s: Spectrogram, floor_db: float = 40.0) -> CueMaps:
     return CueMaps(ild=ild, ipd=ipd, active_mask=mask)
 
 
-def ild_loss(
-    clean: Spectrogram, est: Spectrogram, floor_db: float = 40.0, masked: bool = True
-) -> float:
+def ild_loss(clean: Spectrogram, est: Spectrogram, floor_db: float = 40.0) -> float:
     """Mean absolute ILD difference (dB) over the clean-signal active mask."""
     if clean.bins.shape != est.bins.shape:
         raise ShapeMismatch("spectrogram shapes differ")
     c = cue_maps(clean, floor_db)
     e = cue_maps(est, floor_db)
-    mask = c.active_mask if masked else np.ones_like(c.active_mask)
+    mask = c.active_mask
     if not np.any(mask):
         raise EmptyMask("no active bins in the clean reference")
     return float(np.mean(np.abs(e.ild[mask] - c.ild[mask])))
 
 
-def ipd_loss(
-    clean: Spectrogram, est: Spectrogram, floor_db: float = 40.0, masked: bool = True
-) -> float:
+def ipd_loss(clean: Spectrogram, est: Spectrogram, floor_db: float = 40.0) -> float:
     """Mean absolute wrapped IPD difference (rad) over the active mask."""
     if clean.bins.shape != est.bins.shape:
         raise ShapeMismatch("spectrogram shapes differ")
     c = cue_maps(clean, floor_db)
     e = cue_maps(est, floor_db)
-    mask = c.active_mask if masked else np.ones_like(c.active_mask)
+    mask = c.active_mask
     if not np.any(mask):
         raise EmptyMask("no active bins in the clean reference")
     d = _wrap_phase(e.ipd[mask] - c.ipd[mask])

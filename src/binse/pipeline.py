@@ -36,17 +36,19 @@ computes what it computes run alone, and the SE squeeze sums are added in
 tile order, so the output does not depend on the pool. While a plan runs,
 OpenBLAS is held to one thread (``workers.plan``).
 
-Stage dumps (``collect_stages``) run the same tiles and copy each tile's
-rows into whole arrays. Ablation flags bypass exactly one stage each; a
-debug gate override is available for verification. The network runs in
-complex64 by default (parameters are stored in f32 anyway); the
-analysis/synthesis transforms and the final blend stay in float64. Output
-sample 0 is always zero (see ``frontend.istft``).
+A stage dump (``collect_stages``) is a plain dict that the same plan fills:
+pass A's tiles write their STFT encodings into one preallocated whole
+array, ``z_backbone`` is scaled from the whole ``z_att`` once after pass A,
+and only the buffers the plan later overwrites are copied. Ablation flags
+bypass exactly one stage each; a debug gate override is available for
+verification. The network runs in complex64 by default (parameters are
+stored in f32 anyway); the analysis/synthesis transforms and the final
+blend stay in float64. Output sample 0 is always zero (see
+``frontend.istft``).
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,7 +123,7 @@ def _tiles(f: int, t: int, cfg: RunConfig, dtype) -> list[tuple[int, int]]:
     return [(lo, min(lo + step, f)) for lo in range(0, f, step)]
 
 
-def _encode(w, y, tiles, model, cfg, bank, dtype, keep):
+def _encode(w, y, tiles, model, cfg, bank, dtype, stages):
     """Pass A: the whole fused encoding z_att and the SE excitation (1, C)."""
     enc = model.encoder
     f, t = y.bins.shape[1:]
@@ -133,29 +135,36 @@ def _encode(w, y, tiles, model, cfg, bank, dtype, keep):
         # z_gamma, which fuse turns into z_att in place, tile by tile
         g = gammatone_frames(w, bank, cfg.analysis).astype(dtype)
         z_att = encode_gamma(g, enc, _tiles(cfg.n_gammatone, t, cfg, dtype))
-        keep(z_gamma=z_att)
+        if stages is not None:
+            stages["z_gamma"] = z_att.copy()
     bins = y.bins.astype(dtype)
+    if stages is not None:
+        stages["z_stft"] = np.empty_like(z_att)     # each tile writes its own rows
 
     def encode_tile(tile):
         lo, hi = tile
         z_stft = encode_stft(bins[:, lo:hi], enc)
         rows = z_att[:, :, lo:hi]
         fuse(z_stft, None if cfg.no_gammatone else rows, enc, out=rows)
-        keep(tile, z_stft=z_stft)
+        if stages is not None:
+            stages["z_stft"][:, :, lo:hi] = z_stft
         # rows summed alone, then in float64: the same sums for any tiling
         return np.abs(rows).sum(axis=3).sum(axis=2, dtype=np.float64)
 
     squeeze = np.zeros((1, cfg.channels))
     for part in workers.map(encode_tile, tiles):
         squeeze += part
-    keep(z_attended=z_att)
     # kept in float64, so that tiles whose sums differ in the last bits
     # cannot round a channel's scale apart
     excitation = cse_excitation(squeeze / (f * t), enc.se)
+    if stages is not None:
+        stages["z_attended"] = z_att.copy()
+        # an elementwise scale, so the same values as pass B's tiles
+        stages["z_backbone"] = recalibrate(z_att, enc, excitation)
     return z_att, excitation
 
 
-def _decode(z_att, excitation, y, tiles, model, cfg, gate_override, keep):
+def _decode(z_att, excitation, y, tiles, model, cfg, gate_override, stages):
     """Pass B: turns z_att into z_out in place; returns the RATFs, the gate
     (F,) and the blended spectrum."""
     enc, dec = model.encoder, model.decoder
@@ -174,7 +183,6 @@ def _decode(z_att, excitation, y, tiles, model, cfg, gate_override, keep):
         lo, hi = tile
         rows = z_att[:, :, lo:hi]
         z = recalibrate(rows, enc, excitation)
-        keep(tile, z_backbone=z)
         if cfg.no_gafm:
             rows[...] = z
         else:
@@ -184,11 +192,12 @@ def _decode(z_att, excitation, y, tiles, model, cfg, gate_override, keep):
 
     workers.map(modulate_tile, tiles)
     z_out = z_att                   # every row of it now overwritten
-    keep(z_out=z_out)
     ratfs = decode_heads(z_out, dec, tiles)
     s_hat = ratf_solve(y, ratfs, eps=cfg.eps_ratf)
     s_final = blend(s_hat, y, g)
-    keep(ratf_s=ratfs.w_s, ratf_n=ratfs.w_n, s_hat=s_hat.bins, gate=g, s_final=s_final.bins)
+    if stages is not None:
+        stages.update(z_out=z_out, ratf_s=ratfs.w_s, ratf_n=ratfs.w_n, s_hat=s_hat.bins,
+                      gate=g, s_final=s_final.bins, noisy_spec=y.bins)
     return ratfs, g, s_final
 
 
@@ -216,35 +225,17 @@ def enhance(
         n_in = wav_in.n_samples
         w = pad_to_frame_grid(wav_in, cfg)
         y = stft(w, cfg.analysis)
-        stages: dict[str, np.ndarray] = {}
-        stages_lock = threading.Lock()  # workers keep their tiles' rows
-
-        def keep(rows=None, **arrays):
-            # copies, as the plan later overwrites some buffers in place; a
-            # tile's rows lo:hi go into a whole (1, C, F, T) array
-            if not collect_stages:
-                return
-            with stages_lock:
-                for name, a in arrays.items():
-                    if rows is None:
-                        stages[name] = a.copy()
-                        continue
-                    if name not in stages:
-                        stages[name] = np.empty(a.shape[:2] + y.bins.shape[1:], a.dtype)
-                    stages[name][:, :, rows[0] : rows[1]] = a
-
+        stages = {} if collect_stages else None
         tiles = _tiles(*y.bins.shape[1:], cfg, dtype)
-        z_att, excitation = _encode(w, y, tiles, model, cfg, bank, dtype, keep)
-        ratfs, g, s_final = _decode(z_att, excitation, y, tiles, model, cfg, gate_override, keep)
+        z_att, excitation = _encode(w, y, tiles, model, cfg, bank, dtype, stages)
+        ratfs, g, s_final = _decode(z_att, excitation, y, tiles, model, cfg, gate_override, stages)
         # checked here, as istft's Waveform rejects non-finite samples as bad input
         if not np.all(np.isfinite(s_final.bins)):
             raise InvariantViolation("non-finite values in the enhanced spectrum")
         samples = istft(s_final).samples[:, :n_in]
-
-        keep(noisy_spec=y.bins)
         return EnhanceResult(
             wav_out=Waveform(samples, wav_in.sample_rate),
             gate=g,
             ratfs=ratfs,
-            stages=stages,
+            stages=stages or {},
         )
