@@ -88,13 +88,14 @@ def _metrics_row(args, cfg: RunConfig, model, bank, dataset: Path, tmp: Path,
     """Enhance one dataset item and score it against its clean reference."""
     clean = read_stereo(dataset / f"{item}_clean.wav", cfg.analysis.sample_rate)
     mix = read_stereo(dataset / f"{item}_mix.wav", cfg.analysis.sample_rate)
+    snr_in = -losses.snr_loss(mix, clean)   # rejects other lengths before the network runs
     result = enhance(mix, model, cfg, bank=bank)
-    est = result.wav_out            # as long as mix, so snr_in rejects other lengths
+    est = result.wav_out            # as long as mix
     clean_spec = stft(clean, cfg.analysis)
     est_spec = stft(est, cfg.analysis)
     row = {
         "item_id": item,
-        "snr_in": -losses.snr_loss(mix, clean),
+        "snr_in": snr_in,
         "snr_out": -losses.snr_loss(est, clean),
         "stoi_surrogate": losses.stoi_surrogate(est, clean),
         "ild_err": losses.ild_loss(clean_spec, est_spec),

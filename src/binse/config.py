@@ -11,9 +11,6 @@ import hashlib
 import json
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
-_SUPPORTED_WINDOWS = ("sqrt-hann",)
-
-
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Time-frequency analysis grid: 256-point FFT, 128-sample hop at 16 kHz."""
@@ -21,15 +18,12 @@ class AnalysisConfig:
     sample_rate: int = 16000
     fft_size: int = 256
     hop: int = 128
-    window: str = "sqrt-hann"
 
     def __post_init__(self):
         if self.fft_size <= 0 or self.hop <= 0:
             raise ValueError("fft_size and hop must be positive")
         if self.fft_size % self.hop != 0:
             raise ValueError("hop must divide fft_size")
-        if self.window not in _SUPPORTED_WINDOWS:
-            raise ValueError(f"unsupported window {self.window!r}")
 
     @property
     def n_freq_bins(self) -> int:
@@ -62,7 +56,6 @@ class RunConfig:
 
     # numerics
     eps_ratf: float = 1e-8
-    eps_norm: float = 1e-5
 
     # ablation flags
     no_gammatone: bool = False

@@ -8,12 +8,17 @@ round-trips bit-exactly. The file layout is:
     (0 real, 1 complex), ndim u8, dims u32..., payload f32 little-endian
     (complex stored as interleaved re, im pairs).
 
-Loading validates the magic, version, and the architecture fingerprint of
-the active config before any tensor is accepted.
+``_build`` makes the weight tree one way, with the seeded factory, which
+records each tensor in ``ModelParams.tensors`` under the name it is given:
+the directory is in creation order, which is also the order tensors are
+written. Every entry is a writable ndarray and the same object as its
+dataclass field.
 
-``ModelParams.tensors`` names every tensor once: the factory that
-``_build`` calls records each tensor under the name it is given, so the
-directory is in creation order, which is also the order tensors are written.
+Loading validates the magic, version, and the architecture fingerprint of
+the active config, then builds the seeded tree and, in creation order,
+checks each stored tensor against it by name, shape and dtype and copies
+the stored values in. A rejected file raises, so no half-filled tree
+escapes.
 """
 
 from __future__ import annotations
@@ -75,50 +80,10 @@ class _RandomInit:
         return self._keep(name, np.ones(shape, dtype=np.complex64))
 
     def const(self, name, value):
-        return self._keep(name, np.float32(value) * np.ones((), dtype=np.float32))
+        return self._keep(name, np.full((), value, np.float32))
 
 
-class _FromTensors:
-    """Tensor factory that replays a loaded tensor directory.
-
-    ``tensors`` collects the tensors taken, in creation order; ``stored``
-    is the directory read from the file.
-    """
-
-    def __init__(self, stored: dict[str, np.ndarray]):
-        self.stored = stored
-        self.tensors: dict[str, np.ndarray] = {}
-
-    def _take(self, name, shape, complex_):
-        if name not in self.stored:
-            raise FormatError(f"missing tensor {name!r}")
-        arr = self.stored[name]
-        want = np.complex64 if complex_ else np.float32
-        if arr.shape != tuple(shape) or arr.dtype != want:
-            raise FormatError(
-                f"tensor {name!r}: stored {arr.dtype}{arr.shape}, "
-                f"expected {np.dtype(want)}{tuple(shape)}"
-            )
-        self.tensors[name] = arr
-        return arr
-
-    def cweight(self, name, shape, fan_in):
-        return self._take(name, shape, True)
-
-    def rweight(self, name, shape, fan_in):
-        return self._take(name, shape, False)
-
-    def zeros(self, name, shape, complex_=False):
-        return self._take(name, shape, complex_)
-
-    def ones_c(self, name, shape):
-        return self._take(name, shape, True)
-
-    def const(self, name, value):
-        return self._take(name, (), False)
-
-
-def _build_lightconv(make, prefix, c_in, c_out, kernel, eps):
+def _build_lightconv(make, prefix, c_in, c_out, kernel):
     fan_dw = int(np.prod(kernel))
     return LightConvParams(
         depthwise=make.cweight(f"{prefix}.depthwise", (c_in, *kernel), fan_dw),
@@ -129,7 +94,6 @@ def _build_lightconv(make, prefix, c_in, c_out, kernel, eps):
         norm=CLayerNormParams(
             gamma=make.ones_c(f"{prefix}.norm.gamma", (c_out,)),
             beta=make.zeros(f"{prefix}.norm.beta", (c_out,), complex_=True),
-            eps=eps,
         ),
         prelu_slope=make.const(f"{prefix}.prelu", 0.25),
     )
@@ -140,7 +104,6 @@ def _build(cfg: RunConfig, make) -> ModelParams:
     f = cfg.analysis.n_freq_bins
     h = cfg.hidden
     k = cfg.n_basis
-    eps = cfg.eps_norm
     k1 = (cfg.kernel_time,)
     k2 = cfg.kernel_2d
 
@@ -148,7 +111,7 @@ def _build(cfg: RunConfig, make) -> ModelParams:
         out = []
         for i in range(n):
             c_in = 2 if i == 0 else c
-            out.append(_build_lightconv(make, f"{prefix}.{i}", c_in, c, kernel, eps))
+            out.append(_build_lightconv(make, f"{prefix}.{i}", c_in, c, kernel))
         return out
 
     encoder = EncoderParams(
@@ -178,13 +141,12 @@ def _build(cfg: RunConfig, make) -> ModelParams:
         norm=CLayerNormParams(
             gamma=make.ones_c("modulator.norm.gamma", (c,)),
             beta=make.zeros("modulator.norm.beta", (c,), complex_=True),
-            eps=eps,
         ),
     )
 
     def head(prefix):
         hblocks = [
-            _build_lightconv(make, f"{prefix}.{i}", c, c, k2, eps)
+            _build_lightconv(make, f"{prefix}.{i}", c, c, k2)
             for i in range(cfg.n_decoder_blocks)
         ]
         proj = CLinearParams(
@@ -317,9 +279,18 @@ def load_weights(path, cfg: RunConfig) -> ModelParams:
             f"weights fingerprint {fingerprint[:12]}... does not match "
             f"config {cfg.fingerprint()[:12]}..."
         )
-    make = _FromTensors(stored)
-    model = _build(cfg, make)
-    unused = stored.keys() - make.tensors.keys()
+    model = init_random(cfg)
+    for name, arr in model.tensors.items():
+        if name not in stored:
+            raise FormatError(f"missing tensor {name!r}")
+        got = stored[name]
+        if got.shape != arr.shape or got.dtype != arr.dtype:
+            raise FormatError(
+                f"tensor {name!r}: stored {got.dtype}{got.shape}, "
+                f"expected {arr.dtype}{arr.shape}"
+            )
+        arr[...] = got
+    unused = stored.keys() - model.tensors.keys()
     if unused:
         raise FormatError(f"unexpected tensors in file: {sorted(unused)[:3]}")
     return model

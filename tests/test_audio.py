@@ -1,4 +1,5 @@
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -202,7 +203,6 @@ class TestConfig:
         a = AnalysisConfig()
         assert (a.sample_rate, a.fft_size, a.hop) == (16000, 256, 128)
         assert a.n_freq_bins == 129
-        assert a.window == "sqrt-hann"
 
     def test_run_defaults(self):
         cfg = RunConfig()
@@ -223,6 +223,19 @@ class TestConfig:
         assert cfg.channels == 24 and cfg.n_basis == 7
         with pytest.raises((TypeError, ValueError)):
             config_from_dict({"not_a_field": 1})
+
+    def test_settable_keys_are_pinned(self):
+        # every knob a --config file can set; a new one must be added here too
+        run = {f.name for f in fields(RunConfig)} - {"analysis"}
+        analysis = {f.name for f in fields(AnalysisConfig)}
+        assert analysis == {"sample_rate", "fft_size", "hop"}
+        assert run == {
+            "channels", "n_encoder_blocks", "n_decoder_blocks", "n_basis",
+            "n_gammatone", "gammatone_lo_hz", "gammatone_hi_hz", "gammatone_taps",
+            "kernel_time", "kernel_2d", "se_reduction", "mlp_hidden", "eps_ratf",
+            "no_gammatone", "no_gafm", "no_drg", "global_drg",
+        }
+        assert len(run) + len(analysis) == 20
 
     def test_frozen_analysis(self):
         a = AnalysisConfig()

@@ -289,17 +289,25 @@ class TestMetricsCommand:
         assert "cannot parse WAV" in failure["error"]
 
     def test_mix_and_clean_of_different_lengths_are_an_item_error(
-            self, tmp_path, rng, cfg_file, capsys):
+            self, tmp_path, rng, cfg_file, capsys, monkeypatch):
         _, manifest = write_corpus(tmp_path, rng, n_items=2, duration=0.5)
         data = tmp_path / "data"
         assert main(["synth", "--manifest", str(manifest), "--out", str(data)]) == 0
         clean = read_stereo(data / "item001_clean.wav")
         write_wav(data / "item001_clean.wav", clean.samples[:, :-100], clean.sample_rate)
         capsys.readouterr()
+        calls, enhance = [], cli.enhance
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return enhance(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "enhance", counted)
         report = tmp_path / "report.jsonl"
         rc = main(["metrics", "--config", cfg_file, "--dataset", str(data),
                    "--report", str(report)])
         assert rc == 2
+        assert len(calls) == 1      # the mismatched item never reaches the network
         rows = [json.loads(l) for l in report.read_text().splitlines()]
         assert [r["item_id"] for r in rows] == ["item000"]
         (failure,) = [json.loads(l) for l in capsys.readouterr().err.splitlines()]
@@ -397,10 +405,11 @@ class TestBenchCommand:
         ({"masked_cue_loss": True}, "unknown config keys: masked_cue_loss"),
         ({"gammatone_taps": 1}, "gammatone_taps must be at least 2"),
         ({"n_encoder_blocks": 0}, "n_encoder_blocks must be at least 1"),
+        ({"analysis": {"window": "sqrt-hann"}}, "unknown analysis keys: window"),
     ], ids=["unknown_key", "not_an_object", "unknown_analysis_key", "str_for_int",
             "int_for_pair", "int_for_bool", "float_for_int", "zero_se_reduction",
             "negative_se_reduction", "metric_key", "one_gammatone_tap",
-            "no_encoder_blocks"])
+            "no_encoder_blocks", "window_key"])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, overrides, problem):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(overrides))

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -19,6 +20,18 @@ from conftest import small_config
 # sha256 of save_weights(init_random(RunConfig(), seed=0)): the seeded default
 # weights, byte for byte
 DEFAULT_SEED0_SHA256 = "4b17f4528738b06fa2e77fac04e1b4f852751ee8a32fac31978ebcc4440dd712"
+
+
+def _arrays(obj):
+    """Every array held by a parameter dataclass, its lists and sub-dataclasses."""
+    if is_dataclass(obj):
+        for f in fields(obj):
+            yield from _arrays(getattr(obj, f.name))
+    elif isinstance(obj, list):
+        for item in obj:
+            yield from _arrays(item)
+    elif isinstance(obj, (np.ndarray, np.generic)):
+        yield obj
 
 
 class TestInitRandom:
@@ -63,15 +76,24 @@ class TestInitRandom:
         assert a.fingerprint != b.fingerprint
         assert a.fingerprint == small_config().fingerprint()
 
-    def test_tensor_directory_covers_every_parameter(self):
-        model = init_random(small_config(), seed=0)
-        # spot-check that directory entries alias the live parameter arrays
-        assert model.tensors["encoder.gamma_proj"] is model.encoder.gamma_proj
-        assert model.tensors["decoder.drg_global"] is model.decoder.drg_global
-        assert (
-            model.tensors["encoder.stft.0.depthwise"]
-            is model.encoder.stft_blocks[0].depthwise
-        )
+    def test_tensor_directory_covers_every_parameter(self, tmp_path):
+        cfg = small_config()
+        seeded = init_random(cfg, seed=0)
+        save_weights(seeded, tmp_path / "w.bin")
+        for model in (seeded, load_weights(tmp_path / "w.bin", cfg)):
+            # spot-check that directory entries alias the live parameter arrays
+            assert model.tensors["encoder.gamma_proj"] is model.encoder.gamma_proj
+            assert model.tensors["decoder.drg_global"] is model.decoder.drg_global
+            assert (
+                model.tensors["encoder.stft.0.depthwise"]
+                is model.encoder.stft_blocks[0].depthwise
+            )
+            # and that the directory is exactly the tree's arrays, scalars included
+            assert all(type(a) is np.ndarray for a in model.tensors.values())
+            leaves = [a for part in (model.encoder, model.modulator, model.decoder)
+                      for a in _arrays(part)]
+            assert len(leaves) == len(model.tensors)
+            assert {id(a) for a in leaves} == {id(a) for a in model.tensors.values()}
 
 
 class TestWeightsRoundTrip:
@@ -165,6 +187,17 @@ class TestWeightsRoundTrip:
         path = tmp_path / "w.bin"
         _write_tensor_file(path, model.fingerprint, bad)
         with pytest.raises(FormatError):
+            load_weights(path, cfg)
+
+    def test_real_tensor_where_complex_expected_rejected(self, tmp_path):
+        cfg = small_config()
+        model = init_random(cfg, seed=0)
+        bad = dict(model.tensors)
+        bad["modulator.proj.weight"] = bad["modulator.proj.weight"].real.copy()
+        path = tmp_path / "w.bin"
+        _write_tensor_file(path, model.fingerprint, bad)
+        with pytest.raises(FormatError, match="tensor 'modulator.proj.weight': "
+                                              "stored float32.*expected complex64"):
             load_weights(path, cfg)
 
     def test_missing_tensor_rejected(self, tmp_path):
