@@ -78,23 +78,21 @@ def _fill(x: np.ndarray, out: np.ndarray | None, dtype) -> np.ndarray:
 def clinear(x: np.ndarray, p: CLinearParams, out: np.ndarray | None = None) -> np.ndarray:
     """Complex affine map y = W x + b over the channels of x (B, C_in, F, T).
 
-    One stacked BLAS matrix product over x.reshape(B, C_in, F * T). ``out``,
-    if given, receives y; its (frequency, time) axes must merge into one
-    without a copy.
+    One (C_out, C_in) @ (C_in, T) BLAS product per frequency row, in one
+    numpy call, so a row's result does not depend on the other rows of x,
+    except at C_out = T = 1 (see ``decoder._decode_head``). ``out``, if
+    given, receives y.
     """
-    b, c_in = x.shape[:2]
-    c_out = p.weight.shape[0]
+    c_in = x.shape[1]
     if c_in != p.weight.shape[1]:
         raise ShapeMismatch(f"input has {c_in} channels, weight expects {p.weight.shape[1]}")
     dtype = np.result_type(x.dtype, p.weight.dtype)
     if out is None:
-        out = np.empty((b, c_out) + x.shape[2:], dtype)
-    y = out.reshape(b, c_out, -1)
-    if y.size and not np.may_share_memory(y, out):
-        raise ValueError("clinear out must merge its trailing axes without a copy")
+        out = np.empty(x.shape[:1] + p.weight.shape[:1] + x.shape[2:], dtype)
     np.matmul(p.weight.astype(dtype, copy=False),
-              x.astype(dtype, copy=False).reshape(b, c_in, -1), out=y)
-    y += p.bias[:, np.newaxis]
+              x.astype(dtype, copy=False).transpose(0, 2, 1, 3),
+              out=out.transpose(0, 2, 1, 3))
+    out += p.bias[:, np.newaxis, np.newaxis]
     return out
 
 
@@ -108,16 +106,15 @@ def cln(x: np.ndarray, p: CLayerNormParams, out: np.ndarray | None = None) -> np
     unit stride.
     """
     y = _fill(x, out, np.result_type(x.dtype, p.gamma.dtype, p.beta.dtype, np.complex64))
-    y -= np.mean(y, axis=1, keepdims=True)
-    scale = np.abs(y)
-    np.square(scale, out=scale)
-    scale = np.mean(scale, axis=1, keepdims=True)
-    scale += p.eps
+    # channel means of the (re, im) floats: a last axis of 2T >= 2 keeps numpy
+    # summing channels in one order for any rows (one complex value: pairwise)
+    v = y.view(y.real.dtype)
+    v -= np.mean(v, axis=1, keepdims=True)
+    moments = np.mean(np.square(v), axis=1, keepdims=True)     # E[re^2], E[im^2]
+    scale = moments[..., 0::2] + moments[..., 1::2] + p.eps
     np.sqrt(scale, out=scale)
     np.reciprocal(scale, out=scale)
-    # real scale on the interleaved (re, im) floats: one real product each
-    v = y.view(y.real.dtype)
-    v *= np.repeat(scale, 2, axis=-1)
+    v *= np.repeat(scale, 2, axis=-1)       # one real product per float
     y *= p.gamma[:, np.newaxis, np.newaxis]
     y += p.beta[:, np.newaxis, np.newaxis]
     return y
@@ -221,8 +218,7 @@ def lightconv(
     the k_f // 2 rows on either side of them that x holds, and takes rows
     beyond x's edges as zero, so a caller holding some rows of a larger
     tensor gets that tensor's rows wherever x holds their halo. ``out``, if
-    given, receives the result; each of its (frequency, time) planes must be
-    contiguous.
+    given, receives the result; its last axis must have unit stride.
     """
     if x.ndim != 4:
         raise ShapeMismatch(f"light conv expects (B, C, F, T), got {x.shape}")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 
 @dataclass(frozen=True)
@@ -70,12 +71,21 @@ class RunConfig:
             raise ValueError("n_basis must be odd (DC plus cos/sin pairs)")
         if self.channels % self.se_reduction != 0:
             raise ValueError("se_reduction must divide channels")
+        if self.kernel_time < 1 or any(k < 1 for k in self.kernel_2d):
+            raise ValueError("depthwise kernel lengths must be at least 1")
         if self.kernel_time % 2 == 0 or any(k % 2 == 0 for k in self.kernel_2d):
             raise ValueError("depthwise kernel lengths must be odd")
         if self.n_encoder_blocks < 1:
             raise ValueError("n_encoder_blocks must be at least 1")
         if self.gammatone_taps < 2:   # one tap is t = 0, where the envelope is 0
             raise ValueError("gammatone_taps must be at least 2")
+        if self.n_gammatone < 1:
+            raise ValueError("n_gammatone must be at least 1")
+        if self.mlp_hidden < 0:
+            raise ValueError("mlp_hidden must be at least 0")
+        # the solve's denominator is |W_s - W_n|^2 + eps_ratf (NaN fails too)
+        if not 0 <= self.eps_ratf < math.inf:
+            raise ValueError("eps_ratf must be finite and at least 0")
 
     @property
     def hidden(self) -> int:

@@ -109,6 +109,9 @@ def _decode_head(z_out, blocks, proj, tiles) -> np.ndarray:
             x = lightconv(src, block, rows=(a - first, b - first), out=out)
             if out is not None:
                 src, first = levels[l].rows, levels[l].first
+        # rows ahead of channels, so that at T = 1 the projection's dot reads
+        # a unit-stride x in any tile (BLAS sums that in its own order)
+        x = np.ascontiguousarray(x.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
         ratf[:, made[n] : stops[n]] = clinear(x, proj)[:, 0]
         made = stops
     return ratf
@@ -152,8 +155,9 @@ def refinement_gate(z_out: np.ndarray, p: DecoderParams) -> np.ndarray:
         raise ShapeMismatch(
             f"gate conv expects {p.drg_weight.shape[0]} channels, got {z_out.shape[1]}"
         )
-    pooled = np.mean(np.abs(z_out), axis=-1)        # (B, C, F)
-    pre = np.einsum("c,bcf->bf", p.drg_weight, pooled) + float(p.drg_bias)
+    # (B, F, C), F ahead of C as in the modulator's gates
+    pooled = np.ascontiguousarray(np.mean(np.abs(z_out), axis=-1).transpose(0, 2, 1))
+    pre = np.einsum("bfc,c->bf", pooled, p.drg_weight) + float(p.drg_bias)
     return 1.0 / (1.0 + np.exp(-pre))
 
 

@@ -105,13 +105,13 @@ def fuse(
         )
     mag = np.abs(z_gamma)
     w = p.fusion_weight.astype(mag.dtype, copy=False)
-    pre = np.matmul(w, mag.reshape(mag.shape[0], c, -1))
-    pre = pre + p.fusion_bias[:, np.newaxis]
+    pre = np.matmul(w, mag.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)    # one per row
+    pre = pre + p.fusion_bias[:, np.newaxis, np.newaxis]
     np.negative(pre, out=pre)
     np.exp(pre, out=pre)
     np.add(1.0, pre, out=pre)
     np.divide(1.0, pre, out=pre)
-    return np.multiply(z_stft, pre.reshape(mag.shape), out=out)
+    return np.multiply(z_stft, pre, out=out)
 
 
 def recalibrate(

@@ -55,11 +55,12 @@ def fourier_basis(n_frames: int, n_basis: int) -> np.ndarray:
 def _gates_all_freqs(z: np.ndarray, basis: np.ndarray, p: ModulatorParams) -> np.ndarray:
     """Vectorized gate synthesis over all frequencies: (B, C, F, T) -> (B, F, T)."""
     slope = float(p.mlp_prelu_slope)
-    c = np.mean(np.abs(z), axis=-1)               # (B, C, F)
-    h = np.einsum("hc,bcf->bhf", p.mlp_w1, c) + p.mlp_b1[None, :, None]
+    # (B, F, C): F ahead of C, so that einsum sums a row in one order for any F
+    c = np.ascontiguousarray(np.mean(np.abs(z), axis=-1).transpose(0, 2, 1))
+    h = np.einsum("bfc,hc->bfh", c, p.mlp_w1) + p.mlp_b1
     h = np.where(h >= 0, h, slope * h)
-    a = np.einsum("kh,bhf->bkf", p.mlp_w2, h) + p.mlp_b2[None, :, None]
-    pre = np.einsum("tk,bkf->bft", basis, a)
+    a = np.einsum("bfh,kh->bfk", h, p.mlp_w2) + p.mlp_b2
+    pre = np.einsum("tk,bfk->bft", basis, a)
     return 1.0 / (1.0 + np.exp(-float(p.tau) * pre))
 
 
@@ -71,8 +72,7 @@ def modulator_block(
     """Residual modulator update applied to every frequency independently.
 
     Per frequency f: out_f = CLN(z_f + CLinear(z_f * gate_f)). ``out``, if
-    given, receives the result (as for ``clinear``, its (frequency, time)
-    axes must merge without a copy); it must not overlap z.
+    given, receives the result; it must not overlap z.
     """
     if z.ndim != 4:
         raise ShapeMismatch(f"expected (B, C, F, T) input, got shape {z.shape}")

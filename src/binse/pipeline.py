@@ -14,9 +14,10 @@ side.
 Pass A. ``encode_gamma`` runs the gammatone blocks over tiles of bands into
 one (1, C, n_gammatone, T) buffer and projects it onto the F rows. The
 projection is written into the array that becomes ``z_att``: per tile of
-rows, the STFT blocks run and ``fuse`` overwrites the tile's projected rows
-with the fused ones, and the SE squeeze sums add up. The SE excitation is
-computed once after the last tile.
+rows, the STFT blocks run, ``fuse`` overwrites the tile's projected rows
+with the fused ones, and each row's magnitude sums for the SE squeeze are
+written out. The SE excitation is computed once after the last tile, from
+those sums reduced over every row at once.
 
 Pass B walks the same tiles. Per tile it scales the rows of ``z_att`` by the
 excitation, runs the modulator on them and writes its output back into the
@@ -32,9 +33,11 @@ exactly the rows it is handed.
 The independent units of the plan run on the worker pool of ``workers``:
 the channel groups of the gammatone filter, the tiles of gammatone bands,
 the tiles of pass A and of pass B, and the two decoder heads. Each unit
-computes what it computes run alone, and the SE squeeze sums are added in
-tile order, so the output does not depend on the pool. While a plan runs,
-OpenBLAS is held to one thread (``workers.plan``).
+computes what it computes run alone, so the output does not depend on the
+pool. Nor does it depend on the tiling: every product and sum runs per
+frequency row, in an order set by the row alone (see ``complex_ops.clinear``
+and ``complex_ops.cln``), so the tile size is a pure speed setting. While a
+plan runs, OpenBLAS is held to one thread (``workers.plan``).
 
 A stage dump (``collect_stages``) is a plain dict that the same plan fills:
 pass A's tiles write their STFT encodings into one preallocated whole
@@ -76,8 +79,9 @@ from .frontend import (
 from .modulator import modulator_block
 from .params import ModelParams
 
-# Bytes of one (1, C, rows, T) tensor per plan tile. Smaller tiles measured
-# slower on a 2 MB-L2 Xeon, as per-call costs and narrow BLAS products take over.
+# Bytes of one (1, C, rows, T) tensor per plan tile: a speed constant only,
+# as no output bit depends on the tiling. Smaller tiles measured slower on a
+# 2 MB-L2 Xeon, as per-call costs take over.
 _TILE_BYTES = 4 << 20
 
 
@@ -140,6 +144,7 @@ def _encode(w, y, tiles, model, cfg, bank, dtype, stages):
     bins = y.bins.astype(dtype)
     if stages is not None:
         stages["z_stft"] = np.empty_like(z_att)     # each tile writes its own rows
+    row_sums = np.empty((1, cfg.channels, f))      # the SE squeeze's sums, per row
 
     def encode_tile(tile):
         lo, hi = tile
@@ -148,15 +153,10 @@ def _encode(w, y, tiles, model, cfg, bank, dtype, stages):
         fuse(z_stft, None if cfg.no_gammatone else rows, enc, out=rows)
         if stages is not None:
             stages["z_stft"][:, :, lo:hi] = z_stft
-        # rows summed alone, then in float64: the same sums for any tiling
-        return np.abs(rows).sum(axis=3).sum(axis=2, dtype=np.float64)
+        row_sums[:, :, lo:hi] = np.abs(rows).sum(axis=3)
 
-    squeeze = np.zeros((1, cfg.channels))
-    for part in workers.map(encode_tile, tiles):
-        squeeze += part
-    # kept in float64, so that tiles whose sums differ in the last bits
-    # cannot round a channel's scale apart
-    excitation = cse_excitation(squeeze / (f * t), enc.se)
+    workers.map(encode_tile, tiles)
+    excitation = cse_excitation(row_sums.sum(axis=2) / (f * t), enc.se)
     if stages is not None:
         stages["z_attended"] = z_att.copy()
         # an elementwise scale, so the same values as pass B's tiles

@@ -406,10 +406,16 @@ class TestBenchCommand:
         ({"gammatone_taps": 1}, "gammatone_taps must be at least 2"),
         ({"n_encoder_blocks": 0}, "n_encoder_blocks must be at least 1"),
         ({"analysis": {"window": "sqrt-hann"}}, "unknown analysis keys: window"),
+        ({"eps_ratf": -1.0}, "eps_ratf must be finite and at least 0"),
+        ({"n_gammatone": 0}, "n_gammatone must be at least 1"),
+        ({"kernel_time": -1}, "depthwise kernel lengths must be at least 1"),
+        ({"kernel_2d": [3, -1]}, "depthwise kernel lengths must be at least 1"),
+        ({"mlp_hidden": -1}, "mlp_hidden must be at least 0"),
     ], ids=["unknown_key", "not_an_object", "unknown_analysis_key", "str_for_int",
             "int_for_pair", "int_for_bool", "float_for_int", "zero_se_reduction",
             "negative_se_reduction", "metric_key", "one_gammatone_tap",
-            "no_encoder_blocks", "window_key"])
+            "no_encoder_blocks", "window_key", "negative_eps_ratf", "no_gammatone_bands",
+            "negative_kernel_time", "negative_kernel_2d", "negative_mlp_hidden"])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, overrides, problem):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(overrides))

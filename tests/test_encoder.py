@@ -127,6 +127,7 @@ class TestEncodeGamma:
         z = encode_gamma(g, p, [(lo, min(lo + step, G)) for lo in range(0, G, step)])
         oracle = np.einsum("fg,bcgt->bcft", p.gamma_proj, x)
         np.testing.assert_allclose(z, oracle, rtol=1e-10, atol=1e-12)
+        np.testing.assert_array_equal(z, encode_gamma(g, p))     # one tile of every band
 
     def test_rejects_wrong_rank_or_ear_count(self, rng):
         p = make_encoder(rng)
