@@ -28,29 +28,28 @@ from .errors import (
 )
 from .frontend import istft, stft
 from .params import init_random, load_weights, save_arrays, save_weights
-from .pipeline import enhance, gammatone_bank
+from .pipeline import enhance
 from .profiler import full_report
 
-_ABLATIONS = ("no_gammatone", "no_gafm", "no_drg", "global_drg")
+# the names --ablate takes: the bool keys of RunConfig
+_FLAGS = [f.name for f in dataclasses.fields(RunConfig) if f.type is bool]
 
 
 def _load_config(args) -> RunConfig:
     overrides = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             overrides = json.load(fh)
-    cfg = config_from_dict(overrides)
-    for flag in getattr(args, "ablate", None) or []:
-        if flag not in _ABLATIONS:
+    for flag in args.ablate or []:
+        if flag not in _FLAGS:
             raise UnsupportedFormat(f"unknown ablation flag {flag!r}")
-        setattr(cfg, flag, True)
-    return cfg
+        if isinstance(overrides, dict):     # else config_from_dict names the fault
+            overrides[flag] = True
+    return config_from_dict(overrides)
 
 
 def _load_model(args, cfg: RunConfig):
-    if getattr(args, "model", None):
-        return load_weights(args.model, cfg)
-    return init_random(cfg, seed=getattr(args, "seed", 0) or 0)
+    return load_weights(args.model, cfg) if args.model else init_random(cfg, seed=args.seed)
 
 
 def cmd_enhance(args) -> int:
@@ -83,13 +82,12 @@ def _gate_stats(g: np.ndarray) -> dict:
     }
 
 
-def _metrics_row(args, cfg: RunConfig, model, bank, dataset: Path, tmp: Path,
-                 item: str) -> dict:
+def _metrics_row(args, cfg: RunConfig, model, dataset: Path, tmp: Path, item: str) -> dict:
     """Enhance one dataset item and score it against its clean reference."""
     clean = read_stereo(dataset / f"{item}_clean.wav", cfg.analysis.sample_rate)
     mix = read_stereo(dataset / f"{item}_mix.wav", cfg.analysis.sample_rate)
     snr_in = -losses.snr_loss(mix, clean)   # rejects other lengths before the network runs
-    result = enhance(mix, model, cfg, bank=bank)
+    result = enhance(mix, model, cfg)
     est = result.wav_out            # as long as mix
     clean_spec = stft(clean, cfg.analysis)
     est_spec = stft(est, cfg.analysis)
@@ -136,14 +134,13 @@ def cmd_metrics(args) -> int:
         if "item_id" not in rec:
             raise UnsupportedFormat(f"{where}: no item_id")
         items.append(rec["item_id"])
-    bank = gammatone_bank(cfg)    # one bank serves every item
     tmp = Path(args.report).parent if args.report else dataset
     report = open(args.report, "w") if args.report else contextlib.nullcontext(sys.stdout)
     n_rows = n_failed = 0
     with report as out, workers.plan():
         for item in items:
             try:
-                row = _metrics_row(args, cfg, model, bank, dataset, tmp, item)
+                row = _metrics_row(args, cfg, model, dataset, tmp, item)
             except InvariantViolation:
                 raise
             except (BinseError, ValueError, OSError, subprocess.CalledProcessError) as exc:
@@ -235,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--model", help="weights file (omit for seeded random init)")
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--ablate", action="append", metavar="FLAG",
-                        help=f"one of {', '.join(_ABLATIONS)} (repeatable)")
+                        help=f"one of {', '.join(_FLAGS)} (repeatable); "
+                             "no_drg and global_drg exclude each other")
 
     sp = sub.add_parser("enhance", help="enhance a stereo 16 kHz WAV")
     common(sp)

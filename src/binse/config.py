@@ -1,37 +1,50 @@
 """Configuration objects: the analysis grid and the run config.
 
-The architecture fingerprint hashes every hyperparameter that changes the
-shape of the weight tree, so a weights file can be rejected when loaded
-under an incompatible config.
+Each field declares its type, in an annotation that stays evaluated (no
+postponed annotations), and its range next to its default; ``_RULES`` ties
+keys together. ``_check`` tests both on every construction, naming the key,
+and the configs are frozen. The fingerprint hashes every hyperparameter
+that shapes the weight tree, to reject mismatched weights.
 """
-
-from __future__ import annotations
 
 import hashlib
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields
+
+# Declared ranges, (what a value must be, its test); each entry of a tuple
+# key must pass. Every float range excludes NaN and the infinities.
+_AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
+_ODD = ("odd and at least 1", lambda v: v >= 1 and v % 2 == 1)
+
+
+def _key(default, declared):
+    """A field with its default and its declared range."""
+    return field(default=default, metadata={"range": declared})
+
+
+def band_ok(lo_hz, hi_hz, sample_rate) -> bool:
+    """Whether gammatone band edges fit the rate: 0 < lo < hi < rate / 2."""
+    return 0.0 < lo_hz < hi_hz < sample_rate / 2.0
+
 
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Time-frequency analysis grid: 256-point FFT, 128-sample hop at 16 kHz."""
 
-    sample_rate: int = 16000
-    fft_size: int = 256
-    hop: int = 128
+    sample_rate: int = _key(16000, _AT_LEAST_1)
+    fft_size: int = _key(256, _AT_LEAST_1)
+    hop: int = _key(128, _AT_LEAST_1)
 
     def __post_init__(self):
-        if self.fft_size <= 0 or self.hop <= 0:
-            raise ValueError("fft_size and hop must be positive")
-        if self.fft_size % self.hop != 0:
-            raise ValueError("hop must divide fft_size")
+        _check(self, "analysis.")
 
     @property
     def n_freq_bins(self) -> int:
         return self.fft_size // 2 + 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Full runtime configuration: architecture sizes, numerics, ablations.
 
@@ -42,50 +55,31 @@ class RunConfig:
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
 
     # architecture
-    channels: int = 80            # backbone channel count C
-    n_encoder_blocks: int = 2     # M
-    n_decoder_blocks: int = 2     # N
-    n_basis: int = 9              # K: DC + 4 cos/sin pairs
-    n_gammatone: int = 64
-    gammatone_lo_hz: float = 50.0
-    gammatone_hi_hz: float = 7800.0
-    gammatone_taps: int = 1024
-    kernel_time: int = 5          # 1D depthwise kernel length
-    kernel_2d: tuple[int, int] = (3, 3)   # (freq, time) depthwise kernel
-    se_reduction: int = 4
-    mlp_hidden: int = 0           # 0 -> same as channels
+    channels: int = _key(80, _AT_LEAST_1)          # backbone channel count C
+    n_encoder_blocks: int = _key(2, _AT_LEAST_1)   # M
+    n_decoder_blocks: int = _key(2, _AT_LEAST_1)   # N
+    n_basis: int = _key(9, _ODD)                   # K: DC + 4 cos/sin pairs
+    n_gammatone: int = _key(64, _AT_LEAST_1)
+    gammatone_lo_hz: float = _key(50.0, ("finite", math.isfinite))
+    gammatone_hi_hz: float = _key(7800.0, ("finite", math.isfinite))
+    gammatone_taps: int = _key(1024, ("at least 2", lambda v: v >= 2))   # tap 0 is 0
+    kernel_time: int = _key(5, _ODD)               # 1D depthwise kernel length
+    kernel_2d: tuple[int, int] = _key((3, 3), _ODD)   # (freq, time) depthwise kernel
+    se_reduction: int = _key(4, _AT_LEAST_1)
+    mlp_hidden: int = _key(0, ("at least 0", lambda v: v >= 0))   # 0 -> same as channels
 
-    # numerics
-    eps_ratf: float = 1e-8
+    # numerics: the solve divides by |W_s - W_n|^2 + eps_ratf, in float32 by
+    # default, where a smaller eps_ratf rounds to 0 and W_s = W_n gives 0/0
+    eps_ratf: float = _key(1e-8, ("finite and at least 1e-38", lambda v: 1e-38 <= v < math.inf))
 
-    # ablation flags
+    # ablation flags: the bool keys, which ``binse --ablate`` sets
     no_gammatone: bool = False
     no_gafm: bool = False
     no_drg: bool = False
     global_drg: bool = False
 
     def __post_init__(self):
-        if self.channels <= 0 or self.n_basis <= 0 or self.se_reduction <= 0:
-            raise ValueError("channels, n_basis and se_reduction must be positive")
-        if self.n_basis % 2 == 0:
-            raise ValueError("n_basis must be odd (DC plus cos/sin pairs)")
-        if self.channels % self.se_reduction != 0:
-            raise ValueError("se_reduction must divide channels")
-        if self.kernel_time < 1 or any(k < 1 for k in self.kernel_2d):
-            raise ValueError("depthwise kernel lengths must be at least 1")
-        if self.kernel_time % 2 == 0 or any(k % 2 == 0 for k in self.kernel_2d):
-            raise ValueError("depthwise kernel lengths must be odd")
-        if self.n_encoder_blocks < 1:
-            raise ValueError("n_encoder_blocks must be at least 1")
-        if self.gammatone_taps < 2:   # one tap is t = 0, where the envelope is 0
-            raise ValueError("gammatone_taps must be at least 2")
-        if self.n_gammatone < 1:
-            raise ValueError("n_gammatone must be at least 1")
-        if self.mlp_hidden < 0:
-            raise ValueError("mlp_hidden must be at least 0")
-        # the solve's denominator is |W_s - W_n|^2 + eps_ratf (NaN fails too)
-        if not 0 <= self.eps_ratf < math.inf:
-            raise ValueError("eps_ratf must be finite and at least 0")
+        _check(self, "")
 
     @property
     def hidden(self) -> int:
@@ -115,49 +109,60 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _type_error(default, value) -> str | None:
-    """None if value may replace a field whose default is default, else the
-    type it should have, phrased for an error message."""
-    if isinstance(default, tuple):
-        if (isinstance(value, (list, tuple)) and len(value) == len(default)
-                and not any(_type_error(d, v) for d, v in zip(default, value))):
-            return None
-        return f"a list of {len(default)} {type(default[0]).__name__} values"
-    if isinstance(default, bool) or not isinstance(default, (int, float)):
-        ok = isinstance(value, type(default))
-    else:   # a float field takes an int; neither takes a bool
-        kinds = int if isinstance(default, int) else (int, float)
-        ok = isinstance(value, kinds) and not isinstance(value, bool)
-    return None if ok else f"of type {type(default).__name__}"
+# Rules between keys, checked once each key is in range: (class, rule, error).
+_RULES = (
+    (AnalysisConfig, lambda a: a.fft_size % a.hop == 0,
+     "analysis.hop must divide analysis.fft_size, got {hop} and {fft_size}"),
+    (RunConfig, lambda c: c.channels % c.se_reduction == 0,
+     "se_reduction must divide channels, got {se_reduction} and {channels}"),
+    (RunConfig, lambda c: band_ok(c.gammatone_lo_hz, c.gammatone_hi_hz, c.analysis.sample_rate),
+     "gammatone_lo_hz and gammatone_hi_hz must satisfy 0 < lo < hi < analysis.sample_rate / 2, "
+     "got {gammatone_lo_hz} and {gammatone_hi_hz} at {analysis.sample_rate}"),
+    (RunConfig, lambda c: not (c.no_drg and c.global_drg),
+     "no_drg and global_drg exclude each other: set at most one"),
+)
 
 
-def _checked(cls, d, where: str) -> dict:
-    """d as a dict after checking that every key is a field of cls and every
-    plain value has the type of that field's default."""
+def _is(kind, value) -> bool:
+    if kind in (int, float):    # a float key takes an int; no number key takes a bool
+        return isinstance(value, (int, kind)) and not isinstance(value, bool)
+    return isinstance(value, kind)
+
+
+def _check(cfg, prefix: str) -> None:
+    """Raise ValueError, naming the key, unless every field of cfg has its
+    declared type and range and every rule on cfg's class holds."""
+    for f in fields(cfg):
+        key, value = prefix + f.name, getattr(cfg, f.name)
+        entries = getattr(f.type, "__args__", None)      # a fixed-length tuple
+        kinds, values = (entries, value) if entries else ((f.type,), (value,))
+        if not (isinstance(values, tuple) and len(values) == len(kinds)
+                and all(map(_is, kinds, values))):
+            kind = (f"a tuple of {len(kinds)} {kinds[0].__name__} values" if entries
+                    else f"of type {f.type.__name__}")
+            raise ValueError(f"{key} must be {kind}, got {value!r}")
+        if (declared := f.metadata.get("range")) and not all(map(declared[1], values)):
+            raise ValueError(f"{'every entry of ' if entries else ''}{key} must be "
+                             f"{declared[0]}, got {value!r}")
+    for cls, holds, error in _RULES:
+        if isinstance(cfg, cls) and not holds(cfg):
+            raise ValueError(error.format_map(vars(cfg)))
+
+
+def _known(cls, d, where: str) -> dict:
+    """d as a new dict after checking that every key is a field of cls."""
     if not isinstance(d, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(d).__name__}")
-    by_name = {f.name: f for f in fields(cls)}
-    unknown = sorted(d.keys() - by_name.keys())
-    if unknown:
+    if unknown := sorted(d.keys() - {f.name for f in fields(cls)}):
         raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
-    for key, value in d.items():
-        f = by_name[key]
-        default = f.default if f.default is not MISSING else f.default_factory()
-        why = None if is_dataclass(default) else _type_error(default, value)
-        if why:
-            raise ValueError(f"{where} key {key!r} must be {why}, got {value!r}")
     return dict(d)
 
 
 def config_from_dict(d: dict) -> RunConfig:
-    """Build a RunConfig from a plain dict (e.g. parsed JSON overrides).
-
-    Raises ValueError when d is not a dict, names a key that is not a
-    RunConfig (or, under "analysis", an AnalysisConfig) field, or gives a
-    value whose type differs from that field's default.
-    """
-    d = _checked(RunConfig, d, "config")
-    analysis = AnalysisConfig(**_checked(AnalysisConfig, d.pop("analysis", {}), "analysis"))
-    if "kernel_2d" in d:
-        d["kernel_2d"] = tuple(d["kernel_2d"])
-    return RunConfig(analysis=analysis, **d)
+    """Build a RunConfig from a plain dict (e.g. parsed JSON overrides), in
+    which "analysis" takes a dict of AnalysisConfig keys and lists become
+    tuples. Raises ValueError for a non-dict, an unknown key or a bad value."""
+    d = _known(RunConfig, d, "config")
+    if "analysis" in d:
+        d["analysis"] = AnalysisConfig(**_known(AnalysisConfig, d["analysis"], "analysis"))
+    return RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})

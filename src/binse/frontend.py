@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import workers
 from .audio import Waveform
-from .config import AnalysisConfig
+from .config import AnalysisConfig, band_ok
 from .errors import InputTooShort, InvalidBand, ShapeMismatch
 
 
@@ -184,7 +184,7 @@ def build_gammatone_bank(
     follows from n_taps and cfg.hop.
     """
     sr = cfg.sample_rate
-    if not (0.0 < f_lo < f_hi < sr / 2.0):
+    if not band_ok(f_lo, f_hi, sr):
         raise InvalidBand(f"band edges ({f_lo}, {f_hi}) invalid for rate {sr}")
     centers = erb_space(f_lo, f_hi, n_channels)
     t = np.arange(n_taps) / sr

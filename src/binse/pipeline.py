@@ -53,6 +53,7 @@ blend stay in float64. Output sample 0 is always zero (see
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,18 +108,17 @@ def pad_to_frame_grid(w: Waveform, cfg: RunConfig) -> Waveform:
     return Waveform(np.pad(w.samples, ((0, 0), (0, target - n))), w.sample_rate)
 
 
+@lru_cache(maxsize=8)
 def gammatone_bank(cfg: RunConfig) -> GammatoneBank | None:
-    """The gammatone filterbank the configured pipeline uses; None when the
-    gammatone stream is ablated."""
+    """The gammatone filterbank the configured pipeline uses, built once per
+    config and read-only; None when the gammatone stream is ablated."""
     if cfg.no_gammatone:
         return None
-    return build_gammatone_bank(
-        cfg.analysis,
-        cfg.n_gammatone,
-        cfg.gammatone_lo_hz,
-        cfg.gammatone_hi_hz,
-        cfg.gammatone_taps,
-    )
+    bank = build_gammatone_bank(cfg.analysis, cfg.n_gammatone, cfg.gammatone_lo_hz,
+                                cfg.gammatone_hi_hz, cfg.gammatone_taps)
+    for arr in (bank.center_freqs, bank.impulse_responses, bank.spectra):
+        arr.setflags(write=False)
+    return bank
 
 
 def _tiles(f: int, t: int, cfg: RunConfig, dtype) -> list[tuple[int, int]]:
@@ -134,10 +134,8 @@ def _encode(w, y, tiles, model, cfg, bank, dtype, stages):
     if cfg.no_gammatone:
         z_att = np.empty((1, cfg.channels, f, t), dtype)
     else:
-        if bank is None:
-            bank = gammatone_bank(cfg)
         # z_gamma, which fuse turns into z_att in place, tile by tile
-        g = gammatone_frames(w, bank, cfg.analysis).astype(dtype)
+        g = gammatone_frames(w, bank or gammatone_bank(cfg), cfg.analysis).astype(dtype)
         z_att = encode_gamma(g, enc, _tiles(cfg.n_gammatone, t, cfg, dtype))
         if stages is not None:
             stages["z_gamma"] = z_att.copy()

@@ -19,7 +19,7 @@ from .audio import Waveform
 from .config import RunConfig
 from .frontend import frame_count
 from .params import ModelParams
-from .pipeline import enhance, gammatone_bank
+from .pipeline import enhance
 
 
 @dataclass
@@ -113,14 +113,13 @@ def _time_enhance(model, cfg, *, seconds, wav=None, repeats, warmup, seed):
         rng = np.random.default_rng(seed)
         sr = cfg.analysis.sample_rate
         wav = Waveform(0.1 * rng.standard_normal((2, int(round(seconds * sr)))), sr)
-    bank = gammatone_bank(cfg)
     for _ in range(warmup):
-        enhance(wav, model, cfg, bank=bank)
+        enhance(wav, model, cfg)
     times = []
     cpu = time.process_time()
     for _ in range(repeats):
         t0 = time.perf_counter()
-        enhance(wav, model, cfg, bank=bank)
+        enhance(wav, model, cfg)
         times.append(time.perf_counter() - t0)
     return wav, times, time.process_time() - cpu
 

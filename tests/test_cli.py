@@ -150,6 +150,15 @@ class TestEnhanceCommand:
                    "--input", input_wav, "--output", str(tmp_path / "o.wav")])
         assert rc == 2
 
+    def test_exclusive_gate_ablations_exit_2(self, tmp_path, cfg_file, input_wav, capsys):
+        rc = main(["enhance", "--config", cfg_file, "--ablate", "no_drg",
+                   "--ablate", "global_drg", "--input", input_wav,
+                   "--output", str(tmp_path / "o.wav")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "no_drg" in err and "global_drg" in err
+        assert not (tmp_path / "o.wav").exists()
+
     def test_ablation_flag_changes_the_output(self, tmp_path, cfg_file, input_wav):
         out1, out2 = tmp_path / "o1.wav", tmp_path / "o2.wav"
         assert main(["enhance", "--config", cfg_file, "--input", input_wav,
@@ -257,6 +266,7 @@ class TestMetricsCommand:
         _, manifest = write_corpus(tmp_path, rng, n_items=3, duration=0.5)
         data = tmp_path / "data"
         assert main(["synth", "--manifest", str(manifest), "--out", str(data)]) == 0
+        pipeline.gammatone_bank.cache_clear()
         calls = []
         build = pipeline.build_gammatone_bank
 
@@ -396,20 +406,20 @@ class TestBenchCommand:
         ({"dropout_rate": 0.1}, "unknown config keys: dropout_rate"),
         ([1, 2], "config must be a JSON object"),
         ({"analysis": {"fft": 512}}, "unknown analysis keys: fft"),
-        ({"channels": "8"}, "config key 'channels' must be of type int"),
-        ({"kernel_2d": 3}, "config key 'kernel_2d' must be a list of 2 int values"),
-        ({"no_drg": 1}, "config key 'no_drg' must be of type bool"),
-        ({"analysis": {"hop": 64.0}}, "analysis key 'hop' must be of type int"),
-        ({"se_reduction": 0}, "se_reduction must be positive"),
-        ({"se_reduction": -4}, "se_reduction must be positive"),
+        ({"channels": "8"}, "channels must be of type int"),
+        ({"kernel_2d": 3}, "kernel_2d must be a tuple of 2 int values"),
+        ({"no_drg": 1}, "no_drg must be of type bool"),
+        ({"analysis": {"hop": 64.0}}, "analysis.hop must be of type int"),
+        ({"se_reduction": 0}, "se_reduction must be at least 1"),
+        ({"se_reduction": -4}, "se_reduction must be at least 1"),
         ({"masked_cue_loss": True}, "unknown config keys: masked_cue_loss"),
         ({"gammatone_taps": 1}, "gammatone_taps must be at least 2"),
         ({"n_encoder_blocks": 0}, "n_encoder_blocks must be at least 1"),
         ({"analysis": {"window": "sqrt-hann"}}, "unknown analysis keys: window"),
-        ({"eps_ratf": -1.0}, "eps_ratf must be finite and at least 0"),
+        ({"eps_ratf": -1.0}, "eps_ratf must be finite and at least 1e-38"),
         ({"n_gammatone": 0}, "n_gammatone must be at least 1"),
-        ({"kernel_time": -1}, "depthwise kernel lengths must be at least 1"),
-        ({"kernel_2d": [3, -1]}, "depthwise kernel lengths must be at least 1"),
+        ({"kernel_time": -1}, "kernel_time must be odd and at least 1"),
+        ({"kernel_2d": [3, -1]}, "every entry of kernel_2d must be odd and at least 1"),
         ({"mlp_hidden": -1}, "mlp_hidden must be at least 0"),
     ], ids=["unknown_key", "not_an_object", "unknown_analysis_key", "str_for_int",
             "int_for_pair", "int_for_bool", "float_for_int", "zero_se_reduction",

@@ -84,6 +84,26 @@ class TestEnhance:
         np.testing.assert_array_equal(a.wav_out.samples, b.wav_out.samples)
         np.testing.assert_array_equal(a.gate, b.gate)
 
+    def test_bank_is_built_once_per_config(self, setup, rng, monkeypatch):
+        cfg, model, bank = setup
+        pipeline.gammatone_bank.cache_clear()
+        calls = []
+        build = pipeline.build_gammatone_bank
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "build_gammatone_bank", counting)
+        w = make_wave(rng)
+        a = enhance(w, model, cfg)
+        b = enhance(w, model, cfg)
+        assert len(calls) == 1
+        assert not pipeline.gammatone_bank(cfg).spectra.flags.writeable
+        given = enhance(w, model, cfg, bank=bank)
+        np.testing.assert_array_equal(a.wav_out.samples, given.wav_out.samples)
+        np.testing.assert_array_equal(b.wav_out.samples, given.wav_out.samples)
+
     def test_zero_gate_override_passes_input_through(self, setup, rng):
         """With g = 0 the blend returns the noisy spectrogram, so the output
         is the iSTFT round trip of the input (near-exact on the interior)."""
