@@ -47,20 +47,26 @@ def encode_gamma(
     The blocks run on the gammatone feature axis, each band alone, so both
     blocks run per tile of ``tiles``, (lo, hi) bands (default: one tile of
     every band), as independent units on the worker pool (``workers.map``),
-    each writing its bands into one (1, C, n_gamma, T) buffer. A fixed real
-    linear map then projects that axis onto the F STFT bins so the attention
-    map is per-(channel, frequency, time).
+    each writing its bands into the first n_gamma rows of one
+    (1, C, max(F, n_gamma), T) buffer. A fixed real linear map then projects
+    that axis onto the F STFT bins so the attention map is
+    per-(channel, frequency, time). It runs on the calling thread, one
+    channel at a time, each channel's projection overwriting its bands, so
+    the only temporary is one channel's product. The result is the buffer's
+    first F rows (a strided view when n_gamma > F).
     """
     if g.ndim != 3 or g.shape[0] != 2:
         raise ShapeMismatch(f"expected gammatone frames (2, n_gamma, T), got {g.shape}")
-    if p.gamma_proj.shape[1] != g.shape[1]:
+    f, n_gamma = p.gamma_proj.shape
+    if n_gamma != g.shape[1]:
         raise ShapeMismatch(
-            f"gamma projection expects {p.gamma_proj.shape[1]} features, got {g.shape[1]}"
+            f"gamma projection expects {n_gamma} features, got {g.shape[1]}"
         )
     blocks = p.gamma_blocks
     c = blocks[-1].pointwise.weight.shape[0]
-    x = np.empty((1, c) + g.shape[1:], np.result_type(
+    buf = np.empty((1, c, max(f, n_gamma), g.shape[2]), np.result_type(
         g.dtype, *(a.dtype for b in blocks for a in (b.depthwise, b.pointwise.weight))))
+    x = buf[:, :, :n_gamma]
 
     def encode_bands(tile):
         lo, hi = tile
@@ -69,12 +75,16 @@ def encode_gamma(
             band = lightconv(band, block)
         x[:, :, lo:hi] = band
 
-    workers.map(encode_bands, tiles or [(0, g.shape[1])])
-    # the real map acts on re and im alike: one real matmul on the float view,
-    # whose trailing axis interleaves (re, im) over T
+    workers.map(encode_bands, tiles or [(0, n_gamma)])
+    # the real map acts on re and im alike: a real matmul on the float view,
+    # whose trailing axis interleaves (re, im) over T. Each channel's product
+    # is the one a stacked (F, G) @ (B, C, G, 2T) matmul makes for it, bit
+    # for bit; chunking it along T would not be
     real = x.real.dtype
     proj = p.gamma_proj.astype(real, copy=False)
-    return np.matmul(proj, x.view(real)).view(x.dtype)  # (F, G) @ (B, C, G, 2T)
+    for ch in range(c):
+        buf[0, ch, :f] = np.matmul(proj, x[0, ch].view(real)).view(x.dtype)
+    return buf[:, :, :f]
 
 
 def fuse(
@@ -106,7 +116,7 @@ def fuse(
     mag = np.abs(z_gamma)
     w = p.fusion_weight.astype(mag.dtype, copy=False)
     pre = np.matmul(w, mag.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)    # one per row
-    pre = pre + p.fusion_bias[:, np.newaxis, np.newaxis]
+    pre += p.fusion_bias[:, np.newaxis, np.newaxis]
     np.negative(pre, out=pre)
     np.exp(pre, out=pre)
     np.add(1.0, pre, out=pre)

@@ -3,21 +3,23 @@
 stft + gammatone -> encode/fuse/recalibrate -> modulator backbone ->
 decoder heads -> closed-form solve -> refinement gate -> blend -> istft.
 
-The network runs as one plan over tiles of the F frequency rows, so only two
-network tensors are utterance-sized: the fused encoding ``z_att``, which
-pass B turns into ``z_out`` in place, and the encoded gammatone bands.
-Nearly every stage acts on each frequency row alone. The exceptions are the
-gammatone projection, which reads every band, the SE squeeze, a mean over
-all rows, and the decoder's 2-D blocks, which read k_f // 2 rows on either
-side.
+The network runs as one plan over tiles of the F frequency rows, so only one
+network tensor is utterance-sized: the buffer ``encode_gamma`` encodes the
+gammatone bands into and projects them in place, whose first F rows are
+``z_att``; ``fuse`` makes it the fused encoding and pass B turns it into
+``z_out``, both in place. Nearly every stage acts on each frequency row
+alone. The exceptions are the gammatone projection, which reads every band,
+the SE squeeze, a mean over all rows, and the decoder's 2-D blocks, which
+read k_f // 2 rows on either side.
 
 Pass A. ``encode_gamma`` runs the gammatone blocks over tiles of bands into
-one (1, C, n_gammatone, T) buffer and projects it onto the F rows. The
-projection is written into the array that becomes ``z_att``: per tile of
-rows, the STFT blocks run, ``fuse`` overwrites the tile's projected rows
-with the fused ones, and each row's magnitude sums for the SE squeeze are
-written out. The SE excitation is computed once after the last tile, from
-those sums reduced over every row at once.
+the first n_gammatone rows of one (1, C, max(F, n_gammatone), T) buffer,
+then projects them onto the F rows channel by channel in the same buffer;
+its first F rows become ``z_att`` (a strided view when n_gammatone > F).
+Per tile of rows, the STFT blocks run, ``fuse`` overwrites the tile's
+projected rows with the fused ones, and each row's magnitude sums for the
+SE squeeze are written out. The SE excitation is computed once after the
+last tile, from those sums reduced over every row at once.
 
 Pass B walks the same tiles. Per tile it scales the rows of ``z_att`` by the
 excitation, runs the modulator on them and writes its output back into the

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from binse.complex_ops import clinear, cln, cprelu, cse
+from binse.complex_ops import (
+    CLayerNormParams,
+    CLinearParams,
+    LightConvParams,
+    clinear,
+    cln,
+    cprelu,
+    cse,
+)
 from binse.encoder import EncoderParams, encode_gamma, encode_stft, fuse, recalibrate
 from binse.errors import ShapeMismatch
 from conftest import make_cse, make_lightconv, rand_complex
@@ -37,7 +45,21 @@ def fuse_whole(z_stft, z_gamma, p):
 
 
 def single_precision(p):
-    """p with its real fusion and projection weights stored as float32, as loaded."""
+    """p with its weights stored as float32 and complex64, as loaded, so that
+    its blocks run in complex64 on complex64 input."""
+    def c64(a):
+        return a.astype(np.complex64)
+
+    def block(b):
+        return LightConvParams(
+            depthwise=c64(b.depthwise),
+            pointwise=CLinearParams(c64(b.pointwise.weight), c64(b.pointwise.bias)),
+            norm=CLayerNormParams(c64(b.norm.gamma), c64(b.norm.beta), b.norm.eps),
+            prelu_slope=np.float32(b.prelu_slope),
+        )
+
+    p.stft_blocks = [block(b) for b in p.stft_blocks]
+    p.gamma_blocks = [block(b) for b in p.gamma_blocks]
     p.gamma_proj = p.gamma_proj.astype(np.float32)
     p.fusion_weight = p.fusion_weight.astype(np.float32)
     p.fusion_bias = p.fusion_bias.astype(np.float32)
@@ -128,6 +150,29 @@ class TestEncodeGamma:
         oracle = np.einsum("fg,bcgt->bcft", p.gamma_proj, x)
         np.testing.assert_allclose(z, oracle, rtol=1e-10, atol=1e-12)
         np.testing.assert_array_equal(z, encode_gamma(g, p))     # one tile of every band
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("f, g", [(129, 64), (33, 40)])  # fewer bands than rows, more
+    @pytest.mark.parametrize("t", [1, 2, 61])
+    @pytest.mark.parametrize("step", [1, 4, None])          # bands per tile: one, several, all
+    def test_projection_in_place_equals_the_stacked_product(self, rng, dtype, f, g, t, step):
+        """The per-channel projection written over the bands gives, bit for
+        bit, the stacked (F, G) @ (B, C, G, 2T) product of the blocks' output."""
+        from binse.complex_ops import lightconv
+
+        p = make_encoder(rng, f=f, g=g)
+        if dtype == np.complex64:
+            p = single_precision(p)
+        frames = rand_complex(rng, (2, g, t)).astype(dtype)
+        x = frames[None]
+        for block in p.gamma_blocks:
+            x = lightconv(x, block)
+        real = x.real.dtype
+        oracle = np.matmul(p.gamma_proj.astype(real), x.view(real)).view(x.dtype)
+        step = step or g
+        z = encode_gamma(frames, p, [(lo, min(lo + step, g)) for lo in range(0, g, step)])
+        assert z.dtype == dtype and z.shape == (1, C, f, t)
+        np.testing.assert_array_equal(z, oracle)
 
     def test_rejects_wrong_rank_or_ear_count(self, rng):
         p = make_encoder(rng)
