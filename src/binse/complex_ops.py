@@ -1,10 +1,11 @@
 """Complex-valued neural kernels: linear, layer norm, PReLU, depthwise
-separable ("light") convolution blocks, and squeeze-and-excitation.
-Inference only: there is no dropout.
+separable ("light") convolution blocks, and the squeeze-and-excitation
+scale. Inference only: there is no dropout.
 
-One layout: every kernel takes complex x of shape (B, C, F, T), channels on
-axis 1, as the plan's (1, C, rows, T) tiles are. Parameter containers are
-plain dataclasses of ndarrays, immutable by convention.
+One layout: the network enhances one utterance at a time, so every kernel
+takes complex x of shape (C, F, T), channels on axis 0, as the plan's
+(C, rows, T) tiles and ``frontend.stft``'s (2, F, T) bins are. Parameter
+containers are plain dataclasses of ndarrays, immutable by convention.
 
 Execution contract. No public function mutates its input. ``clinear``,
 ``cln`` and ``cprelu`` take an optional ``out`` array; passing the input
@@ -76,28 +77,30 @@ def _fill(x: np.ndarray, out: np.ndarray | None, dtype) -> np.ndarray:
 
 
 def clinear(x: np.ndarray, p: CLinearParams, out: np.ndarray | None = None) -> np.ndarray:
-    """Complex affine map y = W x + b over the channels of x (B, C_in, F, T).
+    """Complex affine map y = W x + b over the channels of x (C_in, F, T).
 
     One (C_out, C_in) @ (C_in, T) BLAS product per frequency row, in one
     numpy call, so a row's result does not depend on the other rows of x,
     except at C_out = T = 1 (see ``decoder._decode_head``). ``out``, if
     given, receives y.
     """
-    c_in = x.shape[1]
+    if x.ndim != 3:
+        raise ShapeMismatch(f"linear map expects (C, F, T), got {x.shape}")
+    c_in = x.shape[0]
     if c_in != p.weight.shape[1]:
         raise ShapeMismatch(f"input has {c_in} channels, weight expects {p.weight.shape[1]}")
     dtype = np.result_type(x.dtype, p.weight.dtype)
     if out is None:
-        out = np.empty(x.shape[:1] + p.weight.shape[:1] + x.shape[2:], dtype)
+        out = np.empty(p.weight.shape[:1] + x.shape[1:], dtype)
     np.matmul(p.weight.astype(dtype, copy=False),
-              x.astype(dtype, copy=False).transpose(0, 2, 1, 3),
-              out=out.transpose(0, 2, 1, 3))
+              x.astype(dtype, copy=False).transpose(1, 0, 2),
+              out=out.transpose(1, 0, 2))
     out += p.bias[:, np.newaxis, np.newaxis]
     return out
 
 
 def cln(x: np.ndarray, p: CLayerNormParams, out: np.ndarray | None = None) -> np.ndarray:
-    """Complex layer norm over the channels of x (B, C, F, T).
+    """Complex layer norm over the channels of x (C, F, T).
 
     The complex mean is removed per position and the centered values are
     divided by sqrt(E[|x - mu|^2] + eps) -- a single real scale shared by
@@ -109,8 +112,8 @@ def cln(x: np.ndarray, p: CLayerNormParams, out: np.ndarray | None = None) -> np
     # channel means of the (re, im) floats: a last axis of 2T >= 2 keeps numpy
     # summing channels in one order for any rows (one complex value: pairwise)
     v = y.view(y.real.dtype)
-    v -= np.mean(v, axis=1, keepdims=True)
-    moments = np.mean(np.square(v), axis=1, keepdims=True)     # E[re^2], E[im^2]
+    v -= np.mean(v, axis=0, keepdims=True)
+    moments = np.mean(np.square(v), axis=0, keepdims=True)     # E[re^2], E[im^2]
     scale = moments[..., 0::2] + moments[..., 1::2] + p.eps
     np.sqrt(scale, out=scale)
     np.reciprocal(scale, out=scale)
@@ -137,8 +140,8 @@ def cprelu(x: np.ndarray, slope, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def _depthwise_conv(x: np.ndarray, kernel: np.ndarray, rows: tuple[int, int]) -> np.ndarray:
-    """Zero-padded same-size depthwise correlation of x (B, C, F, T): output
-    frequency rows ``rows=(lo, hi)``, as a (B, C, hi - lo, T) array.
+    """Zero-padded same-size depthwise correlation of x (C, F, T): output
+    frequency rows ``rows=(lo, hi)``, as a (C, hi - lo, T) array.
 
     kernel (C, k) correlates along time only; kernel (C, k_f, k_t) along
     (frequency, time). y[t] = sum_j h[j] x[t + j - k//2].
@@ -153,7 +156,7 @@ def _depthwise_conv(x: np.ndarray, kernel: np.ndarray, rows: tuple[int, int]) ->
     added through one reused scratch array. The centre tap reaches every
     output, so every group has a first tap.
     """
-    b, c, f, t = x.shape
+    c, f, t = x.shape
     if kernel.shape[0] != c:
         raise ShapeMismatch(f"depthwise kernel for {kernel.shape[0]} channels, input has {c}")
     if kernel.ndim == 2:
@@ -163,18 +166,18 @@ def _depthwise_conv(x: np.ndarray, kernel: np.ndarray, rows: tuple[int, int]) ->
     lo, hi = rows
     kf, kt = kernel.shape[1:]
     pf, pt = kf // 2, kt // 2
-    flat = x.reshape(b, c, f * t)
+    flat = x.reshape(c, f * t)
     start, stop = lo * t, hi * t
     n = stop - start
-    out = np.empty((b, c, n), np.result_type(x.dtype, kernel.dtype))
+    out = np.empty((c, n), np.result_type(x.dtype, kernel.dtype))
     # channels are independent: run every tap on a cache-sized channel group
-    group = min(c, max(1, _DEPTHWISE_GROUP_BYTES // max(1, b * n * out.itemsize)))
-    scratch = np.empty((b, group, n), out.dtype)
+    group = min(c, max(1, _DEPTHWISE_GROUP_BYTES // max(1, n * out.itemsize)))
+    scratch = np.empty((group, n), out.dtype)
     for c0 in range(0, c, group):
         c1 = min(c, c0 + group)
-        acc, src, part = out[:, c0:c1], flat[:, c0:c1], scratch[:, : c1 - c0]
+        acc, src, part = out[c0:c1], flat[c0:c1], scratch[: c1 - c0]
         first = True
-        taps = kernel[np.newaxis, c0:c1, :, :, np.newaxis]      # (1, group, kf, kt, 1)
+        taps = kernel[c0:c1, :, :, np.newaxis]      # (group, kf, kt, 1)
         for jf in range(kf):
             for jt in range(kt):
                 df, dt = jf - pf, jt - pt
@@ -186,19 +189,19 @@ def _depthwise_conv(x: np.ndarray, kernel: np.ndarray, rows: tuple[int, int]) ->
                 # where it does not reach; later ones through the scratch
                 into = acc if first else part
                 if first:
-                    acc[:, :, : a - start] = 0
-                    acc[:, :, z - start :] = 0
-                tmp = into[:, :, a - start : z - start]
-                np.multiply(taps[:, :, jf, jt], src[:, :, a + shift : z + shift], out=tmp)
-                into_rows = into.reshape(b, c1 - c0, hi - lo, t)
+                    acc[:, : a - start] = 0
+                    acc[:, z - start :] = 0
+                tmp = into[:, a - start : z - start]
+                np.multiply(taps[:, jf, jt], src[:, a + shift : z + shift], out=tmp)
+                into_rows = into.reshape(c1 - c0, hi - lo, t)
                 if dt > 0:
                     into_rows[..., t - dt :] = 0
                 elif dt < 0:
                     into_rows[..., :-dt] = 0
                 if not first:
-                    acc[:, :, a - start : z - start] += tmp
+                    acc[:, a - start : z - start] += tmp
                 first = False
-    return out.reshape(b, c, hi - lo, t)
+    return out.reshape(c, hi - lo, t)
 
 
 def lightconv(
@@ -207,55 +210,35 @@ def lightconv(
     rows: tuple[int, int] | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Light conv block on x (B, C, F, T): depthwise conv, pointwise mix,
+    """Light conv block on x (C, F, T): depthwise conv, pointwise mix,
     CLN, PReLU, residual.
 
     A (C, k) depthwise kernel convolves time only, each frequency row alone;
     a (C, k_f, k_t) kernel convolves (frequency, time).
 
     ``rows=(lo, hi)`` (default: every row) computes only output rows lo:hi,
-    in one pass, as a (B, C_out, hi - lo, T) array. A 2-D kernel then reads
+    in one pass, as a (C_out, hi - lo, T) array. A 2-D kernel then reads
     the k_f // 2 rows on either side of them that x holds, and takes rows
     beyond x's edges as zero, so a caller holding some rows of a larger
     tensor gets that tensor's rows wherever x holds their halo. ``out``, if
     given, receives the result; its last axis must have unit stride.
     """
-    if x.ndim != 4:
-        raise ShapeMismatch(f"light conv expects (B, C, F, T), got {x.shape}")
-    f = x.shape[2]
+    if x.ndim != 3:
+        raise ShapeMismatch(f"light conv expects (C, F, T), got {x.shape}")
+    f = x.shape[1]
     lo, hi = (0, f) if rows is None else rows
     if not 0 <= lo <= hi <= f:
         raise ShapeMismatch(f"rows {rows} are not frequency rows of {x.shape}")
     out = clinear(_depthwise_conv(x, p.depthwise, (lo, hi)), p.pointwise, out=out)
     cln(out, p.norm, out=out)
     cprelu(out, p.prelu_slope, out=out)
-    if out.shape[1] == x.shape[1]:
-        out += x[:, :, lo:hi]
+    if out.shape[0] == x.shape[0]:
+        out += x[:, lo:hi]
     return out
 
 
 def cse_excitation(s: np.ndarray, p: CSEParams) -> np.ndarray:
     """The SE excitation sigmoid(expand @ relu(reduce @ s)) of the squeeze s
-    (B, C): a real, positive per-channel scale."""
+    (C,): a real, positive per-channel scale."""
     h = np.maximum(s @ p.reduce.T, 0.0)
     return 1.0 / (1.0 + np.exp(-(h @ p.expand.T)))
-
-
-def cse(x: np.ndarray, p: CSEParams, excitation: np.ndarray | None = None) -> np.ndarray:
-    """Complex squeeze-and-excitation: phase-preserving per-channel scaling.
-
-    The squeeze is the mean magnitude over (frequency, time) per channel,
-    and ``cse_excitation`` turns it into a real scale. A caller that scales
-    a tensor a tile of frequency rows at a time passes the excitation of
-    the whole tensor, so each tile is scaled alike. The result keeps x's
-    dtype.
-    """
-    if x.ndim != 4:
-        raise ShapeMismatch("cse expects (B, C, F, T) input")
-    if p.reduce.shape[1] != x.shape[1]:
-        raise ShapeMismatch(
-            f"cse reduce expects {p.reduce.shape[1]} channels, input has {x.shape[1]}"
-        )
-    if excitation is None:
-        excitation = cse_excitation(np.mean(np.abs(x), axis=(2, 3)), p)   # (B, C)
-    return np.multiply(x, excitation[:, :, None, None], out=np.empty_like(x))

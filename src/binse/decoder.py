@@ -15,7 +15,7 @@ from .frontend import Spectrogram
 
 @dataclass
 class RatfPair:
-    """Relative acoustic transfer functions of speech and noise, (B, F, T)."""
+    """Relative acoustic transfer functions of speech and noise, (F, T)."""
 
     w_s: np.ndarray
     w_n: np.ndarray
@@ -41,19 +41,19 @@ class _Window:
 
     @property
     def rows(self) -> np.ndarray:
-        return self.buf[:, :, : self.count]
+        return self.buf[:, : self.count]
 
     def extend(self, keep: int, n_new: int, like: np.ndarray) -> np.ndarray:
         """Drop the rows before row ``keep`` and return the view into which
         the next ``n_new`` rows of the level go, shaped like ``like``."""
         kept = self.first + self.count - keep
         old = self.buf
-        if old is None or old.shape[2] < kept + n_new:
-            self.buf = np.empty(like.shape[:2] + (kept + n_new,) + like.shape[3:], like.dtype)
+        if old is None or old.shape[1] < kept + n_new:
+            self.buf = np.empty(like.shape[:1] + (kept + n_new,) + like.shape[2:], like.dtype)
         if kept:
-            self.buf[:, :, :kept] = old[:, :, keep - self.first : self.count]
+            self.buf[:, :kept] = old[:, keep - self.first : self.count]
         self.first, self.count = keep, kept + n_new
-        return self.buf[:, :, kept : self.count]
+        return self.buf[:, kept : self.count]
 
 
 def _halo(block: LightConvParams) -> int:
@@ -65,7 +65,7 @@ def decode_heads(
 ) -> RatfPair:
     """Two independent stacks of 2D blocks estimating speech/noise RATFs.
 
-    z_out (B, C, F, T) gives RATFs (B, F, T). The blocks run over ``tiles``,
+    z_out (C, F, T) gives RATFs (F, T). The blocks run over ``tiles``,
     ascending (lo, hi) frequency rows that end at F (default: one tile of
     every row), so each block's output exists only a few rows at a time. A
     2-D block reads k_f // 2 rows on either side of each output row, so at
@@ -76,20 +76,20 @@ def decode_heads(
     twice. Each head runs its own schedule and only reads z_out, so the heads
     run as independent units on the worker pool (``workers.map``).
     """
-    if z_out.ndim != 4:
-        raise ShapeMismatch(f"expected (B, C, F, T), got {z_out.shape}")
+    if z_out.ndim != 3:
+        raise ShapeMismatch(f"expected (C, F, T), got {z_out.shape}")
     if tiles is None:
-        tiles = [(0, z_out.shape[2])]
+        tiles = [(0, z_out.shape[1])]
     heads = [(p.head_s, p.head_s_proj), (p.head_n, p.head_n_proj)]
     w_s, w_n = workers.map(lambda head: _decode_head(z_out, *head, tiles), heads)
     return RatfPair(w_s=w_s, w_n=w_n)
 
 
 def _decode_head(z_out, blocks, proj, tiles) -> np.ndarray:
-    """One head's RATF (B, F, T), its blocks run on the lagged schedule."""
-    f, t = z_out.shape[2:]
+    """One head's RATF (F, T), its blocks run on the lagged schedule."""
+    f, t = z_out.shape[1:]
     n = len(blocks)
-    ratf = np.empty((z_out.shape[0], f, t), np.result_type(z_out.dtype, proj.weight.dtype))
+    ratf = np.empty((f, t), np.result_type(z_out.dtype, proj.weight.dtype))
     levels = [_Window() for _ in range(n - 1)]  # level l is the output of block l
     made = [0] * (n + 1)            # rows made so far at each level; level 0 is z_out
     for _, hi in tiles:
@@ -98,7 +98,7 @@ def _decode_head(z_out, blocks, proj, tiles) -> np.ndarray:
         for block in blocks:
             stops.append(f if stops[-1] == f else max(0, stops[-1] - _halo(block)))
         src, first = z_out, 0
-        x = z_out[:, :, made[0] : hi]
+        x = z_out[:, made[0] : hi]
         for l, block in enumerate(blocks):
             a, b = made[l + 1], stops[l + 1]
             out = None
@@ -111,8 +111,8 @@ def _decode_head(z_out, blocks, proj, tiles) -> np.ndarray:
                 src, first = levels[l].rows, levels[l].first
         # rows ahead of channels, so that at T = 1 the projection's dot reads
         # a unit-stride x in any tile (BLAS sums that in its own order)
-        x = np.ascontiguousarray(x.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)
-        ratf[:, made[n] : stops[n]] = clinear(x, proj)[:, 0]
+        x = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
+        ratf[made[n] : stops[n]] = clinear(x, proj)[0]
         made = stops
     return ratf
 
@@ -127,13 +127,9 @@ def ratf_solve(y: Spectrogram, r: RatfPair, eps: float = 1e-8) -> Spectrogram:
     """
     w_s = np.asarray(r.w_s)
     w_n = np.asarray(r.w_n)
-    if w_s.ndim == 3:
-        if w_s.shape[0] != 1:
-            raise ShapeMismatch("ratf_solve operates on a single utterance")
-        w_s, w_n = w_s[0], w_n[0]
-    if w_s.shape != y.bins.shape[1:]:
+    if not w_s.shape == w_n.shape == y.bins.shape[1:]:
         raise ShapeMismatch(
-            f"RATF shape {w_s.shape} inconsistent with spectrogram {y.bins.shape}"
+            f"RATF shapes {w_s.shape}, {w_n.shape} inconsistent with spectrogram {y.bins.shape}"
         )
     y_l, y_r = y.bins[0], y.bins[1]
     diff = w_s - w_n
@@ -146,18 +142,18 @@ def ratf_solve(y: Spectrogram, r: RatfPair, eps: float = 1e-8) -> Spectrogram:
 def refinement_gate(z_out: np.ndarray, p: DecoderParams) -> np.ndarray:
     """Per-frequency confidence gate g = sigmoid(conv1x1(avgpool_T |Z|)).
 
-    Returns (B, F) values in (0, 1); depends on the input only through its
-    time-averaged channel magnitudes.
+    z_out (C, F, T) gives (F,) values in (0, 1); depends on the input only
+    through its time-averaged channel magnitudes.
     """
-    if z_out.ndim != 4:
-        raise ShapeMismatch(f"expected (B, C, F, T), got {z_out.shape}")
-    if p.drg_weight.shape[0] != z_out.shape[1]:
+    if z_out.ndim != 3:
+        raise ShapeMismatch(f"expected (C, F, T), got {z_out.shape}")
+    if p.drg_weight.shape[0] != z_out.shape[0]:
         raise ShapeMismatch(
-            f"gate conv expects {p.drg_weight.shape[0]} channels, got {z_out.shape[1]}"
+            f"gate conv expects {p.drg_weight.shape[0]} channels, got {z_out.shape[0]}"
         )
-    # (B, F, C), F ahead of C as in the modulator's gates
-    pooled = np.ascontiguousarray(np.mean(np.abs(z_out), axis=-1).transpose(0, 2, 1))
-    pre = np.einsum("bfc,c->bf", pooled, p.drg_weight) + float(p.drg_bias)
+    # (F, C), F ahead of C as in the modulator's gates
+    pooled = np.ascontiguousarray(np.mean(np.abs(z_out), axis=-1).T)
+    pre = np.einsum("fc,c->f", pooled, p.drg_weight) + float(p.drg_bias)
     return 1.0 / (1.0 + np.exp(-pre))
 
 
@@ -175,8 +171,6 @@ def blend(s_hat: Spectrogram, y: Spectrogram, g: np.ndarray) -> Spectrogram:
     if s_hat.bins.shape != y.bins.shape:
         raise ShapeMismatch(f"spectrograms differ: {s_hat.bins.shape} vs {y.bins.shape}")
     g = np.asarray(g)
-    if g.ndim == 2 and g.shape[0] == 1:
-        g = g[0]
     f = y.bins.shape[1]
     if g.shape != (f,):
         raise ShapeMismatch(f"gate shape {g.shape} does not match F={f}")

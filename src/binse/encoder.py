@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import workers
-from .complex_ops import CSEParams, LightConvParams, cse, lightconv
+from .complex_ops import CSEParams, LightConvParams, cse_excitation, lightconv
 from .errors import ShapeMismatch
 
 
@@ -27,13 +27,14 @@ class EncoderParams:
 
 
 def encode_stft(bins: np.ndarray, p: EncoderParams) -> np.ndarray:
-    """Encode the STFT stream: bins (2, rows, T) -> (1, C, rows, T).
+    """Encode the STFT stream: bins (2, rows, T) -> (C, rows, T), the ears
+    entering as the two channels.
 
     The blocks are 1-D in time, so any rows of the spectrogram encode alone.
     """
     if bins.ndim != 3 or bins.shape[0] != 2:
         raise ShapeMismatch(f"expected STFT bins (2, rows, T), got {bins.shape}")
-    x = bins[np.newaxis, :, :, :]         # ears as channels, batch of 1
+    x = bins
     for block in p.stft_blocks:
         x = lightconv(x, block)
     return x
@@ -42,13 +43,13 @@ def encode_stft(bins: np.ndarray, p: EncoderParams) -> np.ndarray:
 def encode_gamma(
     g: np.ndarray, p: EncoderParams, tiles: list[tuple[int, int]] | None = None
 ) -> np.ndarray:
-    """Encode gammatone frames (2, n_gamma, T) -> (1, C, F, T).
+    """Encode gammatone frames (2, n_gamma, T) -> (C, F, T).
 
     The blocks run on the gammatone feature axis, each band alone, so both
     blocks run per tile of ``tiles``, (lo, hi) bands (default: one tile of
     every band), as independent units on the worker pool (``workers.map``),
     each writing its bands into the first n_gamma rows of one
-    (1, C, max(F, n_gamma), T) buffer. A fixed real linear map then projects
+    (C, max(F, n_gamma), T) buffer. A fixed real linear map then projects
     that axis onto the F STFT bins so the attention map is
     per-(channel, frequency, time). It runs on the calling thread, one
     channel at a time, each channel's projection overwriting its bands, so
@@ -64,27 +65,27 @@ def encode_gamma(
         )
     blocks = p.gamma_blocks
     c = blocks[-1].pointwise.weight.shape[0]
-    buf = np.empty((1, c, max(f, n_gamma), g.shape[2]), np.result_type(
+    buf = np.empty((c, max(f, n_gamma), g.shape[2]), np.result_type(
         g.dtype, *(a.dtype for b in blocks for a in (b.depthwise, b.pointwise.weight))))
-    x = buf[:, :, :n_gamma]
+    x = buf[:, :n_gamma]
 
     def encode_bands(tile):
         lo, hi = tile
-        band = g[np.newaxis, :, lo:hi]
+        band = g[:, lo:hi]
         for block in blocks:
             band = lightconv(band, block)
-        x[:, :, lo:hi] = band
+        x[:, lo:hi] = band
 
     workers.map(encode_bands, tiles or [(0, n_gamma)])
     # the real map acts on re and im alike: a real matmul on the float view,
     # whose trailing axis interleaves (re, im) over T. Each channel's product
-    # is the one a stacked (F, G) @ (B, C, G, 2T) matmul makes for it, bit
-    # for bit; chunking it along T would not be
+    # is the one a stacked (F, G) @ (C, G, 2T) matmul makes for it, bit for
+    # bit; chunking it along T would not be
     real = x.real.dtype
     proj = p.gamma_proj.astype(real, copy=False)
     for ch in range(c):
-        buf[0, ch, :f] = np.matmul(proj, x[0, ch].view(real)).view(x.dtype)
-    return buf[:, :, :f]
+        buf[ch, :f] = np.matmul(proj, x[ch].view(real)).view(x.dtype)
+    return buf[:, :f]
 
 
 def fuse(
@@ -101,21 +102,21 @@ def fuse(
     scale sigmoid(bias). ``out``, if given, receives the result; it may be
     z_gamma itself, as the whole gate is read before the product is written.
     """
-    c = z_stft.shape[1]
+    c = z_stft.shape[0]
     if p.fusion_weight.shape != (c, c):
         raise ShapeMismatch(
             f"fusion conv expects ({c}, {c}) weights, got {p.fusion_weight.shape}"
         )
     if z_gamma is None:
         a = 1.0 / (1.0 + np.exp(-p.fusion_bias))
-        return np.multiply(z_stft, a[None, :, None, None], out=out)
+        return np.multiply(z_stft, a[:, None, None], out=out)
     if z_gamma.shape != z_stft.shape:
         raise ShapeMismatch(
             f"stream shapes differ after projection: {z_stft.shape} vs {z_gamma.shape}"
         )
     mag = np.abs(z_gamma)
     w = p.fusion_weight.astype(mag.dtype, copy=False)
-    pre = np.matmul(w, mag.transpose(0, 2, 1, 3)).transpose(0, 2, 1, 3)    # one per row
+    pre = np.matmul(w, mag.transpose(1, 0, 2)).transpose(1, 0, 2)    # one per row
     pre += p.fusion_bias[:, np.newaxis, np.newaxis]
     np.negative(pre, out=pre)
     np.exp(pre, out=pre)
@@ -127,9 +128,20 @@ def fuse(
 def recalibrate(
     z_attended: np.ndarray, p: EncoderParams, excitation: np.ndarray | None = None
 ) -> np.ndarray:
-    """Channel recalibration through the complex squeeze-and-excitation block.
+    """Channel recalibration by complex squeeze-and-excitation: a real,
+    positive, phase-preserving scale per channel of z_attended (C, F, T).
 
-    ``excitation`` is passed when z_attended is a tile of frequency rows
-    of the tensor the squeeze ran over (see ``complex_ops.cse``).
+    The squeeze is the mean magnitude over (frequency, time) per channel,
+    and ``complex_ops.cse_excitation`` turns it into the scale. A caller
+    that scales a tensor a tile of frequency rows at a time passes the
+    ``excitation`` (C,) of the whole tensor, so each tile is scaled alike.
+    The result keeps z_attended's dtype.
     """
-    return cse(z_attended, p.se, excitation)
+    if z_attended.ndim != 3:
+        raise ShapeMismatch(f"recalibrate expects (C, F, T), got {z_attended.shape}")
+    c = z_attended.shape[0]
+    if p.se.reduce.shape[1] != c:
+        raise ShapeMismatch(f"SE reduce expects {p.se.reduce.shape[1]} channels, input has {c}")
+    if excitation is None:
+        excitation = cse_excitation(np.mean(np.abs(z_attended), axis=(1, 2)), p.se)
+    return np.multiply(z_attended, excitation[:, None, None], out=np.empty_like(z_attended))

@@ -53,14 +53,14 @@ def fourier_basis(n_frames: int, n_basis: int) -> np.ndarray:
 
 
 def _gates_all_freqs(z: np.ndarray, basis: np.ndarray, p: ModulatorParams) -> np.ndarray:
-    """Vectorized gate synthesis over all frequencies: (B, C, F, T) -> (B, F, T)."""
+    """Vectorized gate synthesis over all frequencies: (C, F, T) -> (F, T)."""
     slope = float(p.mlp_prelu_slope)
-    # (B, F, C): F ahead of C, so that einsum sums a row in one order for any F
-    c = np.ascontiguousarray(np.mean(np.abs(z), axis=-1).transpose(0, 2, 1))
-    h = np.einsum("bfc,hc->bfh", c, p.mlp_w1) + p.mlp_b1
+    # (F, C): F ahead of C, so that einsum sums a row in one order for any F
+    c = np.ascontiguousarray(np.mean(np.abs(z), axis=-1).T)
+    h = np.einsum("fc,hc->fh", c, p.mlp_w1) + p.mlp_b1
     h = np.where(h >= 0, h, slope * h)
-    a = np.einsum("bfh,kh->bfk", h, p.mlp_w2) + p.mlp_b2
-    pre = np.einsum("tk,bfk->bft", basis, a)
+    a = np.einsum("fh,kh->fk", h, p.mlp_w2) + p.mlp_b2
+    pre = np.einsum("tk,fk->ft", basis, a)
     return 1.0 / (1.0 + np.exp(-float(p.tau) * pre))
 
 
@@ -69,17 +69,18 @@ def modulator_block(
     p: ModulatorParams,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Residual modulator update applied to every frequency independently.
+    """Residual modulator update of z (C, F, T), applied to every frequency
+    independently.
 
     Per frequency f: out_f = CLN(z_f + CLinear(z_f * gate_f)). ``out``, if
     given, receives the result; it must not overlap z.
     """
-    if z.ndim != 4:
-        raise ShapeMismatch(f"expected (B, C, F, T) input, got shape {z.shape}")
+    if z.ndim != 3:
+        raise ShapeMismatch(f"expected (C, F, T) input, got shape {z.shape}")
     basis = fourier_basis(z.shape[-1], p.mlp_w2.shape[0])
-    gates = _gates_all_freqs(z, basis, p)         # (B, F, T)
+    gates = _gates_all_freqs(z, basis, p)         # (F, T)
     gates = gates.astype(z.real.dtype, copy=False)  # keep z's precision
-    modulated = z * gates[:, None, :, :]
+    modulated = z * gates
     projected = clinear(modulated, p.proj, out=out)
     del modulated
     projected += z

@@ -13,7 +13,7 @@ the SE squeeze, a mean over all rows, and the decoder's 2-D blocks, which
 read k_f // 2 rows on either side.
 
 Pass A. ``encode_gamma`` runs the gammatone blocks over tiles of bands into
-the first n_gammatone rows of one (1, C, max(F, n_gammatone), T) buffer,
+the first n_gammatone rows of one (C, max(F, n_gammatone), T) buffer,
 then projects them onto the F rows channel by channel in the same buffer;
 its first F rows become ``z_att`` (a strided view when n_gammatone > F).
 Per tile of rows, the STFT blocks run, ``fuse`` overwrites the tile's
@@ -29,7 +29,7 @@ each head's blocks over the same tiles, on a lagged schedule that keeps
 only a few rows of each block's output (see there). The closed-form solve
 and the blend run once, on the whole (2, F, T) spectrum, which is small
 next to the network tensors. ``_tiles`` sizes the tiles, about
-``_TILE_BYTES`` of one (1, C, rows, T) tensor, and every stage computes
+``_TILE_BYTES`` of one (C, rows, T) tensor, and every stage computes
 exactly the rows it is handed.
 
 The independent units of the plan run on the worker pool of ``workers``:
@@ -64,6 +64,7 @@ from .audio import Waveform
 from .complex_ops import cse_excitation
 from .config import RunConfig
 from .decoder import (
+    RatfPair,
     blend,
     decode_heads,
     global_gate,
@@ -82,7 +83,7 @@ from .frontend import (
 from .modulator import modulator_block
 from .params import ModelParams
 
-# Bytes of one (1, C, rows, T) tensor per plan tile: a speed constant only,
+# Bytes of one (C, rows, T) tensor per plan tile: a speed constant only,
 # as no output bit depends on the tiling. Smaller tiles measured slower on a
 # 2 MB-L2 Xeon, as per-call costs take over.
 _TILE_BYTES = 4 << 20
@@ -92,7 +93,7 @@ _TILE_BYTES = 4 << 20
 class EnhanceResult:
     wav_out: Waveform
     gate: np.ndarray                  # (F,)
-    ratfs: object                     # RatfPair
+    ratfs: RatfPair                   # (F, T) each
     stages: dict[str, np.ndarray]     # intermediate dumps (optional)
 
 
@@ -130,11 +131,11 @@ def _tiles(f: int, t: int, cfg: RunConfig, dtype) -> list[tuple[int, int]]:
 
 
 def _encode(w, y, tiles, model, cfg, bank, dtype, stages):
-    """Pass A: the whole fused encoding z_att and the SE excitation (1, C)."""
+    """Pass A: the whole fused encoding z_att (C, F, T) and the SE excitation (C,)."""
     enc = model.encoder
     f, t = y.bins.shape[1:]
     if cfg.no_gammatone:
-        z_att = np.empty((1, cfg.channels, f, t), dtype)
+        z_att = np.empty((cfg.channels, f, t), dtype)
     else:
         # z_gamma, which fuse turns into z_att in place, tile by tile
         g = gammatone_frames(w, bank or gammatone_bank(cfg), cfg.analysis).astype(dtype)
@@ -144,19 +145,19 @@ def _encode(w, y, tiles, model, cfg, bank, dtype, stages):
     bins = y.bins.astype(dtype)
     if stages is not None:
         stages["z_stft"] = np.empty_like(z_att)     # each tile writes its own rows
-    row_sums = np.empty((1, cfg.channels, f))      # the SE squeeze's sums, per row
+    row_sums = np.empty((cfg.channels, f))      # the SE squeeze's sums, per row
 
     def encode_tile(tile):
         lo, hi = tile
         z_stft = encode_stft(bins[:, lo:hi], enc)
-        rows = z_att[:, :, lo:hi]
+        rows = z_att[:, lo:hi]
         fuse(z_stft, None if cfg.no_gammatone else rows, enc, out=rows)
         if stages is not None:
-            stages["z_stft"][:, :, lo:hi] = z_stft
-        row_sums[:, :, lo:hi] = np.abs(rows).sum(axis=3)
+            stages["z_stft"][:, lo:hi] = z_stft
+        row_sums[:, lo:hi] = np.abs(rows).sum(axis=2)
 
     workers.map(encode_tile, tiles)
-    excitation = cse_excitation(row_sums.sum(axis=2) / (f * t), enc.se)
+    excitation = cse_excitation(row_sums.sum(axis=1) / (f * t), enc.se)
     if stages is not None:
         stages["z_attended"] = z_att.copy()
         # an elementwise scale, so the same values as pass B's tiles
@@ -181,14 +182,14 @@ def _decode(z_att, excitation, y, tiles, model, cfg, gate_override, stages):
 
     def modulate_tile(tile):
         lo, hi = tile
-        rows = z_att[:, :, lo:hi]
+        rows = z_att[:, lo:hi]
         z = recalibrate(rows, enc, excitation)
         if cfg.no_gafm:
             rows[...] = z
         else:
             modulator_block(z, model.modulator, out=rows)
         if net_gate:
-            g[lo:hi] = refinement_gate(rows, dec)[0]
+            g[lo:hi] = refinement_gate(rows, dec)
 
     workers.map(modulate_tile, tiles)
     z_out = z_att                   # every row of it now overwritten

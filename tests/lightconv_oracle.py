@@ -16,34 +16,34 @@ def depthwise(x, kernel):
         padded = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(pad, pad)])
         t = x.shape[-1]
         out = np.zeros_like(x)
-        kshape = (1, x.shape[1]) + (1,) * (x.ndim - 2)
+        kshape = (x.shape[0],) + (1,) * (x.ndim - 1)
         for j in range(k):
             out += kernel[:, j].reshape(kshape) * padded[..., j : j + t]
         return out
     kf, kt = kernel.shape[1:]
     pf, pt = kf // 2, kt // 2
-    padded = np.pad(x, [(0, 0), (0, 0), (pf, pf), (pt, pt)])
-    f, t = x.shape[2], x.shape[3]
+    padded = np.pad(x, [(0, 0), (pf, pf), (pt, pt)])
+    f, t = x.shape[1], x.shape[2]
     out = np.zeros_like(x)
     for jf in range(kf):
         for jt in range(kt):
-            out += kernel[:, jf, jt][None, :, None, None] * padded[:, :, jf : jf + f, jt : jt + t]
+            out += kernel[:, jf, jt][:, None, None] * padded[:, jf : jf + f, jt : jt + t]
     return out
 
 
 def clinear(x, p):
     dtype = np.result_type(x.dtype, p.weight.dtype)
-    flat = x.astype(dtype).reshape(x.shape[0], x.shape[1], -1)
-    y = np.matmul(p.weight.astype(dtype), flat).reshape(x.shape[0], -1, *x.shape[2:])
-    return y + p.bias.reshape((1, -1) + (1,) * (x.ndim - 2))
+    flat = x.astype(dtype).reshape(x.shape[0], -1)
+    y = np.matmul(p.weight.astype(dtype), flat).reshape(-1, *x.shape[1:])
+    return y + p.bias.reshape((-1,) + (1,) * (x.ndim - 1))
 
 
 def cln(x, p):
-    mu = np.mean(x, axis=1, keepdims=True)
+    mu = np.mean(x, axis=0, keepdims=True)
     centered = x - mu
-    var = np.mean(np.abs(centered) ** 2, axis=1, keepdims=True)
+    var = np.mean(np.abs(centered) ** 2, axis=0, keepdims=True)
     normed = centered / np.sqrt(var + p.eps)
-    shape = (1, -1) + (1,) * (x.ndim - 2)
+    shape = (-1,) + (1,) * (x.ndim - 1)
     return normed * p.gamma.reshape(shape) + p.beta.reshape(shape)
 
 
@@ -58,6 +58,6 @@ def lightconv(x, p):
     y = clinear(y, p.pointwise)
     y = cln(y, p.norm)
     y = cprelu(y, p.prelu_slope)
-    if y.shape[1] == x.shape[1]:
+    if y.shape[0] == x.shape[0]:
         y = y + x
     return y

@@ -40,13 +40,13 @@ def make_spec(rng, f=F, t=T):
 class TestDecodeHeads:
     def test_output_shapes(self, rng):
         p = make_decoder(rng)
-        r = decode_heads(rand_complex(rng, (1, C, F, T)), p)
-        assert r.w_s.shape == (1, F, T)
-        assert r.w_n.shape == (1, F, T)
+        r = decode_heads(rand_complex(rng, (C, F, T)), p)
+        assert r.w_s.shape == (F, T)
+        assert r.w_n.shape == (F, T)
 
     def test_heads_are_independent(self, rng):
         p = make_decoder(rng)
-        z = rand_complex(rng, (1, C, F, T))
+        z = rand_complex(rng, (C, F, T))
         r1 = decode_heads(z, p)
         p.head_n_proj = make_clinear(rng, 1, C, 0.9)
         r2 = decode_heads(z, p)
@@ -59,13 +59,14 @@ class TestDecodeHeads:
         p.head_s_proj = CLinearParams(
             np.zeros((1, C), dtype=complex), np.array([bias])
         )
-        r = decode_heads(rand_complex(rng, (1, C, F, T)), p)
+        r = decode_heads(rand_complex(rng, (C, F, T)), p)
         np.testing.assert_allclose(r.w_s, bias, rtol=1e-12)
 
     def test_wrong_rank_raises(self, rng):
         p = make_decoder(rng)
-        with pytest.raises(ShapeMismatch):
-            decode_heads(rand_complex(rng, (C, F, T)), p)
+        for shape in [(1, C, F, T), (C, F)]:
+            with pytest.raises(ShapeMismatch):
+                decode_heads(rand_complex(rng, shape), p)
 
 
 class TestStreamedHeads:
@@ -81,7 +82,7 @@ class TestStreamedHeads:
         p = make_decoder(rng)
         p.head_s = [make_lightconv(rng, C, C, kernel) for _ in range(n_blocks)]
         p.head_n = [make_lightconv(rng, C, C, kernel) for _ in range(n_blocks)]
-        z = rand_complex(rng, (1, C, F, T))
+        z = rand_complex(rng, (C, F, T))
         whole = decode_heads(z, p)
         ends = np.cumsum(bands).tolist()
         tiles = list(zip([0] + ends[:-1], ends))
@@ -135,11 +136,17 @@ class TestRatfSolve:
         assert np.all(np.isfinite(est.bins))
         np.testing.assert_allclose(est.bins[1], 0.0, atol=1e-3)
 
-    def test_accepts_batched_ratfs(self, rng):
+    def test_rejects_batched_ratfs(self, rng):
         y = make_spec(rng)
         r = RatfPair(w_s=rand_complex(rng, (1, F, T)), w_n=rand_complex(rng, (1, F, T)))
-        est = ratf_solve(y, r)
-        assert est.bins.shape == (2, F, T)
+        with pytest.raises(ShapeMismatch):
+            ratf_solve(y, r)
+
+    def test_rejects_ratfs_of_different_shapes(self, rng):
+        y = make_spec(rng)
+        r = RatfPair(w_s=rand_complex(rng, (F, T)), w_n=rand_complex(rng, (1, F, T)))
+        with pytest.raises(ShapeMismatch):
+            ratf_solve(y, r)
 
     def test_shape_mismatch_raises(self, rng):
         y = make_spec(rng)
@@ -151,21 +158,22 @@ class TestRatfSolve:
 class TestRefinementGate:
     def test_shape_and_range(self, rng):
         p = make_decoder(rng)
-        g = refinement_gate(rand_complex(rng, (1, C, F, T)), p)
-        assert g.shape == (1, F)
+        g = refinement_gate(rand_complex(rng, (C, F, T)), p)
+        assert g.shape == (F,)
         assert np.all(g > 0) and np.all(g < 1)
 
     def test_matches_pooled_sigmoid_oracle(self, rng):
         p = make_decoder(rng)
-        z = rand_complex(rng, (2, C, F, T))
-        g = refinement_gate(z, p)
-        pooled = np.mean(np.abs(z), axis=-1)
-        pre = np.tensordot(p.drg_weight, pooled, axes=([0], [1])) + float(p.drg_bias)
-        np.testing.assert_allclose(g, 1.0 / (1.0 + np.exp(-pre)), rtol=1e-12)
+        for _ in range(2):
+            z = rand_complex(rng, (C, F, T))
+            g = refinement_gate(z, p)
+            pooled = np.mean(np.abs(z), axis=-1)
+            pre = np.tensordot(p.drg_weight, pooled, axes=([0], [0])) + float(p.drg_bias)
+            np.testing.assert_allclose(g, 1.0 / (1.0 + np.exp(-pre)), rtol=1e-12)
 
     def test_invariant_to_frame_permutation_and_phase(self, rng):
         p = make_decoder(rng)
-        z = rand_complex(rng, (1, C, F, T))
+        z = rand_complex(rng, (C, F, T))
         perm = rng.permutation(T)
         np.testing.assert_allclose(
             refinement_gate(z, p),
@@ -176,7 +184,12 @@ class TestRefinementGate:
     def test_channel_mismatch_raises(self, rng):
         p = make_decoder(rng)
         with pytest.raises(ShapeMismatch):
-            refinement_gate(rand_complex(rng, (1, C + 1, F, T)), p)
+            refinement_gate(rand_complex(rng, (C + 1, F, T)), p)
+
+    def test_rejects_a_four_axis_input(self, rng):
+        p = make_decoder(rng)
+        with pytest.raises(ShapeMismatch):
+            refinement_gate(rand_complex(rng, (1, C, F, T)), p)
 
     def test_global_gate_is_input_independent_sigmoid(self, rng):
         p = make_decoder(rng)
@@ -214,10 +227,10 @@ class TestBlend:
         implied = (out.bins - y.bins) / (s.bins - y.bins)
         np.testing.assert_allclose(implied[0], implied[1], rtol=1e-9)
 
-    def test_accepts_leading_batch_axis_of_one(self, rng):
+    def test_rejects_a_leading_batch_axis(self, rng):
         s, y = make_spec(rng), make_spec(rng)
-        g = rng.random((1, F))
-        np.testing.assert_array_equal(blend(s, y, g).bins, blend(s, y, g[0]).bins)
+        with pytest.raises(ShapeMismatch):
+            blend(s, y, rng.random((1, F)))
 
     def test_gate_length_mismatch_raises(self, rng):
         s, y = make_spec(rng), make_spec(rng)

@@ -1,14 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from binse.complex_ops import (
     CLayerNormParams,
     CLinearParams,
+    CSEParams,
     LightConvParams,
-    clinear,
-    cln,
-    cprelu,
-    cse,
+    cse_excitation,
 )
 from binse.encoder import EncoderParams, encode_gamma, encode_stft, fuse, recalibrate
 from binse.errors import ShapeMismatch
@@ -36,11 +36,11 @@ def project_complex(x, p):
 
 def fuse_whole(z_stft, z_gamma, p):
     """Oracle: the fusion gate computed over the whole utterance at once."""
-    c = z_stft.shape[1]
+    c = z_stft.shape[0]
     mag = np.abs(z_gamma)
     w = p.fusion_weight.astype(mag.dtype, copy=False)
-    pre = np.matmul(w, mag.reshape(mag.shape[0], c, -1)).reshape(mag.shape)
-    pre = pre + p.fusion_bias[None, :, None, None]
+    pre = np.matmul(w, mag.reshape(c, -1)).reshape(mag.shape)
+    pre = pre + p.fusion_bias[:, None, None]
     return z_stft * (1.0 / (1.0 + np.exp(-pre)))
 
 
@@ -79,8 +79,8 @@ class TestEncodeStft:
     def test_output_shape(self, rng):
         p = make_encoder(rng)
         z = encode_stft(make_bins(rng), p)
-        assert z.shape == (1, C, F, T)
-        assert encode_stft(make_bins(rng)[:, 2:5], p).shape == (1, C, 3, T)
+        assert z.shape == (C, F, T)
+        assert encode_stft(make_bins(rng)[:, 2:5], p).shape == (C, 3, T)
 
     def test_matches_sequential_block_application(self, rng):
         from binse.complex_ops import lightconv
@@ -88,7 +88,7 @@ class TestEncodeStft:
         p = make_encoder(rng)
         bins = make_bins(rng)
         z = encode_stft(bins, p)
-        x = bins[None]
+        x = bins
         for block in p.stft_blocks:
             x = lightconv(x, block)
         np.testing.assert_array_equal(z, x)
@@ -102,8 +102,8 @@ class TestEncodeStft:
         z2 = encode_stft(bins, p)
         keep = np.ones(F, dtype=bool)
         keep[3] = False
-        np.testing.assert_array_equal(z[:, :, keep], z2[:, :, keep])
-        assert np.any(z[:, :, 3] != z2[:, :, 3])
+        np.testing.assert_array_equal(z[:, keep], z2[:, keep])
+        assert np.any(z[:, 3] != z2[:, 3])
 
 
 class TestEncodeGamma:
@@ -111,17 +111,17 @@ class TestEncodeGamma:
         p = make_encoder(rng)
         g = rand_complex(rng, (2, G, T)).real + 0j
         z = encode_gamma(g, p)
-        assert z.shape == (1, C, F, T)
+        assert z.shape == (C, F, T)
 
     def test_projection_matches_einsum_oracle(self, rng):
         from binse.complex_ops import lightconv
 
         p = make_encoder(rng)
         g = rand_complex(rng, (2, G, T))
-        x = g[None]
+        x = g
         for block in p.gamma_blocks:
             x = lightconv(x, block)
-        oracle = np.einsum("fg,bcgt->bcft", p.gamma_proj, x)
+        oracle = np.einsum("fg,cgt->cft", p.gamma_proj, x)
         np.testing.assert_allclose(encode_gamma(g, p), oracle, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
@@ -132,7 +132,7 @@ class TestEncodeGamma:
         if dtype == np.complex64:
             p = single_precision(p)
         g = rand_complex(rng, (2, 12, 50)).astype(dtype)
-        x = g[None]
+        x = g
         for block in p.gamma_blocks:
             x = lightconv(x, block)
         assert_rel_close(encode_gamma(g, p), project_complex(x, p), 1e-6)
@@ -143,11 +143,11 @@ class TestEncodeGamma:
 
         p = make_encoder(rng)
         g = rand_complex(rng, (2, G, T))
-        x = g[None]
+        x = g
         for block in p.gamma_blocks:
             x = lightconv(x, block)
         z = encode_gamma(g, p, [(lo, min(lo + step, G)) for lo in range(0, G, step)])
-        oracle = np.einsum("fg,bcgt->bcft", p.gamma_proj, x)
+        oracle = np.einsum("fg,cgt->cft", p.gamma_proj, x)
         np.testing.assert_allclose(z, oracle, rtol=1e-10, atol=1e-12)
         np.testing.assert_array_equal(z, encode_gamma(g, p))     # one tile of every band
 
@@ -157,21 +157,21 @@ class TestEncodeGamma:
     @pytest.mark.parametrize("step", [1, 4, None])          # bands per tile: one, several, all
     def test_projection_in_place_equals_the_stacked_product(self, rng, dtype, f, g, t, step):
         """The per-channel projection written over the bands gives, bit for
-        bit, the stacked (F, G) @ (B, C, G, 2T) product of the blocks' output."""
+        bit, the stacked (F, G) @ (C, G, 2T) product of the blocks' output."""
         from binse.complex_ops import lightconv
 
         p = make_encoder(rng, f=f, g=g)
         if dtype == np.complex64:
             p = single_precision(p)
         frames = rand_complex(rng, (2, g, t)).astype(dtype)
-        x = frames[None]
+        x = frames
         for block in p.gamma_blocks:
             x = lightconv(x, block)
         real = x.real.dtype
         oracle = np.matmul(p.gamma_proj.astype(real), x.view(real)).view(x.dtype)
         step = step or g
         z = encode_gamma(frames, p, [(lo, min(lo + step, g)) for lo in range(0, g, step)])
-        assert z.dtype == dtype and z.shape == (1, C, f, t)
+        assert z.dtype == dtype and z.shape == (C, f, t)
         np.testing.assert_array_equal(z, oracle)
 
     def test_rejects_wrong_rank_or_ear_count(self, rng):
@@ -190,8 +190,8 @@ class TestEncodeGamma:
 class TestFuse:
     def test_gate_in_unit_interval_and_phase_transparent(self, rng):
         p = make_encoder(rng)
-        z_s = rand_complex(rng, (1, C, F, T))
-        z_g = rand_complex(rng, (1, C, F, T))
+        z_s = rand_complex(rng, (C, F, T))
+        z_g = rand_complex(rng, (C, F, T))
         out = fuse(z_s, z_g, p)
         ratio = out / z_s
         assert np.all(ratio.real > 0) and np.all(ratio.real < 1)
@@ -199,14 +199,14 @@ class TestFuse:
 
     def test_matches_per_position_sigmoid_oracle(self, rng):
         p = make_encoder(rng)
-        z_s = rand_complex(rng, (1, C, F, T))
-        z_g = rand_complex(rng, (1, C, F, T))
+        z_s = rand_complex(rng, (C, F, T))
+        z_g = rand_complex(rng, (C, F, T))
         out = fuse(z_s, z_g, p)
         oracle = np.empty_like(out)
         for fi in range(F):
             for ti in range(T):
-                pre = p.fusion_weight @ np.abs(z_g[0, :, fi, ti]) + p.fusion_bias
-                oracle[0, :, fi, ti] = z_s[0, :, fi, ti] / (1.0 + np.exp(-pre))
+                pre = p.fusion_weight @ np.abs(z_g[:, fi, ti]) + p.fusion_bias
+                oracle[:, fi, ti] = z_s[:, fi, ti] / (1.0 + np.exp(-pre))
         np.testing.assert_allclose(out, oracle, rtol=1e-9, atol=1e-11)
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
@@ -215,20 +215,20 @@ class TestFuse:
         p = make_encoder(rng, c=8)
         if dtype == np.complex64:
             p = single_precision(p)
-        z_s = rand_complex(rng, (1, 8, 17, 40)).astype(dtype)
-        z_g = rand_complex(rng, (1, 8, 17, 40)).astype(dtype)
+        z_s = rand_complex(rng, (8, 17, 40)).astype(dtype)
+        z_g = rand_complex(rng, (8, 17, 40)).astype(dtype)
         expected = fuse_whole(z_s, z_g, p)
         # fused in place a tile of rows at a time, as the pipeline does
         step = max(1, tile_bytes // (8 * 40 * z_g.itemsize))
         for lo in range(0, 17, step):
-            rows = z_g[:, :, lo : lo + step]
-            fuse(z_s[:, :, lo : lo + step], rows, p, out=rows)
+            rows = z_g[:, lo : lo + step]
+            fuse(z_s[:, lo : lo + step], rows, p, out=rows)
         assert_rel_close(z_g, expected, 1e-6)
 
     def test_fuses_in_place_over_the_gammatone_stream(self, rng):
         p = make_encoder(rng)
-        z_s = rand_complex(rng, (1, C, F, T))
-        z_g = rand_complex(rng, (1, C, F, T))
+        z_s = rand_complex(rng, (C, F, T))
+        z_g = rand_complex(rng, (C, F, T))
         expected = fuse(z_s, z_g, p)
         out = fuse(z_s, z_g, p, out=z_g)
         assert out is z_g
@@ -236,8 +236,8 @@ class TestFuse:
 
     def test_gate_depends_only_on_magnitudes(self, rng):
         p = make_encoder(rng)
-        z_s = rand_complex(rng, (1, C, F, T))
-        z_g = rand_complex(rng, (1, C, F, T))
+        z_s = rand_complex(rng, (C, F, T))
+        z_g = rand_complex(rng, (C, F, T))
         rotated = z_g * np.exp(1j * 0.7)
         np.testing.assert_allclose(
             fuse(z_s, z_g, p), fuse(z_s, rotated, p), rtol=1e-9, atol=1e-11
@@ -245,19 +245,68 @@ class TestFuse:
 
     def test_no_gammatone_collapses_to_per_channel_constant(self, rng):
         p = make_encoder(rng)
-        z_s = rand_complex(rng, (1, C, F, T))
+        z_s = rand_complex(rng, (C, F, T))
         out = fuse(z_s, None, p)
-        expected = z_s / (1.0 + np.exp(-p.fusion_bias))[None, :, None, None]
+        expected = z_s / (1.0 + np.exp(-p.fusion_bias))[:, None, None]
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
     def test_shape_mismatch_between_streams_raises(self, rng):
         p = make_encoder(rng)
         with pytest.raises(ShapeMismatch):
-            fuse(rand_complex(rng, (1, C, F, T)), rand_complex(rng, (1, C, F, T + 1)), p)
+            fuse(rand_complex(rng, (C, F, T)), rand_complex(rng, (C, F, T + 1)), p)
+
+
+def with_se(rng, se):
+    """A four-channel encoder whose squeeze-and-excitation weights are se."""
+    return replace(make_encoder(rng, c=4), se=se)
 
 
 class TestRecalibrate:
-    def test_is_the_se_block(self, rng):
+    def test_scales_by_the_excitation_of_its_own_squeeze(self, rng):
         p = make_encoder(rng)
-        z = rand_complex(rng, (1, C, F, T))
-        np.testing.assert_array_equal(recalibrate(z, p), cse(z, p.se))
+        z = rand_complex(rng, (C, F, T))
+        e = cse_excitation(np.mean(np.abs(z), axis=(1, 2)), p.se)
+        np.testing.assert_array_equal(recalibrate(z, p), z * e[:, None, None])
+
+    def test_zero_weights_halve_the_input(self, rng):
+        x = rand_complex(rng, (4, 3, 5))
+        p = with_se(rng, CSEParams(reduce=np.zeros((2, 4)), expand=np.zeros((4, 2))))
+        np.testing.assert_allclose(recalibrate(x, p), 0.5 * x, rtol=1e-12)
+
+    def test_phase_preserving(self, rng):
+        x = rand_complex(rng, (4, 6, 7))
+        p = with_se(rng, make_cse(rng, 4))
+        y = recalibrate(x, p)
+        dphase = np.angle(y * np.conj(x))
+        assert np.max(np.abs(dphase[np.abs(x) > 0])) < 1e-7
+
+    def test_depends_only_on_channel_mean_magnitudes(self, rng):
+        x = rand_complex(rng, (4, 6, 7))
+        p = with_se(rng, make_cse(rng, 4))
+        gain = (recalibrate(x, p) / x)[:, 0, 0].real
+        perm_f = rng.permutation(6)
+        perm_t = rng.permutation(7)
+        xp = x[:, perm_f][:, :, perm_t]
+        gain_p = (recalibrate(xp, p) / xp)[:, 0, 0].real
+        np.testing.assert_allclose(gain, gain_p, rtol=1e-10)
+
+    def test_channel_mismatch_raises(self, rng):
+        with pytest.raises(ShapeMismatch):
+            recalibrate(rand_complex(rng, (6, 2, 2)), with_se(rng, make_cse(rng, 4)))
+
+    def test_rejects_a_four_axis_input(self, rng):
+        with pytest.raises(ShapeMismatch):
+            recalibrate(rand_complex(rng, (1, 4, 2, 2)), with_se(rng, make_cse(rng, 4)))
+
+    def test_bands_scaled_by_the_whole_excitation(self, rng):
+        x = rand_complex(rng, (4, 6, 7))
+        p = with_se(rng, make_cse(rng, 4))
+        e = cse_excitation(np.mean(np.abs(x), axis=(1, 2)), p.se)
+        bands = [recalibrate(x[:, lo:hi], p, e) for lo, hi in [(0, 1), (1, 4), (4, 6)]]
+        np.testing.assert_array_equal(np.concatenate(bands, axis=1), recalibrate(x, p))
+
+    def test_keeps_the_input_dtype(self, rng):
+        x = rand_complex(rng, (4, 3, 5)).astype(np.complex64)
+        p = with_se(rng, make_cse(rng, 4))      # float64 weights
+        assert recalibrate(x, p).dtype == np.complex64
+        assert recalibrate(x, p, np.ones(4)).dtype == np.complex64

@@ -169,6 +169,29 @@ class TestStageDumps:
         }
         assert set(res.stages) == expected
 
+    @pytest.mark.parametrize("flag", [None, "no_gammatone", "no_gafm", "global_drg"])
+    def test_stage_shapes(self, flag):
+        """Network stages are (C, F, T) with no batch axis, the RATFs (F, T),
+        the gate (F,), and the spectra (2, F, T), in the dtype they run in."""
+        cfg = small_config(**({flag: True} if flag else {}))
+        model = init_random(cfg, seed=0)
+        w = make_wave(np.random.default_rng(1), 4096)
+        c, f, t = cfg.channels, cfg.analysis.n_freq_bins, (4096 - 256) // 128 + 1
+        for dtype in (np.complex64, np.complex128):
+            res = enhance(w, model, cfg, collect_stages=True, dtype=dtype)
+            shapes = {name: a.shape for name, a in res.stages.items()}
+            network = {"z_stft", "z_attended", "z_backbone", "z_out"}
+            if flag != "no_gammatone":
+                network.add("z_gamma")
+            assert shapes == {**{name: (c, f, t) for name in network},
+                              "ratf_s": (f, t), "ratf_n": (f, t), "gate": (f,),
+                              "noisy_spec": (2, f, t), "s_hat": (2, f, t),
+                              "s_final": (2, f, t)}
+            for name in network | {"ratf_s", "ratf_n"}:
+                assert res.stages[name].dtype == dtype, name
+            assert res.ratfs.w_s.shape == res.ratfs.w_n.shape == (f, t)
+            assert res.gate.shape == (f,)
+
     def test_stages_empty_unless_requested(self, setup, rng):
         cfg, model, bank = setup
         res = enhance(make_wave(rng, 2048), model, cfg, bank=bank)
@@ -198,7 +221,7 @@ class TestStageDumps:
         np.testing.assert_allclose(ratfs.w_n, st["ratf_n"], rtol=1e-6, atol=1e-7)
         s_hat = ratf_solve(y, RatfPair(st["ratf_s"], st["ratf_n"]), eps=cfg.eps_ratf)
         np.testing.assert_allclose(s_hat.bins, st["s_hat"], rtol=1e-5, atol=1e-6)
-        g = refinement_gate(st["z_out"], model.decoder)[0]
+        g = refinement_gate(st["z_out"], model.decoder)
         np.testing.assert_allclose(g, st["gate"], rtol=1e-5, atol=1e-7)
         s_final = blend(Spectrogram(st["s_hat"], cfg.analysis), y, st["gate"])
         np.testing.assert_allclose(s_final.bins, st["s_final"], rtol=1e-6, atol=1e-8)
@@ -294,7 +317,7 @@ def assert_tiling_is_exact(w, model, cfg, bank, tile_bytes, dtype=np.complex64):
 
 
 def tile_budget(cfg, w, rows, dtype=np.complex64):
-    """Bytes of ``rows`` rows of one (1, C, F, T) tensor of w."""
+    """Bytes of ``rows`` rows of one (C, F, T) tensor of w."""
     t = stft(pad_to_frame_grid(w, cfg), cfg.analysis).bins.shape[2]
     return rows * cfg.channels * t * np.dtype(dtype).itemsize
 
@@ -328,20 +351,20 @@ def test_kernels_compute_each_row_alone(case):
     model = seeded_model(case["channels"])
     rng = np.random.default_rng(case["seed"])
     f = case["f"]
-    x, g = (rand_complex(rng, (1, case["channels"], f, case["t"])).astype(case["dtype"])
+    x, g = (rand_complex(rng, (case["channels"], f, case["t"])).astype(case["dtype"])
             for _ in range(2))
     lo, hi = case["rows"]
     enc, dec = model.encoder, model.decoder
     kernels = {
-        "clinear": lambda a, b: clinear(x[:, :, a:b], model.modulator.proj),
-        "fuse": lambda a, b: fuse(x[:, :, a:b], g[:, :, a:b], enc),
-        "lightconv_1d": lambda a, b: lightconv(x[:, :, a:b], enc.stft_blocks[1]),
+        "clinear": lambda a, b: clinear(x[:, a:b], model.modulator.proj),
+        "fuse": lambda a, b: fuse(x[:, a:b], g[:, a:b], enc),
+        "lightconv_1d": lambda a, b: lightconv(x[:, a:b], enc.stft_blocks[1]),
         "lightconv_2d": lambda a, b: lightconv(x, dec.head_s[0], rows=(a, b)),
-        "modulator_block": lambda a, b: modulator_block(x[:, :, a:b], model.modulator),
-        "refinement_gate": lambda a, b: refinement_gate(x[:, :, a:b], dec)[:, None],
+        "modulator_block": lambda a, b: modulator_block(x[:, a:b], model.modulator),
+        "refinement_gate": lambda a, b: refinement_gate(x[:, a:b], dec)[None],
     }
     for name, kernel in kernels.items():
-        np.testing.assert_array_equal(kernel(lo, hi), kernel(0, f)[:, :, lo:hi], err_msg=name)
+        np.testing.assert_array_equal(kernel(lo, hi), kernel(0, f)[:, lo:hi], err_msg=name)
     tiled = decode_heads(x, dec, [(0, lo), (lo, hi), (hi, f)])
     one = decode_heads(x, dec)
     np.testing.assert_array_equal(tiled.w_s, one.w_s)
@@ -395,7 +418,7 @@ class TestTiledPlan:
 
         def counted_modulator(z, p, out=None):
             with lock:
-                counts["modulator"] = counts.get("modulator", 0) + z.shape[2]
+                counts["modulator"] = counts.get("modulator", 0) + z.shape[1]
             return modulate(z, p, out=out)
 
         def counted_lightconv(x, p, rows=None, out=None):
@@ -427,7 +450,7 @@ class TestTiledPlan:
         for tile_bytes in (pipeline._TILE_BYTES, 1):
             res = enhance_in_tiles(w, model, cfg, bank, tile_bytes, collect_stages=True)
             for name in ("z_gamma", "z_stft", "z_attended", "z_backbone", "z_out"):
-                assert res.stages[name].shape == (1, cfg.channels, f, t)
+                assert res.stages[name].shape == (cfg.channels, f, t)
             plain = enhance_in_tiles(w, model, cfg, bank, tile_bytes)
             np.testing.assert_array_equal(res.wav_out.samples, plain.wav_out.samples)
             np.testing.assert_array_equal(res.ratfs.w_s, plain.ratfs.w_s)
@@ -444,7 +467,7 @@ class TestTiledPlan:
         model = init_random(cfg, seed=0)
         w = make_wave(np.random.default_rng(0), 2 * SR)
         f, t = stft(pad_to_frame_grid(w, cfg), cfg.analysis).bins.shape[1:]
-        # rows of one (1, C, rows, T) complex64 tensor in the plan's tile budget
+        # rows of one (C, rows, T) complex64 tensor in the plan's tile budget
         step = pipeline._TILE_BYTES // (cfg.channels * t * 8)
         lag = sum(block.depthwise.shape[1] // 2 for block in model.decoder.head_s)
         largest, lock = {}, threading.Lock()    # the plan's units run on worker threads
@@ -453,7 +476,7 @@ class TestTiledPlan:
             conv = module.lightconv
 
             def counted(x, p, rows=None, out=None):
-                n = x.shape[2] if rows is None else rows[1] - rows[0]
+                n = x.shape[1] if rows is None else rows[1] - rows[0]
                 with lock:
                     largest[module.__name__] = max(largest.get(module.__name__, 0), n)
                 return conv(x, p, rows=rows, out=out)
@@ -694,13 +717,13 @@ class TestWorkerPool:
 
         def failing(z, p, out=None):
             with lock:
-                started.append(z.shape[2])
+                started.append(z.shape[1])
                 fail = len(started) == 2
             if fail:
                 raise error
             time.sleep(0.01)            # long enough that units are still queued
             out = modulate(z, p, out=out)
-            finished.append(z.shape[2])
+            finished.append(z.shape[1])
             return out
 
         monkeypatch.setattr(pipeline, "modulator_block", failing)

@@ -153,8 +153,12 @@ class TestFullReport:
 
 def test_benchmark_trace_targets_resolve():
     """The benchmark's trace mode wraps each (module, attr) of its TARGETS,
-    looked up with getattr, so every one must name a callable in binse."""
+    looked up with getattr, so every one must name a callable in binse. Each
+    is defined in the module its span is named after, not re-exported there,
+    so that a span's self time is that layer's own work."""
     tracing = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"))
-    for _, module, attr in tracing["TARGETS"]:
+    for span, module, attr in tracing["TARGETS"]:
         assert module.split(".")[0] == "binse"
-        assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
+        fn = getattr(importlib.import_module(module), attr, None)
+        assert callable(fn), f"{module}.{attr}"
+        assert fn.__module__ == module == "binse." + span.split(".")[0], f"{module}.{attr}"
