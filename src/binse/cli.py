@@ -68,8 +68,7 @@ def cmd_enhance(args) -> int:
 
 def cmd_synth(args) -> int:
     specs = synth.read_manifest(args.manifest)
-    with workers.plan():
-        summary = synth.generate_dataset(specs, args.out)
+    summary = synth.generate_dataset(specs, args.out)
     print(json.dumps(summary))
     return 0 if not summary["failures"] else 2
 
@@ -123,8 +122,7 @@ def cmd_metrics(args) -> int:
     An item whose input is bad, or whose external scorer exits non-zero, is
     reported on stderr as one JSON line {"item_id", "error"} and skipped;
     the run then exits 2. An internal invariant violation still aborts the
-    run. Like ``synth``, it runs in one ``workers.plan``, so the scoring
-    runs on the worker pool too.
+    run. Scoring runs on the worker pool, in one ``workers.plan``.
     """
     cfg = _load_config(args)
     model = _load_model(args, cfg)
@@ -155,6 +153,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if not (np.isfinite(args.seconds) and args.seconds > 0):
+        raise ValueError(f"--seconds must be positive and finite, got {args.seconds}")
     cfg = _load_config(args)
     model = _load_model(args, cfg)
     report = full_report(

@@ -209,10 +209,9 @@ def gammatone_frames(w: Waveform, bank: GammatoneBank, cfg: AnalysisConfig) -> n
     treat both feature streams uniformly. The channel groups are filtered as
     independent units on the worker pool (``workers.map``).
     """
-    if w.sample_rate != cfg.sample_rate:
-        raise ShapeMismatch(
-            f"waveform rate {w.sample_rate} != config rate {cfg.sample_rate}"
-        )
+    for what, rate in (("waveform", w.sample_rate), ("bank", bank.sample_rate)):
+        if rate != cfg.sample_rate:
+            raise ShapeMismatch(f"{what} rate {rate} != config rate {cfg.sample_rate}")
     t = frame_count(w.n_samples, cfg)
     hop = cfg.hop
     per_frame = cfg.fft_size // hop                # hop blocks per frame

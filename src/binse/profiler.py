@@ -58,7 +58,7 @@ def count_macs(cfg: RunConfig, audio_seconds: float = 1.0) -> ComplexityReport:
     t = frame_count(int(round(audio_seconds * a.sample_rate)), a)
     f = a.n_freq_bins
     c = cfg.channels
-    ng = cfg.n_gammatone
+    ng = 0 if cfg.no_gammatone else cfg.n_gammatone     # bands the gammatone stream runs
     k1 = cfg.kernel_time
     kf, kt = cfg.kernel_2d
     k = cfg.n_basis
@@ -77,7 +77,8 @@ def count_macs(cfg: RunConfig, audio_seconds: float = 1.0) -> ComplexityReport:
         enc += lightconv_macs(c_in, c, k1, f * t)    # STFT stream
         enc += lightconv_macs(c_in, c, k1, ng * t)   # gammatone stream
     enc += c * f * ng * t * 2                        # real 64->F projection of complex data
-    enc += c * c * f * t                             # real fusion conv on magnitudes
+    if ng:
+        enc += c * c * f * t                         # real fusion conv on magnitudes
     enc += 2 * c * (c // r)                          # SE excitation (per utterance)
     rows["encoder"] = enc
 
@@ -94,7 +95,8 @@ def count_macs(cfg: RunConfig, audio_seconds: float = 1.0) -> ComplexityReport:
         for _ in range(cfg.n_decoder_blocks):
             dec += lightconv_macs(c, c, kf * kt, f * t)
         dec += c * 1 * f * t * 4                     # complex output projection
-    dec += c * f                                     # gate conv on pooled magnitudes
+    if not (cfg.no_drg or cfg.global_drg):
+        dec += c * f                                 # gate conv on pooled magnitudes
     rows["decoder"] = dec
 
     report = ComplexityReport(

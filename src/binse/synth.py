@@ -1,6 +1,7 @@
 """Binaural dataset construction: HRIR spatialization of mono speech,
 diffuse isotropic noise synthesis, and SNR-controlled mixing.
 
+Speech and diffuse noise share one serial FFT convolution (``_convolve_sum``).
 All randomness flows from explicit per-item seeds; the same manifest
 produces byte-identical WAV output on every run.
 """
@@ -13,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import workers
 from .audio import Waveform, read_mono, read_wav, write_wav
 from .errors import (
     AzimuthUnavailable,
@@ -22,11 +22,6 @@ from .errors import (
     ShapeMismatch,
     UnsupportedFormat,
 )
-
-
-# azimuths rendered per workers.map: two per worker; all 36 at once held
-# 28 MB of rendered 3 s segments and raised the corpus benchmark's peak RSS
-_AZIMUTHS_PER_MAP = 4
 
 
 @dataclass
@@ -94,6 +89,19 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
+def _convolve_sum(pairs, n_out: int) -> np.ndarray:
+    """Sum over (x, h) pairs of mono x (n,) convolved with stereo h (2, taps),
+    truncated to (2, n_out); all pairs share n and taps. The products are
+    added as spectra on one fast real FFT length, as fftconvolve picks it,
+    and take one inverse FFT; its output is C-ordered, so later sums over it
+    (mix_at_snr) run in one order."""
+    x0, h0 = pairs[0]
+    n = _next_fast_len(x0.shape[0] + h0.shape[1] - 1)
+    spec = sum(np.fft.rfft(x[np.newaxis, :], n, axis=-1)
+               * np.fft.rfft(np.ascontiguousarray(h), n, axis=-1) for x, h in pairs)
+    return np.fft.irfft(spec, n, axis=-1)[:, :n_out]
+
+
 def spatialize(mono: np.ndarray, h: HrirSet, azimuth: float) -> Waveform:
     """Convolve a mono signal with the stereo pair at the nearest azimuth,
     truncated to the input length."""
@@ -105,31 +113,24 @@ def spatialize(mono: np.ndarray, h: HrirSet, azimuth: float) -> Waveform:
     if min(n_in, ir.shape[1]) == 1:
         # a one-sample factor makes the convolution a plain product
         return Waveform((mono * ir)[:, :n_in], h.sample_rate)
-    # full linear convolution on a fast real FFT length, as fftconvolve does;
-    # numpy.fft lays its output out like its input, and a C-ordered output
-    # keeps later sums over it (mix_at_snr) in one summation order
-    n = _next_fast_len(n_in + ir.shape[1] - 1)
-    spec = (np.fft.rfft(mono[np.newaxis, :], n, axis=-1)
-            * np.fft.rfft(np.ascontiguousarray(ir), n, axis=-1))
-    out = np.fft.irfft(spec, n, axis=-1)[:, :n_in]
-    return Waveform(out, h.sample_rate)
+    return Waveform(_convolve_sum([(mono, ir)], n_in), h.sample_rate)
 
 
 def make_diffuse_noise(
     noise_src: np.ndarray, h: HrirSet, duration_s: float, seed: int
 ) -> Waveform:
     """Diffuse isotropic noise: non-overlapping source segments, one per
-    available azimuth, each spatialized and summed; normalized to unit RMS.
+    available azimuth, each convolved and summed; normalized to unit RMS.
 
     The seed picks the starting offset into the source so different items
-    draw different material deterministically. Each azimuth's
-    ``spatialize`` is one unit on the worker pool (``workers.map``), run
-    ``_AZIMUTHS_PER_MAP`` at a time so that only that many rendered segments
-    are held at once; they are summed in azimuth order, as one after the
-    other.
+    draw different material deterministically. The field is linear in its
+    segments, so they are summed as spectra, in azimuth order, with one
+    inverse FFT (``_convolve_sum``): within rounding of a ``spatialize`` sum.
     """
     noise_src = np.asarray(noise_src, dtype=np.float64)
     n = int(round(duration_s * h.sample_rate))
+    if n < 1:
+        raise ValueError(f"duration {duration_s} s is under one sample")
     azimuths = h.azimuths
     needed = n * len(azimuths)
     if noise_src.shape[0] < needed:
@@ -138,16 +139,8 @@ def make_diffuse_noise(
         )
     rng = np.random.default_rng(seed)
     start = int(rng.integers(0, noise_src.shape[0] - needed + 1))
-
-    def render(k: int) -> np.ndarray:
-        seg = noise_src[start + k * n : start + (k + 1) * n]
-        return spatialize(seg, h, azimuths[k]).samples
-
-    acc = np.zeros((2, n))
-    ks = range(len(azimuths))
-    for k0 in ks[::_AZIMUTHS_PER_MAP]:
-        for part in workers.map(render, ks[k0 : k0 + _AZIMUTHS_PER_MAP]):
-            acc += part
+    segments = noise_src[start : start + needed].reshape(len(azimuths), n)
+    acc = _convolve_sum([(seg, h.entries[az]) for seg, az in zip(segments, azimuths)], n)
     rms = np.sqrt(np.mean(acc ** 2))
     if rms == 0.0:
         raise DegenerateMix("diffuse noise field is silent")
@@ -189,6 +182,10 @@ class MixSpec:
     def __post_init__(self):
         if not -90.0 <= self.azimuth <= 90.0:
             raise ValueError("target azimuth must lie in the frontal span [-90, 90]")
+        if not (np.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ValueError(f"duration_s must be positive and finite, got {self.duration_s}")
+        if not np.isfinite(self.snr_db):
+            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
 
 
 def read_jsonl(path):

@@ -187,7 +187,8 @@ class TestSynthCommand:
                    "--out", str(tmp_path / "d")])
         assert rc == 2
 
-    @pytest.mark.parametrize("damage", ["not_an_object", "missing_key", "unknown_key"])
+    @pytest.mark.parametrize("damage", ["not_an_object", "missing_key", "unknown_key",
+                                        "zero_duration", "negative_duration", "nan_snr"])
     def test_malformed_manifest_line_exits_2(self, tmp_path, rng, capsys, damage):
         _, manifest = write_corpus(tmp_path, rng, n_items=2)
         lines = manifest.read_text().splitlines()
@@ -196,8 +197,14 @@ class TestSynthCommand:
             rec = [rec]
         elif damage == "missing_key":
             del rec["seed"]
-        else:
+        elif damage == "unknown_key":
             rec["gain_db"] = 3.0
+        elif damage == "zero_duration":
+            rec["duration_s"] = 0.0
+        elif damage == "negative_duration":
+            rec["duration_s"] = -0.5
+        else:
+            rec["snr_db"] = float("nan")
         manifest.write_text(lines[0] + "\n" + json.dumps(rec) + "\n")
         rc = main(["synth", "--manifest", str(manifest), "--out", str(tmp_path / "d")])
         assert rc == 2
@@ -401,6 +408,12 @@ class TestBenchCommand:
     def test_repeats_below_one_exit_2(self, cfg_file, capsys, repeats):
         assert main(["bench", "--config", cfg_file, "--rtf", f"--repeats={repeats}"]) == 2
         assert "repeats must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seconds", ["inf", "nan", "0", "-1", "-inf"])
+    def test_seconds_not_positive_and_finite_exit_2(self, cfg_file, capsys, seconds):
+        assert main(["bench", "--config", cfg_file, "--rtf", f"--seconds={seconds}"]) == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith("error: --seconds must be positive and finite")
 
     @pytest.mark.parametrize("overrides, problem", [
         ({"dropout_rate": 0.1}, "unknown config keys: dropout_rate"),

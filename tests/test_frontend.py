@@ -274,6 +274,11 @@ class TestGammatone:
         with pytest.raises(ShapeMismatch, match="cannot hold a hop of 128"):
             gammatone_frames(make_wave(np.random.default_rng(0), 1000), bank, AnalysisConfig())
 
+    def test_bank_built_for_another_rate_rejected(self, rng, analysis):
+        bank = build_gammatone_bank(AnalysisConfig(sample_rate=8000), 8, 50.0, 3800.0)
+        with pytest.raises(ShapeMismatch, match="bank rate 8000 != config rate 16000"):
+            gammatone_frames(make_wave(rng, 4096), bank, analysis)
+
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), hop=st.sampled_from([64, 128]),
            taps=st.sampled_from([256, 1024, 5000]), silent=st.sampled_from([None, 0, 1]),

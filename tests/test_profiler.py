@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from binse.config import RunConfig
+from binse.frontend import frame_count
 from binse.params import init_random
 from binse.profiler import (
     ComplexityReport,
@@ -74,14 +75,24 @@ class TestCountMacs:
         assert (m3 - m2) == (m2 - m1)
         assert m2 > m1 > 0
 
-    def test_no_gafm_zeroes_the_modulator_row(self):
-        cfg = small_config(no_gafm=True)
-        report = count_macs(cfg)
-        assert report.mac_rows["modulator"] == 0
-        full = count_macs(small_config())
-        assert full.mac_rows["modulator"] > 0
-        assert report.mac_rows["encoder"] == full.mac_rows["encoder"]
-        assert report.mac_rows["decoder"] == full.mac_rows["decoder"]
+    @pytest.mark.parametrize("flag", ["no_gammatone", "no_gafm", "no_drg", "global_drg"])
+    def test_ablation_drops_only_the_stages_it_skips(self, flag):
+        full = RunConfig()
+        c, f, ng = full.channels, full.analysis.n_freq_bins, full.n_gammatone
+        t = frame_count(full.analysis.sample_rate, full.analysis)
+        gamma_blocks = sum((2 if i == 0 else c) * (full.kernel_time + c) * ng * t * 4
+                           for i in range(full.n_encoder_blocks))
+        skipped = {
+            "no_gammatone": {"encoder": gamma_blocks + c * f * ng * t * 2 + c * c * f * t},
+            "no_gafm": {"modulator": count_macs(full).mac_rows["modulator"]},
+            "no_drg": {"decoder": c * f},
+            "global_drg": {"decoder": c * f},
+        }[flag]
+        rows = count_macs(RunConfig(**{flag: True})).mac_rows
+        for module, macs in count_macs(full).mac_rows.items():
+            assert rows[module] == macs - skipped.get(module, 0)
+        if flag == "no_gammatone":
+            assert rows["encoder"] == 445_971_680
 
     def test_encoder_row_matches_hand_derivation_tiny_case(self):
         """Close the loop on the counting conventions with a 1-block config."""

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import fft as sp_fft
 from scipy.signal import fftconvolve
 
-from binse import synth, workers
+from binse import synth
 from binse.audio import Waveform, read_stereo, read_wav, write_wav
 from binse.errors import (
     AzimuthUnavailable,
@@ -201,17 +201,37 @@ class TestDiffuseNoise:
         acc /= np.sqrt(np.mean(acc ** 2))
         np.testing.assert_allclose(noise.samples, acc, atol=1e-10)
 
-    def test_azimuths_on_the_pool_equal_the_serial_sum(self, rng):
+    def test_equals_the_spectral_sum_of_the_azimuths(self, rng):
         h = delta_hrirs(range(-180, 180, 10), taps=64, rng=rng)
         n, seed = 4099, 11
         src = rng.standard_normal(n * len(h.azimuths) + 777)
-        with workers.plan():
-            noise = make_diffuse_noise(src, h, n / SR, seed=seed)
+        noise = make_diffuse_noise(src, h, n / SR, seed=seed)
+        start = int(np.random.default_rng(seed).integers(0, 777 + 1))
+        m = sp_fft.next_fast_len(n + 64 - 1, True)
+        spec = 0
+        for k, az in enumerate(h.azimuths):
+            seg = src[start + k * n : start + (k + 1) * n]
+            spec = spec + np.fft.rfft(seg[np.newaxis], m) * np.fft.rfft(h.entries[az], m)
+        acc = np.fft.irfft(spec, m)[:, :n]
+        assert np.array_equal(noise.samples, acc / np.sqrt(np.mean(acc ** 2)))
+
+    @pytest.mark.parametrize("n", [1, 2, 4099])
+    def test_within_rounding_of_the_per_azimuth_sum(self, rng, n):
+        h = delta_hrirs(range(-180, 180, 10), taps=64, rng=rng)
+        seed = 11
+        src = rng.standard_normal(n * len(h.azimuths) + 777)
+        noise = make_diffuse_noise(src, h, n / SR, seed=seed)
         start = int(np.random.default_rng(seed).integers(0, 777 + 1))
         acc = np.zeros((2, n))
         for k, az in enumerate(h.azimuths):
             acc += spatialize(src[start + k * n : start + (k + 1) * n], h, az).samples
-        assert np.array_equal(noise.samples, acc / np.sqrt(np.mean(acc ** 2)))
+        ref = acc / np.sqrt(np.mean(acc ** 2))
+        assert np.max(np.abs(noise.samples - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("duration_s", [0.0, -0.5, 0.4 / SR])
+    def test_under_one_sample_rejected(self, rng, duration_s):
+        with pytest.raises(ValueError, match="under one sample"):
+            make_diffuse_noise(rng.standard_normal(SR), delta_hrirs([0.0]), duration_s, seed=0)
 
 
 class TestMixAtSnr:
@@ -291,6 +311,19 @@ class TestManifestAndDataset:
     def test_azimuth_outside_frontal_span_rejected(self):
         with pytest.raises(ValueError):
             MixSpec("x", "s", "n", "h", azimuth=120.0, snr_db=0.0, seed=0)
+
+    @pytest.mark.parametrize("duration_s, snr_db, problem", [
+        (0.0, 0.0, "duration_s must be positive and finite"),
+        (-1.0, 0.0, "duration_s must be positive and finite"),
+        (float("inf"), 0.0, "duration_s must be positive and finite"),
+        (float("nan"), 0.0, "duration_s must be positive and finite"),
+        (1.0, float("nan"), "snr_db must be finite"),
+        (1.0, float("-inf"), "snr_db must be finite"),
+    ])
+    def test_duration_and_snr_out_of_range_rejected(self, duration_s, snr_db, problem):
+        with pytest.raises(ValueError, match=problem):
+            MixSpec("x", "s", "n", "h", azimuth=0.0, snr_db=snr_db, seed=0,
+                    duration_s=duration_s)
 
     def test_synthesize_item_obeys_snr_and_duration(self, tmp_path, rng):
         specs, _ = write_corpus(tmp_path, rng)
