@@ -6,7 +6,8 @@ plain or as ``WAVE_FORMAT_EXTENSIBLE`` with one of those two subformats.
 Chunks other than ``fmt `` and ``data`` (``LIST``, ``fact``, ...) are skipped,
 as is the pad byte after an odd-sized chunk. Everything else is rejected with
 UnsupportedFormat: other bit depths and sample formats, RF64, a missing
-``fmt `` or ``data`` chunk, a truncated header and a partial frame. The
+``fmt `` or ``data`` chunk, a truncated header, a ``data`` chunk that ends
+before its declared size (even on a frame boundary) and a partial frame. The
 stereo and mono readers expect 16 kHz; there is no resampling. Writing
 produces RIFF files byte-identical to ``scipy.io.wavfile.write``: a 16-byte
 ``fmt `` for PCM-16, and an 18-byte ``fmt `` plus a ``fact`` chunk for
@@ -96,6 +97,9 @@ def _decode(buf: bytes) -> tuple[int, np.ndarray]:
             if fmt is None:
                 raise ValueError("no fmt chunk before the data chunk")
             dtype, channels, rate, block_align = fmt
+            if len(body) < size:
+                raise ValueError(f"data chunk declares {size} bytes, but the file "
+                                 f"holds {len(body)}")
             if len(body) % block_align:
                 raise ValueError(f"data chunk of {len(body)} bytes is not a whole "
                                  f"number of {block_align}-byte frames")

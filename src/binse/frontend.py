@@ -55,6 +55,14 @@ def frame_count(n_samples: int, cfg: AnalysisConfig) -> int:
     return (n_samples - cfg.fft_size) // cfg.hop + 1
 
 
+def grid_length(n_samples: int, cfg: AnalysisConfig) -> int:
+    """The length n_samples is zero-padded to so that the frame grid covers
+    every sample: at least one frame, and a whole number of hops after it."""
+    if n_samples < cfg.fft_size:
+        return cfg.fft_size
+    return n_samples + -(n_samples - cfg.fft_size) % cfg.hop
+
+
 def _frames(x: np.ndarray, cfg: AnalysisConfig) -> np.ndarray:
     """View leading-axis signals (..., n) as frames (..., T, fft_size)."""
     frame_count(x.shape[-1], cfg)                  # raises InputTooShort

@@ -28,9 +28,11 @@ refinement gate is taken from each tile's rows. ``decode_heads`` then runs
 each head's blocks over the same tiles, on a lagged schedule that keeps
 only a few rows of each block's output (see there). The closed-form solve
 and the blend run once, on the whole (2, F, T) spectrum, which is small
-next to the network tensors. ``_tiles`` sizes the tiles, about
-``_TILE_BYTES`` of one (C, rows, T) tensor, and every stage computes
-exactly the rows it is handed.
+next to the network tensors. ``_tiles`` cuts the rows, and the bands, into
+tiles of equal size (within one row), each at most ``_TILE_BYTES`` of one
+(C, rows, T) tensor, in a count that is a multiple of the pool size, so
+every worker gets an equal share of every pass at every length. Every stage
+computes exactly the rows it is handed.
 
 The independent units of the plan run on the worker pool of ``workers``:
 the channel groups of the gammatone filter, the tiles of gammatone bands,
@@ -77,15 +79,18 @@ from .frontend import (
     GammatoneBank,
     build_gammatone_bank,
     gammatone_frames,
+    grid_length,
     istft,
     stft,
 )
 from .modulator import modulator_block
 from .params import ModelParams
 
-# Bytes of one (C, rows, T) tensor per plan tile: a speed constant only,
-# as no output bit depends on the tiling. Smaller tiles measured slower on a
-# 2 MB-L2 Xeon, as per-call costs take over.
+# Bytes of one (C, rows, T) tensor a plan tile may hold: a speed constant
+# only, as no output bit depends on the tiling. The tiles are equal, in the
+# smallest multiple of the pool size that keeps each within it, so most are
+# smaller (22 rows at 2 s against 26 in budget). Smaller caps measured slower
+# on a 2 MB-L2 Xeon, as per-call costs take over.
 _TILE_BYTES = 4 << 20
 
 
@@ -99,13 +104,8 @@ class EnhanceResult:
 
 def pad_to_frame_grid(w: Waveform, cfg: RunConfig) -> Waveform:
     """Zero-pad so every sample is covered by the no-padding frame grid."""
-    a = cfg.analysis
     n = w.n_samples
-    if n < a.fft_size:
-        target = a.fft_size
-    else:
-        rem = (n - a.fft_size) % a.hop
-        target = n if rem == 0 else n + (a.hop - rem)
+    target = grid_length(n, cfg.analysis)
     if target == n:
         return w
     return Waveform(np.pad(w.samples, ((0, 0), (0, target - n))), w.sample_rate)
@@ -125,9 +125,18 @@ def gammatone_bank(cfg: RunConfig) -> GammatoneBank | None:
 
 
 def _tiles(f: int, t: int, cfg: RunConfig, dtype) -> list[tuple[int, int]]:
-    """The plan's tiles of f frequency rows or bands, (lo, hi) ascending."""
-    step = max(1, _TILE_BYTES // (cfg.channels * t * np.dtype(dtype).itemsize))
-    return [(lo, min(lo + step, f)) for lo in range(0, f, step)]
+    """The plan's tiles of f frequency rows or bands, (lo, hi) ascending.
+
+    Their count is the smallest multiple of the pool size that keeps each
+    tile within ``_TILE_BYTES`` (a row that alone exceeds it is a tile of
+    its own), capped at f, and their sizes differ by at most one row, so
+    every worker gets an equal share of every pass."""
+    rows = max(1, _TILE_BYTES // (cfg.channels * t * np.dtype(dtype).itemsize))
+    need, pool = -(-f // rows), workers.size()
+    n = min(f, -(-need // pool) * pool)
+    size, extra = divmod(f, n)
+    bounds = [i * size + min(i, extra) for i in range(n + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def _encode(w, y, tiles, model, cfg, bank, dtype, stages):

@@ -17,7 +17,7 @@ import numpy as np
 from . import workers
 from .audio import Waveform
 from .config import RunConfig
-from .frontend import frame_count
+from .frontend import frame_count, grid_length
 from .params import ModelParams
 from .pipeline import enhance
 
@@ -53,9 +53,10 @@ def count_params(model: ModelParams) -> ComplexityReport:
 
 
 def count_macs(cfg: RunConfig, audio_seconds: float = 1.0) -> ComplexityReport:
-    """Analytic MAC count for processing the given duration of audio."""
+    """Analytic MAC count for processing the given duration of audio, on the
+    frames ``enhance`` runs: those of the input padded to the frame grid."""
     a = cfg.analysis
-    t = frame_count(int(round(audio_seconds * a.sample_rate)), a)
+    t = frame_count(grid_length(int(round(audio_seconds * a.sample_rate)), a), a)
     f = a.n_freq_bins
     c = cfg.channels
     ng = 0 if cfg.no_gammatone else cfg.n_gammatone     # bands the gammatone stream runs

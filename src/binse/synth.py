@@ -9,6 +9,7 @@ produces byte-identical WAV output on every run.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -180,6 +181,8 @@ class MixSpec:
     duration_s: float = 2.0
 
     def __post_init__(self):
+        if any(sep and sep in str(self.item_id) for sep in ("/", os.sep, os.altsep)):
+            raise ValueError(f"item_id {self.item_id!r} holds a path separator")
         if not -90.0 <= self.azimuth <= 90.0:
             raise ValueError("target azimuth must lie in the frontal span [-90, 90]")
         if not (np.isfinite(self.duration_s) and self.duration_s > 0):
@@ -205,13 +208,20 @@ def read_jsonl(path):
 
 
 def read_manifest(path) -> list[MixSpec]:
-    """Read a JSON-lines manifest of MixSpec records; a bad line raises UnsupportedFormat."""
-    specs = []
+    """Read a JSON-lines manifest of MixSpec records; a bad line, or an
+    item_id already used (its WAVs would overwrite the earlier item's),
+    raises UnsupportedFormat."""
+    specs, first = [], {}
     for where, rec in read_jsonl(path):
         try:
-            specs.append(MixSpec(**rec))
+            spec = MixSpec(**rec)
         except (TypeError, ValueError) as exc:
             raise UnsupportedFormat(f"{where}: {exc}") from None
+        name = str(spec.item_id)        # as it names the item's files
+        if name in first:
+            raise UnsupportedFormat(f"{where}: item_id {spec.item_id!r} repeats {first[name]}")
+        first[name] = where
+        specs.append(spec)
     return specs
 
 

@@ -9,7 +9,10 @@ BLAS rounds alike whatever thread count it was configured with.
 Each unit in flight holds a tile's temporaries (see ``pipeline._TILE_BYTES``),
 so the pool size bounds the plan's memory above its utterance-sized arrays.
 It is capped at the 2 threads whose memory was measured (peak RSS and the
-8 s array peak), whatever the host's core count.
+8 s array peak), whatever the host's core count. The plan cuts its tiles in
+a multiple of ``size()``, the threads of the pool that runs them: the pool
+is sized once, and later changes to the CPUs a process may use do not
+resize it.
 """
 
 from __future__ import annotations
@@ -44,7 +47,11 @@ def usable_cpus() -> int:
 
 
 def size() -> int:
-    """Threads that run the plan's units."""
+    """Threads that run the plan's units: those of this process's pool once
+    its first plan has made it, however the usable CPUs change after that,
+    and before then the pool that plan will make."""
+    if _pool_pid == os.getpid():
+        return _pool._max_workers if _pool is not None else 1
     return min(usable_cpus(), _MAX_WORKERS)
 
 

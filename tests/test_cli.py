@@ -107,13 +107,15 @@ class TestEnhanceCommand:
         assert rc == 4
         assert "non-finite" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["empty", "fmt_prefix", "partial_frame"])
+    @pytest.mark.parametrize("damage", ["empty", "fmt_prefix", "partial_frame", "whole_frames"])
     def test_truncated_wav_exits_2(self, tmp_path, cfg_file, input_wav, capsys, damage):
         wav = Path(input_wav).read_bytes()
         if damage == "empty":
             wav = b""
         elif damage == "fmt_prefix":
             wav = wav[:30]               # ends inside the 18-byte float fmt chunk
+        elif damage == "whole_frames":
+            wav = wav[:-800]             # 100 stereo frames short of the declared size
         else:
             # a data chunk two bytes short of a whole 8-byte stereo frame
             at = wav.index(b"data") + 4
@@ -188,7 +190,8 @@ class TestSynthCommand:
         assert rc == 2
 
     @pytest.mark.parametrize("damage", ["not_an_object", "missing_key", "unknown_key",
-                                        "zero_duration", "negative_duration", "nan_snr"])
+                                        "zero_duration", "negative_duration", "nan_snr",
+                                        "duplicate_id", "path_id"])
     def test_malformed_manifest_line_exits_2(self, tmp_path, rng, capsys, damage):
         _, manifest = write_corpus(tmp_path, rng, n_items=2)
         lines = manifest.read_text().splitlines()
@@ -203,6 +206,10 @@ class TestSynthCommand:
             rec["duration_s"] = 0.0
         elif damage == "negative_duration":
             rec["duration_s"] = -0.5
+        elif damage == "duplicate_id":
+            rec["item_id"] = json.loads(lines[0])["item_id"]    # would overwrite its WAVs
+        elif damage == "path_id":
+            rec["item_id"] = "../x"                             # would write outside --out
         else:
             rec["snr_db"] = float("nan")
         manifest.write_text(lines[0] + "\n" + json.dumps(rec) + "\n")
@@ -377,6 +384,11 @@ class TestBenchCommand:
         assert payload["n_params"] > 0 and payload["macs"] > 0
         assert payload["rtf"] is None
         assert set(payload["param_rows"]) == {"encoder", "modulator", "decoder"}
+
+    def test_input_shorter_than_a_frame(self, cfg_file, capsys):
+        """enhance pads it to one frame, and bench counts that frame."""
+        assert main(["bench", "--config", cfg_file, "--seconds", "0.01"]) == 0
+        assert json.loads(capsys.readouterr().out)["macs"] > 0
 
     def test_table_and_rtf(self, cfg_file, capsys):
         rc = main(["bench", "--config", cfg_file, "--rtf", "--repeats", "2",

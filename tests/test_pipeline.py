@@ -458,9 +458,9 @@ class TestTiledPlan:
 
     @pytest.mark.parametrize("collect_stages", [False, True])
     def test_blocks_are_handed_one_tile(self, monkeypatch, collect_stages):
-        """Every light-conv block of a default-config 2 s call computes at most
-        one plan tile of rows, plus the decoder's lag of k_f // 2 rows per
-        2-D block, with or without a stage dump."""
+        """Every light-conv block of a default-config 2 s call on a pool of 2
+        computes at most one plan tile of rows (22), plus the decoder's lag of
+        k_f // 2 rows per 2-D block, with or without a stage dump."""
         from binse import decoder, encoder
 
         cfg = RunConfig()
@@ -468,7 +468,11 @@ class TestTiledPlan:
         w = make_wave(np.random.default_rng(0), 2 * SR)
         f, t = stft(pad_to_frame_grid(w, cfg), cfg.analysis).bins.shape[1:]
         # rows of one (C, rows, T) complex64 tensor in the plan's tile budget
-        step = pipeline._TILE_BYTES // (cfg.channels * t * 8)
+        budget = pipeline._TILE_BYTES // (cfg.channels * t * 8)
+        # the rows in budget need 5 tiles; the pool of 2 makes that 6 equal ones
+        need = -(-f // budget)
+        step = -(-f // (need + need % 2))
+        monkeypatch.setattr(workers, "size", lambda: 2)
         lag = sum(block.depthwise.shape[1] // 2 for block in model.decoder.head_s)
         largest, lock = {}, threading.Lock()    # the plan's units run on worker threads
 
@@ -486,9 +490,27 @@ class TestTiledPlan:
         sized(encoder)
         sized(decoder)
         enhance(w, model, cfg, collect_stages=collect_stages)
-        assert 1 <= step < f
+        assert (budget, step) == (26, 22)
         assert 0 < largest["binse.encoder"] <= step
         assert 0 < largest["binse.decoder"] <= step + lag
+
+    @pytest.mark.parametrize("seconds", [0.5, 2])
+    def test_outputs_do_not_depend_on_the_pool_size(self, seconds):
+        """The pool size sets the tile counts (bands 1 or 2 tiles at 0.5 s,
+        rows 5 or 6 tiles at 2 s), and no output bit."""
+        cfg = RunConfig()
+        model = init_random(cfg, seed=0)
+        w = make_wave(np.random.default_rng(0), int(seconds * SR))
+        one, two = (on_a_fresh_pool(lambda: cpus, lambda: enhance(w, model, cfg,
+                                                                  collect_stages=True))
+                    for cpus in (1, 2))
+        np.testing.assert_array_equal(one.wav_out.samples, two.wav_out.samples)
+        np.testing.assert_array_equal(one.ratfs.w_s, two.ratfs.w_s)
+        np.testing.assert_array_equal(one.ratfs.w_n, two.ratfs.w_n)
+        np.testing.assert_array_equal(one.gate, two.gate)
+        assert one.stages.keys() == two.stages.keys()
+        for name, want in one.stages.items():
+            np.testing.assert_array_equal(two.stages[name], want, err_msg=name)
 
     @pytest.mark.parametrize(
         "kind", ["n1", "n100", "n256", "zeros", "silent_ear", "dc", "amp1e6", "amp1e-30"])
@@ -518,6 +540,44 @@ class TestTiledPlan:
         """One default-config 8 s call; the whole-utterance plan peaked at 265 MB,
         and projecting the encoded bands into a second buffer at 129 MB."""
         assert eight_second_array_peak() <= 125e6
+
+
+@settings(max_examples=300, deadline=None)
+@given(f=st.integers(1, 300), t=st.integers(1, 8000), pool=st.integers(1, 3),
+       dtype=st.sampled_from([np.complex64, np.complex128]))
+def test_tiles_are_equal_in_a_multiple_of_the_pool_size(f, t, pool, dtype):
+    """The plan's tiles cover [0, f) in order. Their count is the smallest
+    multiple of the pool size that keeps each tile within the budget, capped
+    at f, and their sizes differ by at most one row."""
+    cfg = RunConfig()
+    row = cfg.channels * t * np.dtype(dtype).itemsize
+    with mock.patch.object(workers, "size", lambda: pool):
+        tiles = pipeline._tiles(f, t, cfg, dtype)
+    assert tiles[0][0] == 0 and tiles[-1][1] == f
+    assert all(hi == lo for (_, hi), (lo, _) in zip(tiles, tiles[1:]))
+    sizes = [hi - lo for lo, hi in tiles]
+    assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+    # within budget, unless a single row exceeds it
+    assert max(sizes) * row <= pipeline._TILE_BYTES or max(sizes) == 1
+    budget_rows = max(1, pipeline._TILE_BYTES // row)
+    n = len(tiles)
+    assert n % pool == 0 or n == f
+    assert n >= min(f, pool)
+    # one multiple of the pool fewer would overrun the budget
+    assert n <= pool or -(-f // (n - pool)) > budget_rows
+
+
+def on_a_fresh_pool(usable_cpus, fn):
+    """fn() in a process that has made no pool yet, with ``usable_cpus()``
+    in place of the CPUs the process may use."""
+    with mock.patch.object(workers, "usable_cpus", usable_cpus), \
+            mock.patch.object(workers, "_pool", None), \
+            mock.patch.object(workers, "_pool_pid", None):
+        try:
+            return fn()
+        finally:
+            if workers._pool is not None:
+                workers._pool.shutdown()
 
 
 def eight_second_array_peak():
@@ -752,6 +812,22 @@ class TestWorkerPool:
         finally:
             if workers._pool is not None:
                 workers._pool.shutdown()
+
+    @pytest.mark.parametrize("first, later", [(2, 1), (1, 64)])
+    def test_size_is_the_running_pools_after_the_cpus_change(self, first, later):
+        """The pool is sized once, at a process's first plan, so size(), which
+        sizes the tiles and bench's workers field, reports its threads, not
+        the CPUs usable since."""
+        cpus = [first]
+
+        def size_after_the_change():
+            assert workers.size() == first      # the pool the first plan makes
+            with workers.plan():
+                pass
+            cpus[0] = later
+            return workers.size(), (workers._pool._max_workers if workers._pool else 1)
+
+        assert on_a_fresh_pool(lambda: cpus[0], size_after_the_change) == (first, first)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_a_forked_child_makes_its_own_pool(self, setup, rng):

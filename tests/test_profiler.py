@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from binse.audio import Waveform
 from binse.config import RunConfig
-from binse.frontend import frame_count
+from binse.frontend import frame_count, stft
 from binse.params import init_random
+from binse.pipeline import pad_to_frame_grid
 from binse.profiler import (
     ComplexityReport,
     count_macs,
@@ -65,6 +67,17 @@ class TestCountMacs:
         report = count_macs(RunConfig(), audio_seconds=1.0)
         assert 2.2e9 <= report.macs <= 3.4e9
         report.check_totals()
+
+    @pytest.mark.parametrize("seconds, frames", [(0.01, 1), (0.5, 62), (1.0, 124), (1.01, 126)])
+    def test_counts_the_frames_enhance_runs(self, seconds, frames):
+        """Off the frame grid, the count is that of the input padded to it,
+        whose frames stft gives."""
+        cfg = RunConfig()
+        a = cfg.analysis
+        w = Waveform(np.zeros((2, round(seconds * a.sample_rate))), a.sample_rate)
+        assert stft(pad_to_frame_grid(w, cfg), a).bins.shape[2] == frames
+        on_grid = (a.fft_size + (frames - 1) * a.hop) / a.sample_rate
+        assert count_macs(cfg, seconds).macs == count_macs(cfg, on_grid).macs
 
     def test_affine_in_duration(self):
         """Frame-linear terms dominate: equal frame increments add equal MACs."""
@@ -130,8 +143,6 @@ class TestMeasureRtf:
         assert 0.0 < rtf < 1.0
 
     def test_reports_per_second_of_audio(self, rng):
-        from binse.audio import Waveform
-
         cfg = small_config()
         model = init_random(cfg, seed=0)
         wav = Waveform(0.1 * rng.standard_normal((2, 16000)), 16000)
