@@ -41,7 +41,8 @@ computes what it computes run alone, so the output does not depend on the
 pool. Nor does it depend on the tiling: every product and sum runs per
 frequency row, in an order set by the row alone (see ``complex_ops.clinear``
 and ``complex_ops.cln``), so the tile size is a pure speed setting. While a
-plan runs, OpenBLAS is held to one thread (``workers.plan``).
+plan runs, OpenBLAS is held to one thread and numpy's ufunc buffer to a
+small size (``workers.plan``), neither of which changes an output bit.
 
 A stage dump (``collect_stages``) is a plain dict that the same plan fills:
 pass A's tiles write their STFT encodings into one preallocated whole
@@ -88,10 +89,11 @@ from .params import ModelParams
 
 # Bytes of one (C, rows, T) tensor a plan tile may hold: a speed constant
 # only, as no output bit depends on the tiling. The tiles are equal, in the
-# smallest multiple of the pool size that keeps each within it, so most are
-# smaller (22 rows at 2 s against 26 in budget). Smaller caps measured slower
-# on a 2 MB-L2 Xeon, as per-call costs take over.
-_TILE_BYTES = 4 << 20
+# smallest multiple of the pool size that keeps each within it, so some are
+# smaller (12-13 rows at 2 s, 13 in budget). One tile fits a 2 MB core L2.
+# Tiles this small rely on ``workers.plan``'s small ufunc buffer: under
+# numpy's default one, their elementwise ops run about three times slower.
+_TILE_BYTES = 2 << 20
 
 
 @dataclass

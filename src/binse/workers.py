@@ -6,6 +6,15 @@ pool is made on a process's first ``plan()``: while any plan runs, OpenBLAS
 is held to one thread, so the pool, not BLAS, uses the other cores, and
 BLAS rounds alike whatever thread count it was configured with.
 
+A plan also holds numpy's ufunc buffer at ``_UFUNC_BUFSIZE`` elements in the
+caller's numpy context, which the units inherit (numpy 2; numpy 1.x keeps
+it per thread, so there only the calling thread gets it). numpy copies the
+operands of a broadcast or strided elementwise op through that buffer when
+the op's contiguous inner run (rows times frames, in a tile) is at most the
+buffer divided by the op's operand count, at about three times the cost
+per element: at the default 8192, runs up to 4096 for a unary op and 2730
+for a binary one. The buffer changes no output bit, only the speed.
+
 Each unit in flight holds a tile's temporaries (see ``pipeline._TILE_BYTES``),
 so the pool size bounds the plan's memory above its utterance-sized arrays.
 It is capped at the 2 threads whose memory was measured (peak RSS and the
@@ -23,7 +32,12 @@ import ctypes
 import os
 import threading
 
+import numpy as np
+
 _MAX_WORKERS = 2
+# numpy's ufunc buffer, in elements, while a plan runs: only inner runs of
+# 256 or fewer (170 for a binary op) are copied through it
+_UFUNC_BUFSIZE = 512
 
 # (get, set) thread-count entry points, by OpenBLAS build flavour
 _OPENBLAS_API = [(f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
@@ -109,9 +123,11 @@ def _mark_pool_thread():
 
 @contextlib.contextmanager
 def plan():
-    """Make the pool if this process has none, and hold OpenBLAS to one
-    thread while any plan runs; the count from before the first of
-    overlapping plans is restored after the last, also when a plan raises."""
+    """Make the pool if this process has none, hold OpenBLAS to one thread
+    while any plan runs, and numpy's ufunc buffer at ``_UFUNC_BUFSIZE`` in
+    the caller's context while this one runs. The BLAS count from before
+    the first of overlapping plans is restored after the last, and the
+    caller's buffer size and errstate on exit, also when a plan raises."""
     global _plans_running, _blas_saved
     _start()
     with _lock:
@@ -121,7 +137,14 @@ def plan():
                 set_(1)
         _plans_running += 1
     try:
-        yield
+        # numpy 2 ties the buffer size to the errstate scope; numpy 1.x does
+        # not, so it is also set back by hand
+        with np.errstate():
+            saved = np.setbufsize(_UFUNC_BUFSIZE)
+            try:
+                yield
+            finally:
+                np.setbufsize(saved)
     finally:
         with _lock:
             _plans_running -= 1

@@ -459,7 +459,7 @@ class TestTiledPlan:
     @pytest.mark.parametrize("collect_stages", [False, True])
     def test_blocks_are_handed_one_tile(self, monkeypatch, collect_stages):
         """Every light-conv block of a default-config 2 s call on a pool of 2
-        computes at most one plan tile of rows (22), plus the decoder's lag of
+        computes at most one plan tile of rows (13), plus the decoder's lag of
         k_f // 2 rows per 2-D block, with or without a stage dump."""
         from binse import decoder, encoder
 
@@ -469,7 +469,7 @@ class TestTiledPlan:
         f, t = stft(pad_to_frame_grid(w, cfg), cfg.analysis).bins.shape[1:]
         # rows of one (C, rows, T) complex64 tensor in the plan's tile budget
         budget = pipeline._TILE_BYTES // (cfg.channels * t * 8)
-        # the rows in budget need 5 tiles; the pool of 2 makes that 6 equal ones
+        # the rows in budget need 10 tiles, a multiple of the pool of 2
         need = -(-f // budget)
         step = -(-f // (need + need % 2))
         monkeypatch.setattr(workers, "size", lambda: 2)
@@ -490,14 +490,14 @@ class TestTiledPlan:
         sized(encoder)
         sized(decoder)
         enhance(w, model, cfg, collect_stages=collect_stages)
-        assert (budget, step) == (26, 22)
+        assert (budget, step) == (13, 13)
         assert 0 < largest["binse.encoder"] <= step
         assert 0 < largest["binse.decoder"] <= step + lag
 
     @pytest.mark.parametrize("seconds", [0.5, 2])
     def test_outputs_do_not_depend_on_the_pool_size(self, seconds):
-        """The pool size sets the tile counts (bands 1 or 2 tiles at 0.5 s,
-        rows 5 or 6 tiles at 2 s), and no output bit."""
+        """The pool size sets the tile counts (rows 3 or 4 tiles at 0.5 s,
+        bands 5 or 6 tiles at 2 s), and no output bit."""
         cfg = RunConfig()
         model = init_random(cfg, seed=0)
         w = make_wave(np.random.default_rng(0), int(seconds * SR))
