@@ -156,6 +156,9 @@ def cmd_bench(args) -> int:
     if not (np.isfinite(args.seconds) and args.seconds > 0):
         raise ValueError(f"--seconds must be positive and finite, got {args.seconds}")
     cfg = _load_config(args)
+    if round(args.seconds * cfg.analysis.sample_rate) < 1:
+        raise ValueError(f"--seconds must hold at least one sample at "
+                         f"{cfg.analysis.sample_rate} Hz, got {args.seconds}")
     model = _load_model(args, cfg)
     report = full_report(
         model, cfg, audio_seconds=args.seconds, with_rtf=args.rtf, repeats=args.repeats

@@ -7,18 +7,19 @@ takes complex x of shape (C, F, T), channels on axis 0, as the plan's
 (C, rows, T) tiles and ``frontend.stft``'s (2, F, T) bins are. Parameter
 containers are plain dataclasses of ndarrays, immutable by convention.
 
-Execution contract. No public function mutates its input. ``clinear``,
-``cln`` and ``cprelu`` take an optional ``out`` array; passing the input
-itself (``cln(y, p, out=y)``) runs them in place, which is how the light-conv
-block uses them. ``lightconv`` is the one block entry point; the rank of the
-depthwise kernel selects a time-only or a (frequency, time) conv. Callers
-pass the rows: ``lightconv(x, p, rows=(lo, hi))`` computes rows lo:hi in one
-pass, with ``k_f // 2`` halo rows on either side (2-D kernels), writing its
-depthwise sum, pointwise mix, norm, PReLU and residual into one output, so
-its temporaries are the size of the rows it is handed. The depthwise conv
-runs its taps over channel groups of about ``_DEPTHWISE_GROUP_BYTES``, to
-stay in L2. The kernels keep their module-level names and are looked up as
-module globals on every call, so a wrapper bound to one sees every call.
+Execution contract. ``cln`` and ``cprelu`` work in place: they overwrite
+their complex input, whose last axis must have unit stride, and return it.
+No other public function mutates its input; ``clinear`` and ``lightconv``
+take an optional ``out`` array for their result. ``lightconv`` is the one
+block entry point; the rank of the depthwise kernel selects a time-only or a
+(frequency, time) conv. Callers pass the rows:
+``lightconv(x, p, rows=(lo, hi))`` computes rows lo:hi in one pass, with
+``k_f // 2`` halo rows on either side (2-D kernels), writing its depthwise
+sum, pointwise mix, norm, PReLU and residual into one output, so its
+temporaries are the size of the rows it is handed. The depthwise conv runs
+its taps over channel groups of about ``_DEPTHWISE_GROUP_BYTES``, to stay in
+L2. The kernels keep their module-level names and are looked up as module
+globals on every call, so a wrapper bound to one sees every call.
 """
 
 from __future__ import annotations
@@ -67,15 +68,6 @@ class CSEParams:
     expand: np.ndarray   # real (C, C // r)
 
 
-def _fill(x: np.ndarray, out: np.ndarray | None, dtype) -> np.ndarray:
-    """The array a kernel works in: out holding x, or a fresh copy of x."""
-    if out is None:
-        return np.array(x, dtype=dtype)
-    if out is not x:
-        np.copyto(out, x)
-    return out
-
-
 def clinear(x: np.ndarray, p: CLinearParams, out: np.ndarray | None = None) -> np.ndarray:
     """Complex affine map y = W x + b over the channels of x (C_in, F, T).
 
@@ -99,44 +91,41 @@ def clinear(x: np.ndarray, p: CLinearParams, out: np.ndarray | None = None) -> n
     return out
 
 
-def cln(x: np.ndarray, p: CLayerNormParams, out: np.ndarray | None = None) -> np.ndarray:
-    """Complex layer norm over the channels of x (C, F, T).
+def cln(x: np.ndarray, p: CLayerNormParams) -> np.ndarray:
+    """Complex layer norm over the channels of x (C, F, T), in place.
 
     The complex mean is removed per position and the centered values are
     divided by sqrt(E[|x - mu|^2] + eps) -- a single real scale shared by
     the real and imaginary parts -- before the complex affine (gamma, beta).
-    ``out`` (may be x itself) receives the result; its last axis must have
-    unit stride.
+    x, whose last axis must have unit stride, receives the result and is
+    returned.
     """
-    y = _fill(x, out, np.result_type(x.dtype, p.gamma.dtype, p.beta.dtype, np.complex64))
     # channel means of the (re, im) floats: a last axis of 2T >= 2 keeps numpy
     # summing channels in one order for any rows (one complex value: pairwise)
-    v = y.view(y.real.dtype)
+    v = x.view(x.real.dtype)
     v -= np.mean(v, axis=0, keepdims=True)
     moments = np.mean(np.square(v), axis=0, keepdims=True)     # E[re^2], E[im^2]
     scale = moments[..., 0::2] + moments[..., 1::2] + p.eps
     np.sqrt(scale, out=scale)
     np.reciprocal(scale, out=scale)
     v *= np.repeat(scale, 2, axis=-1)       # one real product per float
-    y *= p.gamma[:, np.newaxis, np.newaxis]
-    y += p.beta[:, np.newaxis, np.newaxis]
-    return y
+    x *= p.gamma[:, np.newaxis, np.newaxis]
+    x += p.beta[:, np.newaxis, np.newaxis]
+    return x
 
 
-def cprelu(x: np.ndarray, slope, out: np.ndarray | None = None) -> np.ndarray:
-    """PReLU applied to real and imaginary parts with a shared slope.
+def cprelu(x: np.ndarray, slope) -> np.ndarray:
+    """PReLU applied to real and imaginary parts with a shared slope, in
+    place on complex x, whose last axis must have unit stride; returns x.
 
     Computed as max(v, slope * v) on the real values (min for slope > 1),
-    which equals where(v >= 0, v, slope * v) to the bit, in ``out`` (may be
-    x itself; for complex data its last axis must have unit stride).
+    which equals where(v >= 0, v, slope * v) to the bit.
     """
-    x = np.asarray(x)
-    y = _fill(x, out, x.dtype)
-    v = y.view(y.real.dtype) if np.iscomplexobj(y) else y
+    v = x.view(x.real.dtype)
     s = float(slope)
     scaled = v * s
     (np.maximum if s <= 1.0 else np.minimum)(v, scaled, out=v)
-    return y
+    return x
 
 
 def _depthwise_conv(x: np.ndarray, kernel: np.ndarray, rows: tuple[int, int]) -> np.ndarray:
@@ -230,8 +219,8 @@ def lightconv(
     if not 0 <= lo <= hi <= f:
         raise ShapeMismatch(f"rows {rows} are not frequency rows of {x.shape}")
     out = clinear(_depthwise_conv(x, p.depthwise, (lo, hi)), p.pointwise, out=out)
-    cln(out, p.norm, out=out)
-    cprelu(out, p.prelu_slope, out=out)
+    cln(out, p.norm)
+    cprelu(out, p.prelu_slope)
     if out.shape[0] == x.shape[0]:
         out += x[:, lo:hi]
     return out

@@ -60,17 +60,15 @@ def _halo(block: LightConvParams) -> int:
     return block.depthwise.shape[1] // 2 if block.depthwise.ndim == 3 else 0
 
 
-def decode_heads(
-    z_out: np.ndarray, p: DecoderParams, tiles: list[tuple[int, int]] | None = None
-) -> RatfPair:
+def decode_heads(z_out: np.ndarray, p: DecoderParams, tiles: list[tuple[int, int]]) -> RatfPair:
     """Two independent stacks of 2D blocks estimating speech/noise RATFs.
 
     z_out (C, F, T) gives RATFs (F, T). The blocks run over ``tiles``,
-    ascending (lo, hi) frequency rows that end at F (default: one tile of
-    every row), so each block's output exists only a few rows at a time. A
-    2-D block reads k_f // 2 rows on either side of each output row, so at
-    the tile ending at row hi, block l makes its rows up to the halos of
-    blocks 1 .. l short of hi, and the last tile completes every row. Block 1
+    ascending (lo, hi) frequency rows that end at F (``[(0, F)]`` is one
+    tile of every row), so each block's output exists only a few rows at a
+    time. A 2-D block reads k_f // 2 rows on either side of each output row,
+    so at the tile ending at row hi, block l makes its rows up to the halos
+    of blocks 1 .. l short of hi, and the last tile completes every row. Block 1
     reads z_out itself; each deeper level keeps in a ``_Window`` the rows of
     its output that the next block still reads, and no row is computed
     twice. Each head runs its own schedule and only reads z_out, so the heads
@@ -78,8 +76,6 @@ def decode_heads(
     """
     if z_out.ndim != 3:
         raise ShapeMismatch(f"expected (C, F, T), got {z_out.shape}")
-    if tiles is None:
-        tiles = [(0, z_out.shape[1])]
     heads = [(p.head_s, p.head_s_proj), (p.head_n, p.head_n_proj)]
     w_s, w_n = workers.map(lambda head: _decode_head(z_out, *head, tiles), heads)
     return RatfPair(w_s=w_s, w_n=w_n)
@@ -117,13 +113,14 @@ def _decode_head(z_out, blocks, proj, tiles) -> np.ndarray:
     return ratf
 
 
-def ratf_solve(y: Spectrogram, r: RatfPair, eps: float = 1e-8) -> Spectrogram:
+def ratf_solve(y: Spectrogram, r: RatfPair, eps: float) -> Spectrogram:
     """Closed-form binaural solve with the right ear as reference.
 
     S_R = (Y_L - W_n Y_R)(W_s - W_n)* / (|W_s - W_n|^2 + eps);  S_L = W_s S_R.
 
     The denominator uses the squared magnitude of the complex difference,
-    which makes the quotient a regularized complex division.
+    which makes the quotient a regularized complex division; the pipeline
+    passes ``RunConfig.eps_ratf``.
     """
     w_s = np.asarray(r.w_s)
     w_n = np.asarray(r.w_n)

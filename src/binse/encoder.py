@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import workers
-from .complex_ops import CSEParams, LightConvParams, cse_excitation, lightconv
+from .complex_ops import CSEParams, LightConvParams, lightconv
 from .errors import ShapeMismatch
 
 
@@ -40,21 +40,19 @@ def encode_stft(bins: np.ndarray, p: EncoderParams) -> np.ndarray:
     return x
 
 
-def encode_gamma(
-    g: np.ndarray, p: EncoderParams, tiles: list[tuple[int, int]] | None = None
-) -> np.ndarray:
+def encode_gamma(g: np.ndarray, p: EncoderParams, tiles: list[tuple[int, int]]) -> np.ndarray:
     """Encode gammatone frames (2, n_gamma, T) -> (C, F, T).
 
     The blocks run on the gammatone feature axis, each band alone, so both
-    blocks run per tile of ``tiles``, (lo, hi) bands (default: one tile of
-    every band), as independent units on the worker pool (``workers.map``),
-    each writing its bands into the first n_gamma rows of one
-    (C, max(F, n_gamma), T) buffer. A fixed real linear map then projects
-    that axis onto the F STFT bins so the attention map is
-    per-(channel, frequency, time). It runs on the calling thread, one
-    channel at a time, each channel's projection overwriting its bands, so
-    the only temporary is one channel's product. The result is the buffer's
-    first F rows (a strided view when n_gamma > F).
+    blocks run per tile of ``tiles``, (lo, hi) bands that cover every band
+    (``[(0, n_gamma)]`` is one tile of all of them), as independent units
+    on the worker pool (``workers.map``), each writing its bands into the
+    first n_gamma rows of one (C, max(F, n_gamma), T) buffer. A fixed real
+    linear map then projects that axis onto the F STFT bins so the
+    attention map is per-(channel, frequency, time). It runs on the calling
+    thread, one channel at a time, each channel's projection overwriting its
+    bands, so the only temporary is one channel's product. The result is the
+    buffer's first F rows (a strided view when n_gamma > F).
     """
     if g.ndim != 3 or g.shape[0] != 2:
         raise ShapeMismatch(f"expected gammatone frames (2, n_gamma, T), got {g.shape}")
@@ -76,7 +74,7 @@ def encode_gamma(
             band = lightconv(band, block)
         x[:, lo:hi] = band
 
-    workers.map(encode_bands, tiles or [(0, n_gamma)])
+    workers.map(encode_bands, tiles)
     # the real map acts on re and im alike: a real matmul on the float view,
     # whose trailing axis interleaves (re, im) over T. Each channel's product
     # is the one a stacked (F, G) @ (C, G, 2T) matmul makes for it, bit for
@@ -125,23 +123,18 @@ def fuse(
     return np.multiply(z_stft, pre, out=out)
 
 
-def recalibrate(
-    z_attended: np.ndarray, p: EncoderParams, excitation: np.ndarray | None = None
-) -> np.ndarray:
+def recalibrate(z_attended: np.ndarray, p: EncoderParams, excitation: np.ndarray) -> np.ndarray:
     """Channel recalibration by complex squeeze-and-excitation: a real,
     positive, phase-preserving scale per channel of z_attended (C, F, T).
 
-    The squeeze is the mean magnitude over (frequency, time) per channel,
-    and ``complex_ops.cse_excitation`` turns it into the scale. A caller
-    that scales a tensor a tile of frequency rows at a time passes the
-    ``excitation`` (C,) of the whole tensor, so each tile is scaled alike.
-    The result keeps z_attended's dtype.
+    ``excitation`` (C,) is ``complex_ops.cse_excitation`` of the squeeze,
+    the mean magnitude over (frequency, time) per channel, of the whole
+    tensor, so a caller that scales it a tile of frequency rows at a time
+    scales each tile alike. The result keeps z_attended's dtype.
     """
     if z_attended.ndim != 3:
         raise ShapeMismatch(f"recalibrate expects (C, F, T), got {z_attended.shape}")
     c = z_attended.shape[0]
     if p.se.reduce.shape[1] != c:
         raise ShapeMismatch(f"SE reduce expects {p.se.reduce.shape[1]} channels, input has {c}")
-    if excitation is None:
-        excitation = cse_excitation(np.mean(np.abs(z_attended), axis=(1, 2)), p.se)
     return np.multiply(z_attended, excitation[:, None, None], out=np.empty_like(z_attended))

@@ -10,9 +10,9 @@ The gammatone path filters by float64 overlap-save block convolution
 stores each filter's spectrum on one block of ``block_len`` points, the
 smallest power of two holding twice (taps - 1 + hop); every block yields a
 run of ``block_len - taps + 1`` samples rounded down to whole hops (3072 of
-4096 at the defaults). Hop-block energies are summed over a few blocks of
-a small channel group at a time, so the whole (channels, 2, n) filtered
-signal never exists. All FFTs are ``numpy.fft``.
+4096 at RunConfig's defaults). Hop-block energies are summed over a few
+blocks of a small channel group at a time, so the whole (channels, 2, n)
+filtered signal never exists. All FFTs are ``numpy.fft``.
 """
 
 from __future__ import annotations
@@ -178,13 +178,11 @@ class GammatoneBank:
 
 
 def build_gammatone_bank(
-    cfg: AnalysisConfig,
-    n_channels: int = 64,
-    f_lo: float = 50.0,
-    f_hi: float = 7800.0,
-    n_taps: int = 1024,
+    cfg: AnalysisConfig, n_channels: int, f_lo: float, f_hi: float, n_taps: int
 ) -> GammatoneBank:
-    """4th-order gammatone FIR prototypes at ERB-spaced centers.
+    """4th-order gammatone FIR prototypes at ERB-spaced centers; the
+    pipeline passes ``RunConfig``'s ``n_gammatone``, ``gammatone_lo_hz``,
+    ``gammatone_hi_hz`` and ``gammatone_taps``.
 
     Each filter is a truncated analytic gammatone envelope
     t^3 exp(-2 pi b t) cos(2 pi fc t) with b = 1.019 ERB(fc), normalized to

@@ -178,8 +178,9 @@ def external_score(command: str, ref_wav_path: str, est_wav_path: str) -> float:
     """Run a user-provided scorer (e.g. MBSTOI or PESQ reference tools).
 
     ``command`` is a shell-style template; occurrences of {ref} and {est}
-    are replaced with the WAV paths. The scorer must print a single float
-    on stdout (last token of the last non-empty line is parsed).
+    are replaced with the WAV paths. The scorer must print a single finite
+    float on stdout (last token of the last non-empty line is parsed);
+    ValueError otherwise, as JSON has no NaN or infinity.
     """
     argv = [
         part.replace("{ref}", str(ref_wav_path)).replace("{est}", str(est_wav_path))
@@ -189,4 +190,7 @@ def external_score(command: str, ref_wav_path: str, est_wav_path: str) -> float:
     lines = [ln for ln in out.strip().splitlines() if ln.strip()]
     if not lines:
         raise ValueError(f"scorer {argv[0]} produced no output")
-    return float(lines[-1].split()[-1])
+    score = float(lines[-1].split()[-1])
+    if not np.isfinite(score):
+        raise ValueError(f"scorer {argv[0]} printed a non-finite score: {score}")
+    return score

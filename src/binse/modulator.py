@@ -84,4 +84,4 @@ def modulator_block(
     projected = clinear(modulated, p.proj, out=out)
     del modulated
     projected += z
-    return cln(projected, p.norm, out=projected)
+    return cln(projected, p.norm)

@@ -1,4 +1,5 @@
-"""Parameter counting, analytic MAC counting, and real-time-factor timing.
+"""Parameter counting, analytic MAC counting, and the one real-time-factor
+timer, ``full_report(with_rtf=True)``.
 
 Conventions: a complex parameter counts as 2 reals; one complex
 multiply-accumulate counts as 4 real MACs; a real-by-complex product
@@ -106,42 +107,6 @@ def count_macs(cfg: RunConfig, audio_seconds: float = 1.0) -> ComplexityReport:
     return report
 
 
-def _time_enhance(model, cfg, *, seconds, wav=None, repeats, warmup, seed):
-    """The input timed (``wav``, or else seeded noise of ``seconds``), the
-    wall seconds of each timed call, and the process CPU seconds (every
-    thread) over all of them."""
-    if repeats < 1:
-        raise ValueError(f"repeats must be at least 1, got {repeats}")
-    if wav is None:
-        rng = np.random.default_rng(seed)
-        sr = cfg.analysis.sample_rate
-        wav = Waveform(0.1 * rng.standard_normal((2, int(round(seconds * sr)))), sr)
-    for _ in range(warmup):
-        enhance(wav, model, cfg)
-    times = []
-    cpu = time.process_time()
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        enhance(wav, model, cfg)
-        times.append(time.perf_counter() - t0)
-    return wav, times, time.process_time() - cpu
-
-
-def measure_rtf(
-    model: ModelParams,
-    cfg: RunConfig,
-    wav: Waveform | None = None,
-    repeats: int = 20,
-    warmup: int = 2,
-    seed: int = 0,
-) -> float:
-    """Median wall-clock processing time divided by audio duration, on
-    ``wav`` or else on 2 s of seeded noise."""
-    wav, times, _ = _time_enhance(model, cfg, seconds=2.0, wav=wav, repeats=repeats,
-                                  warmup=warmup, seed=seed)
-    return float(np.median(times) / wav.duration_s)
-
-
 def full_report(
     model: ModelParams,
     cfg: RunConfig,
@@ -149,6 +114,11 @@ def full_report(
     with_rtf: bool = False,
     repeats: int = 20,
 ) -> ComplexityReport:
+    """Parameter and MAC rows for ``audio_seconds`` of audio. With
+    ``with_rtf``, also the real-time factor: after 2 warm-up calls, the
+    median wall time of ``repeats`` ``enhance`` calls on seeded noise of
+    that length over its duration, with the process CPU seconds (every
+    thread) per audio second and the pool's thread count."""
     params = count_params(model)
     macs = count_macs(cfg, audio_seconds)
     report = ComplexityReport(
@@ -159,10 +129,21 @@ def full_report(
         mac_rows=macs.mac_rows,
     )
     if with_rtf:
-        wav, times, cpu = _time_enhance(model, cfg, seconds=audio_seconds, repeats=repeats,
-                                        warmup=2, seed=0)
+        if repeats < 1:
+            raise ValueError(f"repeats must be at least 1, got {repeats}")
+        rng = np.random.default_rng(0)
+        sr = cfg.analysis.sample_rate
+        wav = Waveform(0.1 * rng.standard_normal((2, int(round(audio_seconds * sr)))), sr)
+        for _ in range(2):
+            enhance(wav, model, cfg)
+        times = []
+        cpu = time.process_time()
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            enhance(wav, model, cfg)
+            times.append(time.perf_counter() - t0)
         report.rtf = float(np.median(times) / wav.duration_s)
-        report.cpu_s = cpu / (repeats * wav.duration_s)
+        report.cpu_s = (time.process_time() - cpu) / (repeats * wav.duration_s)
         report.workers = workers.size()
     report.check_totals()
     return report

@@ -7,8 +7,7 @@ is held to one thread, so the pool, not BLAS, uses the other cores, and
 BLAS rounds alike whatever thread count it was configured with.
 
 A plan also holds numpy's ufunc buffer at ``_UFUNC_BUFSIZE`` elements in the
-caller's numpy context, which the units inherit (numpy 2; numpy 1.x keeps
-it per thread, so there only the calling thread gets it). numpy copies the
+caller's numpy context, which the units inherit. numpy copies the
 operands of a broadcast or strided elementwise op through that buffer when
 the op's contiguous inner run (rows times frames, in a tile) is at most the
 buffer divided by the op's operand count, at about three times the cost
@@ -137,14 +136,10 @@ def plan():
                 set_(1)
         _plans_running += 1
     try:
-        # numpy 2 ties the buffer size to the errstate scope; numpy 1.x does
-        # not, so it is also set back by hand
+        # the buffer size lives in the errstate scope, which restores it
         with np.errstate():
-            saved = np.setbufsize(_UFUNC_BUFSIZE)
-            try:
-                yield
-            finally:
-                np.setbufsize(saved)
+            np.setbufsize(_UFUNC_BUFSIZE)
+            yield
     finally:
         with _lock:
             _plans_running -= 1

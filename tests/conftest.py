@@ -6,8 +6,10 @@ from binse.complex_ops import (
     CLinearParams,
     CSEParams,
     LightConvParams,
+    cse_excitation,
 )
 from binse.config import AnalysisConfig, RunConfig
+from binse.encoder import recalibrate
 
 
 def rand_complex(rng, shape, scale=1.0):
@@ -43,6 +45,12 @@ def make_cse(rng, c, r=2):
         reduce=rng.standard_normal((c // r, c)) * 0.3,
         expand=rng.standard_normal((c, c // r)) * 0.3,
     )
+
+
+def recalibrate_by_own_squeeze(z, p):
+    """Oracle: ``recalibrate`` of the whole tensor z (C, F, T) by the
+    excitation of its own squeeze, the mean magnitude per channel."""
+    return recalibrate(z, p, cse_excitation(np.mean(np.abs(z), axis=(1, 2)), p.se))
 
 
 def small_config(**overrides) -> RunConfig:

@@ -11,16 +11,16 @@ import numpy as np
 from binse.audio import Waveform, read_stereo
 from binse.config import AnalysisConfig, RunConfig
 from binse.decoder import RatfPair, ratf_solve
-from binse.encoder import fuse, recalibrate
+from binse.encoder import fuse
 from binse.complex_ops import CSEParams
 from binse.frontend import Spectrogram, istft, sqrt_hann, stft
 from binse.losses import cue_maps, ild_loss, ipd_loss, reg_terms
 from binse.modulator import fourier_basis, _gates_all_freqs
 from binse.params import init_random
 from binse.pipeline import enhance, pad_to_frame_grid
-from binse.profiler import count_macs, count_params, measure_rtf
+from binse.profiler import count_macs, count_params, full_report
 from binse.synth import generate_dataset, mix_at_snr
-from conftest import rand_complex, small_config
+from conftest import rand_complex, recalibrate_by_own_squeeze, small_config
 from test_encoder import make_encoder
 from test_modulator import make_modulator
 from test_synth import write_corpus
@@ -52,7 +52,7 @@ def test_criterion_1_phase_preservation():
         se = CSEParams(
             reduce=rng.standard_normal((c // 2, c)), expand=rng.standard_normal((c, c // 2))
         )
-        worst = max(worst, _phase_dev(z, recalibrate(z, replace(enc, se=se))))
+        worst = max(worst, _phase_dev(z, recalibrate_by_own_squeeze(z, replace(enc, se=se))))
         mod = make_modulator(rng, c=c, h=c, k=5)
         gates = _gates_all_freqs(z, fourier_basis(t, 5), mod)
         worst = max(worst, _phase_dev(z, z * gates))
@@ -202,7 +202,7 @@ def test_criterion_8_real_time_factor():
     (median of 20 runs)."""
     cfg = RunConfig()
     model = init_random(cfg, seed=0)
-    rtf = measure_rtf(model, cfg, repeats=20, warmup=2)
+    rtf = full_report(model, cfg, audio_seconds=2.0, with_rtf=True, repeats=20).rtf
     _report(8, f"real-time factor (median RTF {rtf:.3f})", rtf < 1.0)
 
 
@@ -251,10 +251,10 @@ def test_criterion_10_end_to_end_sanity(tmp_path):
         st = res.stages
         y = Spectrogram(st["noisy_spec"], cfg.analysis)
         checks = [
-            (recalibrate(st["z_attended"], model.encoder), st["z_backbone"]),
+            (recalibrate_by_own_squeeze(st["z_attended"], model.encoder), st["z_backbone"]),
             (modulator_block(st["z_backbone"], model.modulator), st["z_out"]),
         ]
-        ratfs = decode_heads(st["z_out"], model.decoder)
+        ratfs = decode_heads(st["z_out"], model.decoder, [(0, st["z_out"].shape[1])])
         checks.append((ratfs.w_s, st["ratf_s"]))
         checks.append((ratfs.w_n, st["ratf_n"]))
         s_hat = ratf_solve(y, RatfPair(st["ratf_s"], st["ratf_n"]), eps=cfg.eps_ratf)

@@ -276,6 +276,23 @@ class TestMetricsCommand:
         row = json.loads(report.read_text().splitlines()[0])
         assert row["mbstoi"] == 0.875
 
+    def test_non_finite_external_score_is_an_item_error(self, tmp_path, rng, cfg_file, capsys):
+        _, manifest = write_corpus(tmp_path, rng, n_items=1, duration=0.5)
+        data = tmp_path / "data"
+        assert main(["synth", "--manifest", str(manifest), "--out", str(data)]) == 0
+        scorer = tmp_path / "scorer.sh"
+        scorer.write_text("#!/bin/sh\necho nan\n")
+        scorer.chmod(0o755)
+        capsys.readouterr()
+        report = tmp_path / "report.jsonl"
+        rc = main(["metrics", "--config", cfg_file, "--dataset", str(data),
+                   "--report", str(report), "--mbstoi-cmd", f"{scorer} {{ref}} {{est}}"])
+        assert rc == 2
+        assert report.read_text() == ""
+        (failure,) = [json.loads(l) for l in capsys.readouterr().err.splitlines()]
+        assert failure["item_id"] == "item000"
+        assert "non-finite score" in failure["error"]
+
     def test_builds_one_gammatone_bank_per_run(self, tmp_path, rng, cfg_file, monkeypatch):
         _, manifest = write_corpus(tmp_path, rng, n_items=3, duration=0.5)
         data = tmp_path / "data"
@@ -421,11 +438,14 @@ class TestBenchCommand:
         assert main(["bench", "--config", cfg_file, "--rtf", f"--repeats={repeats}"]) == 2
         assert "repeats must be at least 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("seconds", ["inf", "nan", "0", "-1", "-inf"])
-    def test_seconds_not_positive_and_finite_exit_2(self, cfg_file, capsys, seconds):
+    @pytest.mark.parametrize("seconds, problem", [
+        *((s, "--seconds must be positive and finite") for s in ["inf", "nan", "0", "-1", "-inf"]),
+        ("1e-5", "--seconds must hold at least one sample at 16000 Hz, got 1e-05"),
+    ], ids=["inf", "nan", "0", "-1", "-inf", "1e-5"])
+    def test_seconds_not_positive_and_finite_exit_2(self, cfg_file, capsys, seconds, problem):
         assert main(["bench", "--config", cfg_file, "--rtf", f"--seconds={seconds}"]) == 2
         (err,) = capsys.readouterr().err.splitlines()
-        assert err.startswith("error: --seconds must be positive and finite")
+        assert err.startswith(f"error: {problem}")
 
     @pytest.mark.parametrize("overrides, problem", [
         ({"dropout_rate": 0.1}, "unknown config keys: dropout_rate"),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from binse.complex_ops import CLinearParams
-from binse.config import AnalysisConfig
+from binse.config import AnalysisConfig, RunConfig
 from binse.decoder import (
     DecoderParams,
     RatfPair,
@@ -32,6 +32,11 @@ def make_decoder(rng, c=C, f=F):
     )
 
 
+def one_tile(z):
+    """Every row of z (C, F, T) as one tile."""
+    return [(0, z.shape[1])]
+
+
 def make_spec(rng, f=F, t=T):
     cfg = AnalysisConfig(fft_size=(f - 1) * 2, hop=(f - 1))
     return Spectrogram(rand_complex(rng, (2, f, t)), cfg)
@@ -40,16 +45,17 @@ def make_spec(rng, f=F, t=T):
 class TestDecodeHeads:
     def test_output_shapes(self, rng):
         p = make_decoder(rng)
-        r = decode_heads(rand_complex(rng, (C, F, T)), p)
+        z = rand_complex(rng, (C, F, T))
+        r = decode_heads(z, p, one_tile(z))
         assert r.w_s.shape == (F, T)
         assert r.w_n.shape == (F, T)
 
     def test_heads_are_independent(self, rng):
         p = make_decoder(rng)
         z = rand_complex(rng, (C, F, T))
-        r1 = decode_heads(z, p)
+        r1 = decode_heads(z, p, one_tile(z))
         p.head_n_proj = make_clinear(rng, 1, C, 0.9)
-        r2 = decode_heads(z, p)
+        r2 = decode_heads(z, p, one_tile(z))
         np.testing.assert_array_equal(r1.w_s, r2.w_s)
         assert np.max(np.abs(r1.w_n - r2.w_n)) > 1e-9
 
@@ -59,14 +65,15 @@ class TestDecodeHeads:
         p.head_s_proj = CLinearParams(
             np.zeros((1, C), dtype=complex), np.array([bias])
         )
-        r = decode_heads(rand_complex(rng, (C, F, T)), p)
+        z = rand_complex(rng, (C, F, T))
+        r = decode_heads(z, p, one_tile(z))
         np.testing.assert_allclose(r.w_s, bias, rtol=1e-12)
 
     def test_wrong_rank_raises(self, rng):
         p = make_decoder(rng)
         for shape in [(1, C, F, T), (C, F)]:
             with pytest.raises(ShapeMismatch):
-                decode_heads(rand_complex(rng, shape), p)
+                decode_heads(rand_complex(rng, shape), p, [(0, F)])
 
 
 class TestStreamedHeads:
@@ -83,7 +90,7 @@ class TestStreamedHeads:
         p.head_s = [make_lightconv(rng, C, C, kernel) for _ in range(n_blocks)]
         p.head_n = [make_lightconv(rng, C, C, kernel) for _ in range(n_blocks)]
         z = rand_complex(rng, (C, F, T))
-        whole = decode_heads(z, p)
+        whole = decode_heads(z, p, one_tile(z))
         ends = np.cumsum(bands).tolist()
         tiles = list(zip([0] + ends[:-1], ends))
         made, conv = {}, decoder.lightconv
@@ -132,7 +139,7 @@ class TestRatfSolve:
     def test_degenerate_ratfs_stay_finite(self, rng):
         y = make_spec(rng)
         w = rand_complex(rng, (F, T))
-        est = ratf_solve(y, RatfPair(w_s=w, w_n=w.copy()))
+        est = ratf_solve(y, RatfPair(w_s=w, w_n=w.copy()), eps=RunConfig().eps_ratf)
         assert np.all(np.isfinite(est.bins))
         np.testing.assert_allclose(est.bins[1], 0.0, atol=1e-3)
 
@@ -140,19 +147,19 @@ class TestRatfSolve:
         y = make_spec(rng)
         r = RatfPair(w_s=rand_complex(rng, (1, F, T)), w_n=rand_complex(rng, (1, F, T)))
         with pytest.raises(ShapeMismatch):
-            ratf_solve(y, r)
+            ratf_solve(y, r, eps=1e-8)
 
     def test_rejects_ratfs_of_different_shapes(self, rng):
         y = make_spec(rng)
         r = RatfPair(w_s=rand_complex(rng, (F, T)), w_n=rand_complex(rng, (1, F, T)))
         with pytest.raises(ShapeMismatch):
-            ratf_solve(y, r)
+            ratf_solve(y, r, eps=1e-8)
 
     def test_shape_mismatch_raises(self, rng):
         y = make_spec(rng)
         r = RatfPair(w_s=rand_complex(rng, (F + 1, T)), w_n=rand_complex(rng, (F + 1, T)))
         with pytest.raises(ShapeMismatch):
-            ratf_solve(y, r)
+            ratf_solve(y, r, eps=1e-8)
 
 
 class TestRefinementGate:

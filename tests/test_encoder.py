@@ -12,7 +12,7 @@ from binse.complex_ops import (
 )
 from binse.encoder import EncoderParams, encode_gamma, encode_stft, fuse, recalibrate
 from binse.errors import ShapeMismatch
-from conftest import make_cse, make_lightconv, rand_complex
+from conftest import make_cse, make_lightconv, rand_complex, recalibrate_by_own_squeeze
 
 
 F, T, C, G = 9, 7, 4, 6
@@ -110,7 +110,7 @@ class TestEncodeGamma:
     def test_output_shape_projected_to_stft_bins(self, rng):
         p = make_encoder(rng)
         g = rand_complex(rng, (2, G, T)).real + 0j
-        z = encode_gamma(g, p)
+        z = encode_gamma(g, p, [(0, G)])
         assert z.shape == (C, F, T)
 
     def test_projection_matches_einsum_oracle(self, rng):
@@ -122,7 +122,7 @@ class TestEncodeGamma:
         for block in p.gamma_blocks:
             x = lightconv(x, block)
         oracle = np.einsum("fg,cgt->cft", p.gamma_proj, x)
-        np.testing.assert_allclose(encode_gamma(g, p), oracle, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(encode_gamma(g, p, [(0, G)]), oracle, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
     def test_real_projection_matches_complex_matmul(self, rng, dtype):
@@ -135,7 +135,7 @@ class TestEncodeGamma:
         x = g
         for block in p.gamma_blocks:
             x = lightconv(x, block)
-        assert_rel_close(encode_gamma(g, p), project_complex(x, p), 1e-6)
+        assert_rel_close(encode_gamma(g, p, [(0, 12)]), project_complex(x, p), 1e-6)
 
     @pytest.mark.parametrize("step", [1, 4, G])     # bands per tile: one, several, all
     def test_band_tiles_match_the_whole_blocks(self, rng, step):
@@ -149,7 +149,7 @@ class TestEncodeGamma:
         z = encode_gamma(g, p, [(lo, min(lo + step, G)) for lo in range(0, G, step)])
         oracle = np.einsum("fg,cgt->cft", p.gamma_proj, x)
         np.testing.assert_allclose(z, oracle, rtol=1e-10, atol=1e-12)
-        np.testing.assert_array_equal(z, encode_gamma(g, p))     # one tile of every band
+        np.testing.assert_array_equal(z, encode_gamma(g, p, [(0, G)]))     # one tile of every band
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
     @pytest.mark.parametrize("f, g", [(129, 64), (33, 40)])  # fewer bands than rows, more
@@ -177,14 +177,14 @@ class TestEncodeGamma:
     def test_rejects_wrong_rank_or_ear_count(self, rng):
         p = make_encoder(rng)
         with pytest.raises(ShapeMismatch):
-            encode_gamma(rand_complex(rng, (3, G, T)), p)
+            encode_gamma(rand_complex(rng, (3, G, T)), p, [(0, G)])
         with pytest.raises(ShapeMismatch):
-            encode_gamma(rand_complex(rng, (2, G)), p)
+            encode_gamma(rand_complex(rng, (2, G)), p, [(0, G)])
 
     def test_rejects_feature_count_mismatch(self, rng):
         p = make_encoder(rng)
         with pytest.raises(ShapeMismatch):
-            encode_gamma(rand_complex(rng, (2, G + 1, T)), p)
+            encode_gamma(rand_complex(rng, (2, G + 1, T)), p, [(0, G + 1)])
 
 
 class TestFuse:
@@ -266,47 +266,48 @@ class TestRecalibrate:
         p = make_encoder(rng)
         z = rand_complex(rng, (C, F, T))
         e = cse_excitation(np.mean(np.abs(z), axis=(1, 2)), p.se)
-        np.testing.assert_array_equal(recalibrate(z, p), z * e[:, None, None])
+        np.testing.assert_array_equal(recalibrate(z, p, e), z * e[:, None, None])
 
     def test_zero_weights_halve_the_input(self, rng):
         x = rand_complex(rng, (4, 3, 5))
         p = with_se(rng, CSEParams(reduce=np.zeros((2, 4)), expand=np.zeros((4, 2))))
-        np.testing.assert_allclose(recalibrate(x, p), 0.5 * x, rtol=1e-12)
+        np.testing.assert_allclose(recalibrate_by_own_squeeze(x, p), 0.5 * x, rtol=1e-12)
 
     def test_phase_preserving(self, rng):
         x = rand_complex(rng, (4, 6, 7))
         p = with_se(rng, make_cse(rng, 4))
-        y = recalibrate(x, p)
+        y = recalibrate_by_own_squeeze(x, p)
         dphase = np.angle(y * np.conj(x))
         assert np.max(np.abs(dphase[np.abs(x) > 0])) < 1e-7
 
     def test_depends_only_on_channel_mean_magnitudes(self, rng):
         x = rand_complex(rng, (4, 6, 7))
         p = with_se(rng, make_cse(rng, 4))
-        gain = (recalibrate(x, p) / x)[:, 0, 0].real
+        gain = (recalibrate_by_own_squeeze(x, p) / x)[:, 0, 0].real
         perm_f = rng.permutation(6)
         perm_t = rng.permutation(7)
         xp = x[:, perm_f][:, :, perm_t]
-        gain_p = (recalibrate(xp, p) / xp)[:, 0, 0].real
+        gain_p = (recalibrate_by_own_squeeze(xp, p) / xp)[:, 0, 0].real
         np.testing.assert_allclose(gain, gain_p, rtol=1e-10)
 
     def test_channel_mismatch_raises(self, rng):
         with pytest.raises(ShapeMismatch):
-            recalibrate(rand_complex(rng, (6, 2, 2)), with_se(rng, make_cse(rng, 4)))
+            recalibrate(rand_complex(rng, (6, 2, 2)), with_se(rng, make_cse(rng, 4)), np.ones(6))
 
     def test_rejects_a_four_axis_input(self, rng):
         with pytest.raises(ShapeMismatch):
-            recalibrate(rand_complex(rng, (1, 4, 2, 2)), with_se(rng, make_cse(rng, 4)))
+            recalibrate(rand_complex(rng, (1, 4, 2, 2)), with_se(rng, make_cse(rng, 4)),
+                        np.ones(4))
 
     def test_bands_scaled_by_the_whole_excitation(self, rng):
         x = rand_complex(rng, (4, 6, 7))
         p = with_se(rng, make_cse(rng, 4))
         e = cse_excitation(np.mean(np.abs(x), axis=(1, 2)), p.se)
         bands = [recalibrate(x[:, lo:hi], p, e) for lo, hi in [(0, 1), (1, 4), (4, 6)]]
-        np.testing.assert_array_equal(np.concatenate(bands, axis=1), recalibrate(x, p))
+        np.testing.assert_array_equal(np.concatenate(bands, axis=1), recalibrate(x, p, e))
 
     def test_keeps_the_input_dtype(self, rng):
         x = rand_complex(rng, (4, 3, 5)).astype(np.complex64)
         p = with_se(rng, make_cse(rng, 4))      # float64 weights
-        assert recalibrate(x, p).dtype == np.complex64
+        assert recalibrate_by_own_squeeze(x, p).dtype == np.complex64
         assert recalibrate(x, p, np.ones(4)).dtype == np.complex64

@@ -202,28 +202,28 @@ class TestIstft:
 
 class TestGammatone:
     def test_center_frequencies_strictly_increasing(self, analysis):
-        bank = build_gammatone_bank(analysis, 64, 50.0, 7800.0)
+        bank = build_gammatone_bank(analysis, 64, 50.0, 7800.0, 1024)
         assert bank.n_channels == 64
         assert np.all(np.diff(bank.center_freqs) > 0)
         assert bank.center_freqs[0] > 0 and bank.center_freqs[-1] < 8000
 
     def test_single_channel_sits_at_erb_midpoint(self, analysis):
-        bank = build_gammatone_bank(analysis, 1, 50.0, 7800.0)
+        bank = build_gammatone_bank(analysis, 1, 50.0, 7800.0, 1024)
         assert bank.center_freqs[0] == pytest.approx(erb_space(50.0, 7800.0, 1)[0])
         lo, hi = erb_space(50.0, 7800.0, 3)[[0, 2]]
         assert lo < bank.center_freqs[0] < hi
 
     def test_unit_peak_response_at_center(self, analysis):
-        bank = build_gammatone_bank(analysis, 64, 50.0, 7800.0)
+        bank = build_gammatone_bank(analysis, 64, 50.0, 7800.0, 1024)
         for k in range(0, 64, 7):
             resp = gammatone_response(bank, float(bank.center_freqs[k]), k)
             assert resp == pytest.approx(1.0, abs=0.01)
 
     def test_invalid_band_edges_raise(self, analysis):
         with pytest.raises(InvalidBand):
-            build_gammatone_bank(analysis, 8, 7800.0, 50.0)
+            build_gammatone_bank(analysis, 8, 7800.0, 50.0, 1024)
         with pytest.raises(InvalidBand):
-            build_gammatone_bank(analysis, 8, 50.0, 9000.0)
+            build_gammatone_bank(analysis, 8, 50.0, 9000.0, 1024)
 
     def test_zero_input_gives_zero_features(self, analysis):
         bank = build_gammatone_bank(analysis, 8, 50.0, 7800.0, n_taps=256)
@@ -262,20 +262,20 @@ class TestGammatone:
                 np.testing.assert_allclose(g.real, oracle, rtol=0, atol=1e-12)
 
     def test_bank_stores_filter_spectra_on_one_block(self, analysis):
-        bank = build_gammatone_bank(analysis, 8, 50.0, 7800.0)
+        bank = build_gammatone_bank(analysis, 8, 50.0, 7800.0, 1024)
         assert bank.block_len == 4096
         assert bank.spectra.shape == (8, 2049)
         np.testing.assert_allclose(
             bank.spectra, np.fft.rfft(bank.impulse_responses, n=4096), rtol=0, atol=1e-15)
 
     def test_bank_planned_for_a_smaller_hop_rejects_a_larger_one(self):
-        bank = build_gammatone_bank(AnalysisConfig(fft_size=256, hop=8), 4, n_taps=16)
+        bank = build_gammatone_bank(AnalysisConfig(fft_size=256, hop=8), 4, 50.0, 7800.0, 16)
         assert bank.block_len == 64
         with pytest.raises(ShapeMismatch, match="cannot hold a hop of 128"):
             gammatone_frames(make_wave(np.random.default_rng(0), 1000), bank, AnalysisConfig())
 
     def test_bank_built_for_another_rate_rejected(self, rng, analysis):
-        bank = build_gammatone_bank(AnalysisConfig(sample_rate=8000), 8, 50.0, 3800.0)
+        bank = build_gammatone_bank(AnalysisConfig(sample_rate=8000), 8, 50.0, 3800.0, 1024)
         with pytest.raises(ShapeMismatch, match="bank rate 8000 != config rate 16000"):
             gammatone_frames(make_wave(rng, 4096), bank, analysis)
 
@@ -299,7 +299,7 @@ class TestGammatone:
     def test_eight_second_call_peaks_at_a_quarter_of_the_filtered_signal(self, analysis):
         # the whole (64, 2, n) float64 filtered signal alone is 131 MB at 8 s;
         # whole-length filtering peaked at 318 MB
-        bank = build_gammatone_bank(analysis)
+        bank = build_gammatone_bank(analysis, 64, 50.0, 7800.0, 1024)
         w = make_wave(np.random.default_rng(3), 8 * 16000)
         tracemalloc.start()
         try:

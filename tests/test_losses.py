@@ -279,3 +279,12 @@ class TestExternalScore:
         script.chmod(0o755)
         with pytest.raises(ValueError):
             external_score(f"{script}", "a", "b")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_score_raises(self, tmp_path, token):
+        """A JSON report has no token for NaN or infinity."""
+        script = tmp_path / "scorer.sh"
+        script.write_text(f"#!/bin/sh\necho score {token}\n")
+        script.chmod(0o755)
+        with pytest.raises(ValueError, match="non-finite score"):
+            external_score(f"{script}", "a", "b")

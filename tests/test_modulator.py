@@ -169,7 +169,7 @@ class TestModulatorBlock:
         )
         z = rand_complex(rng, (C, F, T))
         np.testing.assert_allclose(
-            modulator_block(z, p), cln(z, p.norm), rtol=1e-10, atol=1e-12
+            modulator_block(z, p), cln(z.copy(), p.norm), rtol=1e-10, atol=1e-12
         )
 
     def test_gate_is_pure_magnitude_modulation(self, rng):

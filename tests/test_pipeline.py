@@ -21,7 +21,7 @@ from binse.errors import InvariantViolation, ShapeMismatch
 from binse.frontend import build_gammatone_bank, istft, stft
 from binse.params import init_random
 from binse.pipeline import enhance, pad_to_frame_grid
-from conftest import rand_complex, small_config
+from conftest import rand_complex, recalibrate_by_own_squeeze, small_config
 
 SR = 16000
 
@@ -200,7 +200,7 @@ class TestStageDumps:
     def test_stage_consistency_recomputation(self, setup, rng):
         """Each dumped stage must be reproducible from its predecessor."""
         from binse.decoder import RatfPair, decode_heads, refinement_gate
-        from binse.encoder import fuse, recalibrate
+        from binse.encoder import fuse
         from binse.frontend import Spectrogram
         from binse.modulator import modulator_block
 
@@ -212,11 +212,11 @@ class TestStageDumps:
 
         z_att = fuse(st["z_stft"], st["z_gamma"], model.encoder)
         np.testing.assert_allclose(z_att, st["z_attended"], rtol=1e-6, atol=1e-7)
-        z_bb = recalibrate(st["z_attended"], model.encoder)
+        z_bb = recalibrate_by_own_squeeze(st["z_attended"], model.encoder)
         np.testing.assert_allclose(z_bb, st["z_backbone"], rtol=1e-6, atol=1e-7)
         z_out = modulator_block(st["z_backbone"], model.modulator)
         np.testing.assert_allclose(z_out, st["z_out"], rtol=1e-6, atol=1e-7)
-        ratfs = decode_heads(st["z_out"], model.decoder)
+        ratfs = decode_heads(st["z_out"], model.decoder, [(0, st["z_out"].shape[1])])
         np.testing.assert_allclose(ratfs.w_s, st["ratf_s"], rtol=1e-6, atol=1e-7)
         np.testing.assert_allclose(ratfs.w_n, st["ratf_n"], rtol=1e-6, atol=1e-7)
         s_hat = ratf_solve(y, RatfPair(st["ratf_s"], st["ratf_n"]), eps=cfg.eps_ratf)
@@ -366,7 +366,7 @@ def test_kernels_compute_each_row_alone(case):
     for name, kernel in kernels.items():
         np.testing.assert_array_equal(kernel(lo, hi), kernel(0, f)[:, lo:hi], err_msg=name)
     tiled = decode_heads(x, dec, [(0, lo), (lo, hi), (hi, f)])
-    one = decode_heads(x, dec)
+    one = decode_heads(x, dec, [(0, f)])
     np.testing.assert_array_equal(tiled.w_s, one.w_s)
     np.testing.assert_array_equal(tiled.w_n, one.w_n)
 

@@ -15,7 +15,6 @@ from binse.profiler import (
     count_macs,
     count_params,
     full_report,
-    measure_rtf,
 )
 from conftest import small_config
 
@@ -135,21 +134,6 @@ class TestCountMacs:
         assert report.mac_rows["decoder"] == 2 * per_head + c * f
 
 
-class TestMeasureRtf:
-    def test_small_model_is_fast_and_positive(self):
-        cfg = small_config()
-        model = init_random(cfg, seed=0)
-        rtf = measure_rtf(model, cfg, repeats=3, warmup=1)
-        assert 0.0 < rtf < 1.0
-
-    def test_reports_per_second_of_audio(self, rng):
-        cfg = small_config()
-        model = init_random(cfg, seed=0)
-        wav = Waveform(0.1 * rng.standard_normal((2, 16000)), 16000)
-        rtf = measure_rtf(model, cfg, wav=wav, repeats=3, warmup=1)
-        assert rtf > 0.0
-
-
 class TestFullReport:
     def test_combines_rows_consistently(self):
         cfg = small_config()
@@ -164,8 +148,9 @@ class TestFullReport:
     def test_with_rtf(self):
         cfg = small_config()
         model = init_random(cfg, seed=0)
-        report = full_report(model, cfg, with_rtf=True, repeats=2)
-        assert report.rtf is not None and report.rtf > 0
+        report = full_report(model, cfg, with_rtf=True, repeats=3)
+        assert report.rtf is not None and 0.0 < report.rtf < 1.0     # a small model is fast
+        assert report.cpu_s > 0 and report.workers >= 1
 
     def test_check_totals_catches_inconsistency(self):
         bad = ComplexityReport(n_params=10, param_rows={"encoder": 5})
