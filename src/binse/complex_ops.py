@@ -7,19 +7,24 @@ takes complex x of shape (C, F, T), channels on axis 0, as the plan's
 (C, rows, T) tiles and ``frontend.stft``'s (2, F, T) bins are. Parameter
 containers are plain dataclasses of ndarrays, immutable by convention.
 
-Execution contract. ``cln`` and ``cprelu`` work in place: they overwrite
-their complex input, whose last axis must have unit stride, and return it.
-No other public function mutates its input; ``clinear`` and ``lightconv``
-take an optional ``out`` array for their result. ``lightconv`` is the one
-block entry point; the rank of the depthwise kernel selects a time-only or a
-(frequency, time) conv. Callers pass the rows:
-``lightconv(x, p, rows=(lo, hi))`` computes rows lo:hi in one pass, with
-``k_f // 2`` halo rows on either side (2-D kernels), writing its depthwise
-sum, pointwise mix, norm, PReLU and residual into one output, so its
-temporaries are the size of the rows it is handed. The depthwise conv runs
-its taps over channel groups of about ``_DEPTHWISE_GROUP_BYTES``, to stay in
-L2. The kernels keep their module-level names and are looked up as module
-globals on every call, so a wrapper bound to one sees every call.
+Each operation the network repeats is one kernel here: ``clinear`` (every
+channel product), ``sigmoid`` (every gate), ``prelu``/``cprelu`` and
+``pooled_magnitude``. Each computes a frequency row from that row alone, so
+on any rows of x, at every shape, it gives those rows of its whole-x result.
+
+Execution contract. ``cln``, ``cprelu`` and ``prelu`` work in place: they
+overwrite their input, whose last axis must have unit stride, and return it,
+as ``sigmoid(x, out=x)`` does. No other public function mutates its input;
+``clinear`` and ``lightconv`` take an optional ``out`` array for their
+result. ``lightconv`` is the one block entry point; the rank of the
+depthwise kernel selects a time-only or a (frequency, time) conv. Callers
+pass the rows: ``lightconv(x, p, rows=(lo, hi))`` computes rows lo:hi in
+one pass, with ``k_f // 2`` halo rows on either side (2-D kernels), writing
+its depthwise sum, pointwise mix, norm, PReLU and residual into one output,
+so its temporaries are the size of the rows it is handed. The depthwise
+conv runs its taps over channel groups of about ``_DEPTHWISE_GROUP_BYTES``,
+to stay in L2. The kernels keep their module-level names and are looked up
+as module globals on every call, so a wrapper bound to one sees every call.
 """
 
 from __future__ import annotations
@@ -69,12 +74,12 @@ class CSEParams:
 
 
 def clinear(x: np.ndarray, p: CLinearParams, out: np.ndarray | None = None) -> np.ndarray:
-    """Complex affine map y = W x + b over the channels of x (C_in, F, T).
+    """Affine map y = W x + b over the channels of x (C_in, F, T), complex
+    or real, computed in the result type of x and W.
 
     One (C_out, C_in) @ (C_in, T) BLAS product per frequency row, in one
-    numpy call, so a row's result does not depend on the other rows of x,
-    except at C_out = T = 1 (see ``decoder._decode_head``). ``out``, if
-    given, receives y.
+    numpy call, so a row's result does not depend on the other rows of x.
+    ``out``, if given, receives y.
     """
     if x.ndim != 3:
         raise ShapeMismatch(f"linear map expects (C, F, T), got {x.shape}")
@@ -84,9 +89,10 @@ def clinear(x: np.ndarray, p: CLinearParams, out: np.ndarray | None = None) -> n
     dtype = np.result_type(x.dtype, p.weight.dtype)
     if out is None:
         out = np.empty(p.weight.shape[:1] + x.shape[1:], dtype)
-    np.matmul(p.weight.astype(dtype, copy=False),
-              x.astype(dtype, copy=False).transpose(1, 0, 2),
-              out=out.transpose(1, 0, 2))
+    rows = x.astype(dtype, copy=False).transpose(1, 0, 2)
+    if out.shape[0] == x.shape[2] == 1:     # a BLAS dot, summed in an order set by
+        rows = np.ascontiguousarray(rows)   # the stride: give every row unit stride
+    np.matmul(p.weight.astype(dtype, copy=False), rows, out=out.transpose(1, 0, 2))
     out += p.bias[:, np.newaxis, np.newaxis]
     return out
 
@@ -114,18 +120,32 @@ def cln(x: np.ndarray, p: CLayerNormParams) -> np.ndarray:
     return x
 
 
-def cprelu(x: np.ndarray, slope) -> np.ndarray:
-    """PReLU applied to real and imaginary parts with a shared slope, in
-    place on complex x, whose last axis must have unit stride; returns x.
-
-    Computed as max(v, slope * v) on the real values (min for slope > 1),
-    which equals where(v >= 0, v, slope * v) to the bit.
-    """
-    v = x.view(x.real.dtype)
+def prelu(v: np.ndarray, slope) -> np.ndarray:
+    """PReLU of real v in place, as max(v, slope * v) (min for slope > 1),
+    which equals where(v >= 0, v, slope * v) to the bit; returns v."""
     s = float(slope)
-    scaled = v * s
-    (np.maximum if s <= 1.0 else np.minimum)(v, scaled, out=v)
+    (np.maximum if s <= 1.0 else np.minimum)(v, v * s, out=v)
+    return v
+
+
+def cprelu(x: np.ndarray, slope) -> np.ndarray:
+    """``prelu`` of the real and imaginary parts with a shared slope, in
+    place on complex x, whose last axis must have unit stride; returns x."""
+    prelu(x.view(x.real.dtype), slope)
     return x
+
+
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The logistic 1 / (1 + exp(-x)) to the bit, into ``out`` if given (x allowed)."""
+    out = np.negative(x, out=out)
+    np.exp(out, out=out)
+    return np.divide(1.0, np.add(1.0, out, out=out), out=out)
+
+
+def pooled_magnitude(z: np.ndarray) -> np.ndarray:
+    """mean_T |z| of z (C, F, T) as a C-contiguous (F, C) array, F ahead of
+    C so that a product over channels sums each row in one order for any F."""
+    return np.ascontiguousarray(np.mean(np.abs(z), axis=-1).T)
 
 
 def _depthwise_conv(x: np.ndarray, kernel: np.ndarray, rows: tuple[int, int]) -> np.ndarray:
@@ -229,5 +249,4 @@ def lightconv(
 def cse_excitation(s: np.ndarray, p: CSEParams) -> np.ndarray:
     """The SE excitation sigmoid(expand @ relu(reduce @ s)) of the squeeze s
     (C,): a real, positive per-channel scale."""
-    h = np.maximum(s @ p.reduce.T, 0.0)
-    return 1.0 / (1.0 + np.exp(-(h @ p.expand.T)))
+    return sigmoid(np.maximum(s @ p.reduce.T, 0.0) @ p.expand.T)

@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import workers
-from .complex_ops import CLinearParams, LightConvParams, clinear, lightconv
+from .complex_ops import (CLinearParams, LightConvParams, clinear, lightconv, pooled_magnitude,
+                          sigmoid)
 from .errors import ShapeMismatch
 from .frontend import Spectrogram
 
@@ -82,7 +83,8 @@ def decode_heads(z_out: np.ndarray, p: DecoderParams, tiles: list[tuple[int, int
 
 
 def _decode_head(z_out, blocks, proj, tiles) -> np.ndarray:
-    """One head's RATF (F, T), its blocks run on the lagged schedule."""
+    """One head's RATF (F, T): its blocks run on the lagged schedule, and
+    ``clinear`` projects each tile's rows, exactly as it would all rows."""
     f, t = z_out.shape[1:]
     n = len(blocks)
     ratf = np.empty((f, t), np.result_type(z_out.dtype, proj.weight.dtype))
@@ -94,7 +96,7 @@ def _decode_head(z_out, blocks, proj, tiles) -> np.ndarray:
         for block in blocks:
             stops.append(f if stops[-1] == f else max(0, stops[-1] - _halo(block)))
         src, first = z_out, 0
-        x = z_out[:, made[0] : hi]
+        x = z_out[:, made[0] : hi]      # a head of no blocks projects z_out itself
         for l, block in enumerate(blocks):
             a, b = made[l + 1], stops[l + 1]
             out = None
@@ -105,9 +107,6 @@ def _decode_head(z_out, blocks, proj, tiles) -> np.ndarray:
             x = lightconv(src, block, rows=(a - first, b - first), out=out)
             if out is not None:
                 src, first = levels[l].rows, levels[l].first
-        # rows ahead of channels, so that at T = 1 the projection's dot reads
-        # a unit-stride x in any tile (BLAS sums that in its own order)
-        x = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)
         ratf[made[n] : stops[n]] = clinear(x, proj)[0]
         made = stops
     return ratf
@@ -140,7 +139,7 @@ def refinement_gate(z_out: np.ndarray, p: DecoderParams) -> np.ndarray:
     """Per-frequency confidence gate g = sigmoid(conv1x1(avgpool_T |Z|)).
 
     z_out (C, F, T) gives (F,) values in (0, 1); depends on the input only
-    through its time-averaged channel magnitudes.
+    through its ``pooled_magnitude``, so each row's gate on that row alone.
     """
     if z_out.ndim != 3:
         raise ShapeMismatch(f"expected (C, F, T), got {z_out.shape}")
@@ -148,15 +147,13 @@ def refinement_gate(z_out: np.ndarray, p: DecoderParams) -> np.ndarray:
         raise ShapeMismatch(
             f"gate conv expects {p.drg_weight.shape[0]} channels, got {z_out.shape[0]}"
         )
-    # (F, C), F ahead of C as in the modulator's gates
-    pooled = np.ascontiguousarray(np.mean(np.abs(z_out), axis=-1).T)
-    pre = np.einsum("fc,c->f", pooled, p.drg_weight) + float(p.drg_bias)
-    return 1.0 / (1.0 + np.exp(-pre))
+    pre = np.einsum("fc,c->f", pooled_magnitude(z_out), p.drg_weight) + float(p.drg_bias)
+    return sigmoid(pre, out=pre)
 
 
 def global_gate(p: DecoderParams) -> np.ndarray:
     """Input-independent learned per-frequency gate (ablation variant)."""
-    return 1.0 / (1.0 + np.exp(-p.drg_global))
+    return sigmoid(p.drg_global)
 
 
 def blend(s_hat: Spectrogram, y: Spectrogram, g: np.ndarray) -> Spectrogram:

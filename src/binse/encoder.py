@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import workers
-from .complex_ops import CSEParams, LightConvParams, lightconv
+from .complex_ops import CLinearParams, CSEParams, LightConvParams, clinear, lightconv, sigmoid
 from .errors import ShapeMismatch
 
 
@@ -21,8 +21,7 @@ class EncoderParams:
     stft_blocks: list[LightConvParams]    # M blocks: 2 -> C, then C -> C
     gamma_blocks: list[LightConvParams]   # M blocks on the gammatone stream
     gamma_proj: np.ndarray                # real (F, n_gammatone) feature-axis map
-    fusion_weight: np.ndarray             # real (C, C) 1x1 conv over channels
-    fusion_bias: np.ndarray               # real (C,)
+    fusion: CLinearParams                 # real (C, C), (C,): 1x1 conv over channels
     se: CSEParams
 
 
@@ -92,7 +91,8 @@ def fuse(
     p: EncoderParams,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Attention fusion: Z_stft gated by sigmoid(Conv(|Z_gamma|)).
+    """Attention fusion: Z_stft gated by sigmoid(Conv(|Z_gamma|)), the conv
+    a real ``clinear``, so each frequency row depends on that row alone.
 
     The gate is real in (0, 1) and broadcast over re/im, so the fused path
     is phase-transparent. Without a gammatone stream (z_gamma None, the
@@ -101,26 +101,16 @@ def fuse(
     z_gamma itself, as the whole gate is read before the product is written.
     """
     c = z_stft.shape[0]
-    if p.fusion_weight.shape != (c, c):
-        raise ShapeMismatch(
-            f"fusion conv expects ({c}, {c}) weights, got {p.fusion_weight.shape}"
-        )
+    if p.fusion.weight.shape != (c, c):
+        raise ShapeMismatch(f"fusion conv expects ({c}, {c}) weights, got {p.fusion.weight.shape}")
     if z_gamma is None:
-        a = 1.0 / (1.0 + np.exp(-p.fusion_bias))
-        return np.multiply(z_stft, a[:, None, None], out=out)
+        return np.multiply(z_stft, sigmoid(p.fusion.bias)[:, None, None], out=out)
     if z_gamma.shape != z_stft.shape:
         raise ShapeMismatch(
             f"stream shapes differ after projection: {z_stft.shape} vs {z_gamma.shape}"
         )
-    mag = np.abs(z_gamma)
-    w = p.fusion_weight.astype(mag.dtype, copy=False)
-    pre = np.matmul(w, mag.transpose(1, 0, 2)).transpose(1, 0, 2)    # one per row
-    pre += p.fusion_bias[:, np.newaxis, np.newaxis]
-    np.negative(pre, out=pre)
-    np.exp(pre, out=pre)
-    np.add(1.0, pre, out=pre)
-    np.divide(1.0, pre, out=pre)
-    return np.multiply(z_stft, pre, out=out)
+    pre = clinear(np.abs(z_gamma), p.fusion)
+    return np.multiply(z_stft, sigmoid(pre, out=pre), out=out)
 
 
 def recalibrate(z_attended: np.ndarray, p: EncoderParams, excitation: np.ndarray) -> np.ndarray:

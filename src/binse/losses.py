@@ -109,12 +109,6 @@ def stoi_surrogate(s_hat: Waveform, s: Waveform, segment_s: float = 0.384) -> fl
     return float(1.0 - np.mean(corrs))
 
 
-def _wrap_phase(x: np.ndarray) -> np.ndarray:
-    """Wrap radians into (-pi, pi]."""
-    w = np.angle(np.exp(1j * x))
-    return np.where(w <= -np.pi, np.pi, w)
-
-
 def cue_maps(s: Spectrogram, floor_db: float = 40.0) -> CueMaps:
     """ILD/IPD maps of a binaural spectrogram.
 
@@ -133,8 +127,8 @@ def cue_maps(s: Spectrogram, floor_db: float = 40.0) -> CueMaps:
     return CueMaps(ild=ild, ipd=ipd, active_mask=mask)
 
 
-def ild_loss(clean: Spectrogram, est: Spectrogram, floor_db: float = 40.0) -> float:
-    """Mean absolute ILD difference (dB) over the clean-signal active mask."""
+def _cue_error(clean: Spectrogram, est: Spectrogram, floor_db: float, cue: str) -> np.ndarray:
+    """est's ``cue`` map ("ild" or "ipd") less clean's, on clean's active mask."""
     if clean.bins.shape != est.bins.shape:
         raise ShapeMismatch("spectrogram shapes differ")
     c = cue_maps(clean, floor_db)
@@ -142,20 +136,18 @@ def ild_loss(clean: Spectrogram, est: Spectrogram, floor_db: float = 40.0) -> fl
     mask = c.active_mask
     if not np.any(mask):
         raise EmptyMask("no active bins in the clean reference")
-    return float(np.mean(np.abs(e.ild[mask] - c.ild[mask])))
+    return getattr(e, cue)[mask] - getattr(c, cue)[mask]
+
+
+def ild_loss(clean: Spectrogram, est: Spectrogram, floor_db: float = 40.0) -> float:
+    """Mean absolute ILD difference (dB) over the clean-signal active mask."""
+    return float(np.mean(np.abs(_cue_error(clean, est, floor_db, "ild"))))
 
 
 def ipd_loss(clean: Spectrogram, est: Spectrogram, floor_db: float = 40.0) -> float:
     """Mean absolute wrapped IPD difference (rad) over the active mask."""
-    if clean.bins.shape != est.bins.shape:
-        raise ShapeMismatch("spectrogram shapes differ")
-    c = cue_maps(clean, floor_db)
-    e = cue_maps(est, floor_db)
-    mask = c.active_mask
-    if not np.any(mask):
-        raise EmptyMask("no active bins in the clean reference")
-    d = _wrap_phase(e.ipd[mask] - c.ipd[mask])
-    return float(np.mean(np.abs(d)))
+    d = np.angle(np.exp(1j * _cue_error(clean, est, floor_db, "ipd")))   # in [-pi, pi]
+    return float(np.mean(np.abs(d)))    # |-pi| = |pi|: no fold, unlike cue_maps
 
 
 def reg_terms(g: np.ndarray) -> tuple[float, float, float]:

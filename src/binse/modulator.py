@@ -15,7 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .complex_ops import CLayerNormParams, CLinearParams, clinear, cln
+from .complex_ops import (CLayerNormParams, CLinearParams, clinear, cln, pooled_magnitude,
+                          prelu, sigmoid)
 from .errors import ShapeMismatch
 
 
@@ -54,14 +55,11 @@ def fourier_basis(n_frames: int, n_basis: int) -> np.ndarray:
 
 def _gates_all_freqs(z: np.ndarray, basis: np.ndarray, p: ModulatorParams) -> np.ndarray:
     """Vectorized gate synthesis over all frequencies: (C, F, T) -> (F, T)."""
-    slope = float(p.mlp_prelu_slope)
-    # (F, C): F ahead of C, so that einsum sums a row in one order for any F
-    c = np.ascontiguousarray(np.mean(np.abs(z), axis=-1).T)
-    h = np.einsum("fc,hc->fh", c, p.mlp_w1) + p.mlp_b1
-    h = np.where(h >= 0, h, slope * h)
-    a = np.einsum("fh,kh->fk", h, p.mlp_w2) + p.mlp_b2
+    h = np.einsum("fc,hc->fh", pooled_magnitude(z), p.mlp_w1) + p.mlp_b1
+    a = np.einsum("fh,kh->fk", prelu(h, p.mlp_prelu_slope), p.mlp_w2) + p.mlp_b2
     pre = np.einsum("tk,fk->ft", basis, a)
-    return 1.0 / (1.0 + np.exp(-float(p.tau) * pre))
+    pre *= float(p.tau)
+    return sigmoid(pre, out=pre)
 
 
 def modulator_block(

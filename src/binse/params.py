@@ -118,8 +118,10 @@ def _build(cfg: RunConfig, make) -> ModelParams:
         stft_blocks=blocks("encoder.stft", cfg.n_encoder_blocks, k1),
         gamma_blocks=blocks("encoder.gamma", cfg.n_encoder_blocks, k1),
         gamma_proj=make.rweight("encoder.gamma_proj", (f, cfg.n_gammatone), cfg.n_gammatone),
-        fusion_weight=make.rweight("encoder.fusion.weight", (c, c), c),
-        fusion_bias=make.zeros("encoder.fusion.bias", (c,)),
+        fusion=CLinearParams(
+            weight=make.rweight("encoder.fusion.weight", (c, c), c),
+            bias=make.zeros("encoder.fusion.bias", (c,)),
+        ),
         se=CSEParams(
             reduce=make.rweight("encoder.se.reduce", (c // cfg.se_reduction, c), c),
             expand=make.rweight(

@@ -233,6 +233,8 @@ def enhance(
         )
     if model.fingerprint != cfg.fingerprint():
         raise InvariantViolation("model weights do not match the active config")
+    if np.dtype(dtype).kind != "c":
+        raise ValueError(f"dtype must be complex, got {np.dtype(dtype)}")
     with workers.plan():
         n_in = wav_in.n_samples
         w = pad_to_frame_grid(wav_in, cfg)

@@ -119,6 +119,8 @@ def full_report(
     median wall time of ``repeats`` ``enhance`` calls on seeded noise of
     that length over its duration, with the process CPU seconds (every
     thread) per audio second and the pool's thread count."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be at least 1, got {repeats}")
     params = count_params(model)
     macs = count_macs(cfg, audio_seconds)
     report = ComplexityReport(
@@ -129,8 +131,6 @@ def full_report(
         mac_rows=macs.mac_rows,
     )
     if with_rtf:
-        if repeats < 1:
-            raise ValueError(f"repeats must be at least 1, got {repeats}")
         rng = np.random.default_rng(0)
         sr = cfg.analysis.sample_rate
         wav = Waveform(0.1 * rng.standard_normal((2, int(round(audio_seconds * sr)))), sr)

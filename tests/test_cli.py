@@ -433,9 +433,12 @@ class TestBenchCommand:
         assert json.loads(capsys.readouterr().out)["audio_seconds"] == 8.0
         assert lengths and set(lengths) == {8.0}
 
-    @pytest.mark.parametrize("repeats", ["0", "-1"])
-    def test_repeats_below_one_exit_2(self, cfg_file, capsys, repeats):
-        assert main(["bench", "--config", cfg_file, "--rtf", f"--repeats={repeats}"]) == 2
+    @pytest.mark.parametrize("repeats, rtf", [
+        pytest.param("0", ["--rtf"], id="0"), pytest.param("-1", ["--rtf"], id="-1"),
+        pytest.param("0", [], id="0-no-rtf"), pytest.param("-1", [], id="-1-no-rtf"),
+    ])
+    def test_repeats_below_one_exit_2(self, cfg_file, capsys, repeats, rtf):
+        assert main(["bench", "--config", cfg_file, *rtf, f"--repeats={repeats}"]) == 2
         assert "repeats must be at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seconds, problem", [

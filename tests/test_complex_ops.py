@@ -17,6 +17,9 @@ from binse.complex_ops import (
     cprelu,
     cse_excitation,
     lightconv,
+    pooled_magnitude,
+    prelu,
+    sigmoid,
 )
 from binse.errors import ShapeMismatch
 from conftest import make_clinear, make_cse, make_lightconv, make_norm, rand_complex
@@ -404,6 +407,56 @@ def test_cprelu_equals_the_where_form_bitwise(rng, slope):
     y = x.copy()
     assert cprelu(y, slope) is y
     np.testing.assert_array_equal(y, lightconv_oracle.cprelu(x, slope))
+
+
+def row_slices(f):
+    """Every one-row slice of f rows, and a few wider ones."""
+    return [(lo, lo + 1) for lo in range(f)] + [(0, 3), (2, f), (0, f)]
+
+
+class TestSharedKernels:
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    @pytest.mark.parametrize("t", [1, 2, 5])
+    @pytest.mark.parametrize("c_out", [1, 80])
+    def test_clinear_rows_equal_the_rows_of_the_whole(self, rng, c_out, t, dtype):
+        """Rows held as their own array, as a plan's tile holds them. At
+        C_out = T = 1 a row's product is a BLAS dot, whose order of summation
+        follows the channel stride, which such an array changes."""
+        p = make_clinear(rng, c_out, 80)
+        x = rand_complex(rng, (80, 7, t)).astype(dtype)
+        whole = clinear(x, p)
+        for lo, hi in row_slices(7):
+            rows = np.ascontiguousarray(x[:, lo:hi])
+            np.testing.assert_array_equal(clinear(rows, p), whole[:, lo:hi], err_msg=(lo, hi))
+
+    def test_pooled_magnitude_rows_equal_the_rows_of_the_whole(self, rng):
+        z = c64_input(rng, (80, 7, 5))
+        whole = pooled_magnitude(z)
+        assert whole.shape == (7, 80) and whole.flags.c_contiguous
+        np.testing.assert_array_equal(whole, np.mean(np.abs(z), axis=-1).T)
+        for lo, hi in row_slices(7):
+            rows = np.ascontiguousarray(z[:, lo:hi])
+            np.testing.assert_array_equal(pooled_magnitude(rows), whole[lo:hi], err_msg=(lo, hi))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_equals_the_textbook_form_bitwise(self, rng, dtype):
+        x = (8.0 * rng.standard_normal((3, 4, 5))).astype(dtype)
+        expected = 1 / (1 + np.exp(-x))
+        y = sigmoid(x)
+        assert y.dtype == dtype and not np.shares_memory(y, x)
+        np.testing.assert_array_equal(y, expected)
+        assert sigmoid(x, out=x) is x
+        np.testing.assert_array_equal(x, expected)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [-0.5, 0.25, 1.5])
+    def test_prelu_equals_the_where_form_bitwise(self, rng, dtype, slope):
+        v = rng.standard_normal((3, 4, 5)).astype(dtype)
+        v[0, 0, :2] = 0.0, -0.0
+        expected = np.where(v >= 0, v, slope * v)
+        assert prelu(v, slope) is v
+        assert v.dtype == dtype
+        np.testing.assert_array_equal(v, expected)
 
 
 @pytest.mark.parametrize("shape", [(1, 1, 1), (3, 1, 1), (4, 5, 6), (80, 3, 250)])

@@ -23,8 +23,7 @@ def make_encoder(rng, c=C, f=F, g=G):
         stft_blocks=[make_lightconv(rng, 2, c, (5,)), make_lightconv(rng, c, c, (5,))],
         gamma_blocks=[make_lightconv(rng, 2, c, (5,)), make_lightconv(rng, c, c, (5,))],
         gamma_proj=rng.standard_normal((f, g)) * 0.3,
-        fusion_weight=rng.standard_normal((c, c)) * 0.3,
-        fusion_bias=rng.standard_normal(c) * 0.3,
+        fusion=CLinearParams(rng.standard_normal((c, c)) * 0.3, rng.standard_normal(c) * 0.3),
         se=make_cse(rng, c),
     )
 
@@ -38,9 +37,9 @@ def fuse_whole(z_stft, z_gamma, p):
     """Oracle: the fusion gate computed over the whole utterance at once."""
     c = z_stft.shape[0]
     mag = np.abs(z_gamma)
-    w = p.fusion_weight.astype(mag.dtype, copy=False)
+    w = p.fusion.weight.astype(mag.dtype, copy=False)
     pre = np.matmul(w, mag.reshape(c, -1)).reshape(mag.shape)
-    pre = pre + p.fusion_bias[:, None, None]
+    pre = pre + p.fusion.bias[:, None, None]
     return z_stft * (1.0 / (1.0 + np.exp(-pre)))
 
 
@@ -61,8 +60,7 @@ def single_precision(p):
     p.stft_blocks = [block(b) for b in p.stft_blocks]
     p.gamma_blocks = [block(b) for b in p.gamma_blocks]
     p.gamma_proj = p.gamma_proj.astype(np.float32)
-    p.fusion_weight = p.fusion_weight.astype(np.float32)
-    p.fusion_bias = p.fusion_bias.astype(np.float32)
+    p.fusion = CLinearParams(p.fusion.weight.astype(np.float32), p.fusion.bias.astype(np.float32))
     return p
 
 
@@ -205,7 +203,7 @@ class TestFuse:
         oracle = np.empty_like(out)
         for fi in range(F):
             for ti in range(T):
-                pre = p.fusion_weight @ np.abs(z_g[:, fi, ti]) + p.fusion_bias
+                pre = p.fusion.weight @ np.abs(z_g[:, fi, ti]) + p.fusion.bias
                 oracle[:, fi, ti] = z_s[:, fi, ti] / (1.0 + np.exp(-pre))
         np.testing.assert_allclose(out, oracle, rtol=1e-9, atol=1e-11)
 
@@ -247,7 +245,7 @@ class TestFuse:
         p = make_encoder(rng)
         z_s = rand_complex(rng, (C, F, T))
         out = fuse(z_s, None, p)
-        expected = z_s / (1.0 + np.exp(-p.fusion_bias))[:, None, None]
+        expected = z_s / (1.0 + np.exp(-p.fusion.bias))[:, None, None]
         np.testing.assert_allclose(out, expected, rtol=1e-12)
 
     def test_shape_mismatch_between_streams_raises(self, rng):

@@ -150,6 +150,13 @@ class TestEnhance:
         with np.errstate(all="ignore"), pytest.raises(InvariantViolation):
             enhance(make_wave(rng, 4096), model, cfg, bank=bank)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16])
+    def test_a_dtype_that_is_not_complex_raises(self, setup, rng, dtype):
+        """A real dtype would drop the spectrum's imaginary part."""
+        cfg, model, bank = setup
+        with pytest.raises(ValueError, match=f"dtype must be complex, got {np.dtype(dtype)}"):
+            enhance(make_wave(rng, 2048), model, cfg, bank=bank, dtype=dtype)
+
     def test_float64_network_close_to_float32(self, setup, rng):
         cfg, model, bank = setup
         w = make_wave(rng, 4096)

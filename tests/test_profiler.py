@@ -152,6 +152,12 @@ class TestFullReport:
         assert report.rtf is not None and 0.0 < report.rtf < 1.0     # a small model is fast
         assert report.cpu_s > 0 and report.workers >= 1
 
+    @pytest.mark.parametrize("with_rtf", [False, True])
+    def test_repeats_below_one_raise(self, with_rtf):
+        cfg = small_config()
+        with pytest.raises(ValueError, match="repeats must be at least 1, got 0"):
+            full_report(init_random(cfg, seed=0), cfg, with_rtf=with_rtf, repeats=0)
+
     def test_check_totals_catches_inconsistency(self):
         bad = ComplexityReport(n_params=10, param_rows={"encoder": 5})
         with pytest.raises(AssertionError):
