@@ -131,6 +131,10 @@ def cmd_metrics(args) -> int:
     for where, rec in synth.read_jsonl(dataset / "metadata.jsonl"):
         if "item_id" not in rec:
             raise UnsupportedFormat(f"{where}: no item_id")
+        try:
+            synth.check_item_id(rec["item_id"])
+        except ValueError as exc:
+            raise UnsupportedFormat(f"{where}: {exc}") from None
         items.append(rec["item_id"])
     tmp = Path(args.report).parent if args.report else dataset
     report = open(args.report, "w") if args.report else contextlib.nullcontext(sys.stdout)
@@ -153,12 +157,7 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if not (np.isfinite(args.seconds) and args.seconds > 0):
-        raise ValueError(f"--seconds must be positive and finite, got {args.seconds}")
     cfg = _load_config(args)
-    if round(args.seconds * cfg.analysis.sample_rate) < 1:
-        raise ValueError(f"--seconds must hold at least one sample at "
-                         f"{cfg.analysis.sample_rate} Hz, got {args.seconds}")
     model = _load_model(args, cfg)
     report = full_report(
         model, cfg, audio_seconds=args.seconds, with_rtf=args.rtf, repeats=args.repeats

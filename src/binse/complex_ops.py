@@ -50,7 +50,6 @@ class CLinearParams:
 class CLayerNormParams:
     gamma: np.ndarray    # complex (C,)
     beta: np.ndarray     # complex (C,)
-    eps: float = 1e-5
 
 
 @dataclass
@@ -101,7 +100,7 @@ def cln(x: np.ndarray, p: CLayerNormParams) -> np.ndarray:
     """Complex layer norm over the channels of x (C, F, T), in place.
 
     The complex mean is removed per position and the centered values are
-    divided by sqrt(E[|x - mu|^2] + eps) -- a single real scale shared by
+    divided by sqrt(E[|x - mu|^2] + 1e-5) -- a single real scale shared by
     the real and imaginary parts -- before the complex affine (gamma, beta).
     x, whose last axis must have unit stride, receives the result and is
     returned.
@@ -111,7 +110,7 @@ def cln(x: np.ndarray, p: CLayerNormParams) -> np.ndarray:
     v = x.view(x.real.dtype)
     v -= np.mean(v, axis=0, keepdims=True)
     moments = np.mean(np.square(v), axis=0, keepdims=True)     # E[re^2], E[im^2]
-    scale = moments[..., 0::2] + moments[..., 1::2] + p.eps
+    scale = moments[..., 0::2] + moments[..., 1::2] + 1e-5
     np.sqrt(scale, out=scale)
     np.reciprocal(scale, out=scale)
     v *= np.repeat(scale, 2, axis=-1)       # one real product per float

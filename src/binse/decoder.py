@@ -96,7 +96,6 @@ def _decode_head(z_out, blocks, proj, tiles) -> np.ndarray:
         for block in blocks:
             stops.append(f if stops[-1] == f else max(0, stops[-1] - _halo(block)))
         src, first = z_out, 0
-        x = z_out[:, made[0] : hi]      # a head of no blocks projects z_out itself
         for l, block in enumerate(blocks):
             a, b = made[l + 1], stops[l + 1]
             out = None

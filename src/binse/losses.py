@@ -32,8 +32,8 @@ class CueMaps:
     active_mask: np.ndarray
 
 
-def snr_loss(s_hat: Waveform, s: Waveform, clamp_db: float = 60.0) -> float:
-    """Negative SNR in dB averaged over ears, clamped to +-clamp_db."""
+def snr_loss(s_hat: Waveform, s: Waveform) -> float:
+    """Negative SNR in dB averaged over ears, clamped to +-60 dB."""
     if s_hat.n_samples != s.n_samples:
         raise ShapeMismatch("waveform lengths differ")
     ref_pow = np.sum(s.samples ** 2, axis=1)
@@ -42,23 +42,23 @@ def snr_loss(s_hat: Waveform, s: Waveform, clamp_db: float = 60.0) -> float:
     err_pow = np.sum((s_hat.samples - s.samples) ** 2, axis=1)
     with np.errstate(divide="ignore"):
         snr_db = 10.0 * np.log10(ref_pow / np.maximum(err_pow, 0.0))
-    snr_db = np.clip(snr_db, -clamp_db, clamp_db)
+    snr_db = np.clip(snr_db, -60.0, 60.0)
     return float(-np.mean(snr_db))
 
 
-def _third_octave_bands(sr: int, n_bands: int = 15, f_start: float = 150.0):
-    """One-third-octave band edges (lo, hi) in Hz, capped below Nyquist."""
-    centers = f_start * 2.0 ** (np.arange(n_bands) / 3.0)
+def _third_octave_bands(sr: int):
+    """Edges (lo, hi) in Hz of 15 one-third-octave bands from 150 Hz, capped below Nyquist."""
+    centers = 150.0 * 2.0 ** (np.arange(15) / 3.0)
     lo = centers * 2.0 ** (-1.0 / 6.0)
     hi = np.minimum(centers * 2.0 ** (1.0 / 6.0), sr / 2.0)
     return list(zip(lo, hi))
 
 
-def stoi_surrogate(s_hat: Waveform, s: Waveform, segment_s: float = 0.384) -> float:
+def stoi_surrogate(s_hat: Waveform, s: Waveform) -> float:
     """Sign-sensitive short-time band-correlation intelligibility proxy.
 
     The signals are decomposed into one-third-octave bands (FFT masking),
-    cut into non-overlapping short segments, and the mean Pearson
+    cut into non-overlapping 384 ms segments, and the mean Pearson
     correlation between clean and estimated band segments is computed per
     ear. The result is 1 - mean correlation: 0 for a perfect estimate, 2
     for a sign-flipped one, ~1 for independent signals.
@@ -73,10 +73,10 @@ def stoi_surrogate(s_hat: Waveform, s: Waveform, segment_s: float = 0.384) -> fl
     if s_hat.n_samples != s.n_samples:
         raise ShapeMismatch("waveform lengths differ")
     sr = s.sample_rate
-    seg = int(round(segment_s * sr))
+    seg = int(round(0.384 * sr))
     n = s.n_samples
     if n < seg:
-        raise InputTooShort(f"need at least {seg} samples ({segment_s * 1000:.0f} ms)")
+        raise InputTooShort(f"need at least {seg} samples (384 ms)")
     freqs = np.fft.rfftfreq(n, d=1.0 / sr)
     spec_ref, spec_est = workers.map(lambda w: np.fft.rfft(w.samples, axis=-1), (s, s_hat))
     n_seg = n // seg
@@ -109,12 +109,12 @@ def stoi_surrogate(s_hat: Waveform, s: Waveform, segment_s: float = 0.384) -> fl
     return float(1.0 - np.mean(corrs))
 
 
-def cue_maps(s: Spectrogram, floor_db: float = 40.0) -> CueMaps:
+def cue_maps(s: Spectrogram) -> CueMaps:
     """ILD/IPD maps of a binaural spectrogram.
 
     ILD is computed as a difference of per-ear log magnitudes so that ear
     swap negates it exactly. The mask is true where the weaker ear's power
-    stays within floor_db of the utterance's loudest bin.
+    stays within 40 dB of the utterance's loudest bin.
     """
     l, r = s.bins[0], s.bins[1]
     mag_l, mag_r = np.abs(l), np.abs(r)
@@ -123,30 +123,30 @@ def cue_maps(s: Spectrogram, floor_db: float = 40.0) -> CueMaps:
     ipd = np.where(ipd <= -np.pi, np.pi, ipd)
     pow_min = np.minimum(mag_l, mag_r) ** 2
     pow_max = max(float(np.max(mag_l) ** 2), float(np.max(mag_r) ** 2))
-    mask = pow_min > pow_max * 10.0 ** (-floor_db / 10.0)
+    mask = pow_min > pow_max * 1e-4
     return CueMaps(ild=ild, ipd=ipd, active_mask=mask)
 
 
-def _cue_error(clean: Spectrogram, est: Spectrogram, floor_db: float, cue: str) -> np.ndarray:
+def _cue_error(clean: Spectrogram, est: Spectrogram, cue: str) -> np.ndarray:
     """est's ``cue`` map ("ild" or "ipd") less clean's, on clean's active mask."""
     if clean.bins.shape != est.bins.shape:
         raise ShapeMismatch("spectrogram shapes differ")
-    c = cue_maps(clean, floor_db)
-    e = cue_maps(est, floor_db)
+    c = cue_maps(clean)
+    e = cue_maps(est)
     mask = c.active_mask
     if not np.any(mask):
         raise EmptyMask("no active bins in the clean reference")
     return getattr(e, cue)[mask] - getattr(c, cue)[mask]
 
 
-def ild_loss(clean: Spectrogram, est: Spectrogram, floor_db: float = 40.0) -> float:
+def ild_loss(clean: Spectrogram, est: Spectrogram) -> float:
     """Mean absolute ILD difference (dB) over the clean-signal active mask."""
-    return float(np.mean(np.abs(_cue_error(clean, est, floor_db, "ild"))))
+    return float(np.mean(np.abs(_cue_error(clean, est, "ild"))))
 
 
-def ipd_loss(clean: Spectrogram, est: Spectrogram, floor_db: float = 40.0) -> float:
+def ipd_loss(clean: Spectrogram, est: Spectrogram) -> float:
     """Mean absolute wrapped IPD difference (rad) over the active mask."""
-    d = np.angle(np.exp(1j * _cue_error(clean, est, floor_db, "ipd")))   # in [-pi, pi]
+    d = np.angle(np.exp(1j * _cue_error(clean, est, "ipd")))   # in [-pi, pi]
     return float(np.mean(np.abs(d)))    # |-pi| = |pi|: no fold, unlike cue_maps
 
 

@@ -53,11 +53,18 @@ def count_params(model: ModelParams) -> ComplexityReport:
     return report
 
 
-def count_macs(cfg: RunConfig, audio_seconds: float = 1.0) -> ComplexityReport:
+def count_macs(cfg: RunConfig, audio_seconds: float) -> ComplexityReport:
     """Analytic MAC count for processing the given duration of audio, on the
-    frames ``enhance`` runs: those of the input padded to the frame grid."""
+    frames ``enhance`` runs: those of the input padded to the frame grid.
+    ValueError unless the duration is finite and holds at least one sample."""
     a = cfg.analysis
-    t = frame_count(grid_length(int(round(audio_seconds * a.sample_rate)), a), a)
+    if not (np.isfinite(audio_seconds) and audio_seconds > 0):
+        raise ValueError(f"audio_seconds must be positive and finite, got {audio_seconds}")
+    n = int(round(audio_seconds * a.sample_rate))
+    if n < 1:
+        raise ValueError(f"audio_seconds must hold at least one sample at "
+                         f"{a.sample_rate} Hz, got {audio_seconds}")
+    t = frame_count(grid_length(n, a), a)
     f = a.n_freq_bins
     c = cfg.channels
     ng = 0 if cfg.no_gammatone else cfg.n_gammatone     # bands the gammatone stream runs
@@ -110,15 +117,16 @@ def count_macs(cfg: RunConfig, audio_seconds: float = 1.0) -> ComplexityReport:
 def full_report(
     model: ModelParams,
     cfg: RunConfig,
-    audio_seconds: float = 1.0,
-    with_rtf: bool = False,
-    repeats: int = 20,
+    audio_seconds: float,
+    with_rtf: bool,
+    repeats: int,
 ) -> ComplexityReport:
     """Parameter and MAC rows for ``audio_seconds`` of audio. With
     ``with_rtf``, also the real-time factor: after 2 warm-up calls, the
     median wall time of ``repeats`` ``enhance`` calls on seeded noise of
     that length over its duration, with the process CPU seconds (every
-    thread) per audio second and the pool's thread count."""
+    thread) per audio second and the pool's thread count. ValueError, before
+    any timing, for repeats under 1 or a duration ``count_macs`` rejects."""
     if repeats < 1:
         raise ValueError(f"repeats must be at least 1, got {repeats}")
     params = count_params(model)

@@ -24,6 +24,8 @@ from .errors import (
     UnsupportedFormat,
 )
 
+SAMPLE_RATE = 16000     # of every source synthesis reads and every file it writes
+
 
 @dataclass
 class HrirSet:
@@ -49,16 +51,14 @@ class HrirSet:
     def azimuths(self) -> list[float]:
         return sorted(self.entries)
 
-    def nearest(self, azimuth: float, tolerance: float = 1.0) -> float:
+    def nearest(self, azimuth: float) -> float:
         best = min(self.azimuths, key=lambda a: abs(a - azimuth))
-        if abs(best - azimuth) > tolerance:
-            raise AzimuthUnavailable(
-                f"no impulse response within {tolerance} deg of {azimuth}"
-            )
+        if abs(best - azimuth) > 1.0:
+            raise AzimuthUnavailable(f"no impulse response within 1.0 deg of {azimuth}")
         return best
 
 
-def load_hrir_dir(path, expected_rate: int = 16000) -> HrirSet:
+def load_hrir_dir(path, expected_rate: int = SAMPLE_RATE) -> HrirSet:
     """Load a directory of per-azimuth stereo WAVs named '<azimuth>.wav'."""
     entries = {}
     for wav in sorted(Path(path).glob("*.wav")):
@@ -167,6 +167,12 @@ def mix_at_snr(
     return mix, report
 
 
+def check_item_id(item_id) -> None:
+    """ValueError if ``item_id``, which names an item's files, holds a path separator."""
+    if any(sep and sep in str(item_id) for sep in ("/", os.sep, os.altsep)):
+        raise ValueError(f"item_id {item_id!r} holds a path separator")
+
+
 @dataclass
 class MixSpec:
     """One dataset item: which sources, where, how loud, which seed."""
@@ -181,8 +187,7 @@ class MixSpec:
     duration_s: float = 2.0
 
     def __post_init__(self):
-        if any(sep and sep in str(self.item_id) for sep in ("/", os.sep, os.altsep)):
-            raise ValueError(f"item_id {self.item_id!r} holds a path separator")
+        check_item_id(self.item_id)
         if not -90.0 <= self.azimuth <= 90.0:
             raise ValueError("target azimuth must lie in the frontal span [-90, 90]")
         if not (np.isfinite(self.duration_s) and self.duration_s > 0):
@@ -230,8 +235,8 @@ def _sources(spec: MixSpec) -> list[tuple]:
     return [(load_hrir_dir, spec.hrir_dir), (read_mono, spec.speech), (read_mono, spec.noise)]
 
 
-def synthesize_item(spec: MixSpec, sample_rate: int = 16000, loaded: dict | None = None):
-    """Build (clean, noise, mixture, report) for one manifest item.
+def synthesize_item(spec: MixSpec, loaded: dict | None = None):
+    """Build (clean, noise, mixture, report) for one manifest item, at SAMPLE_RATE.
 
     ``loaded`` maps (loader, path) to what an earlier item loaded; a file
     not in it is loaded and added. A load that fails adds nothing."""
@@ -239,9 +244,9 @@ def synthesize_item(spec: MixSpec, sample_rate: int = 16000, loaded: dict | None
     for key in _sources(spec):
         if key not in loaded:
             load, path = key
-            loaded[key] = load(path, expected_rate=sample_rate)
+            loaded[key] = load(path, expected_rate=SAMPLE_RATE)
     hrirs, speech_src, noise_src = (loaded[key] for key in _sources(spec))
-    n = int(round(spec.duration_s * sample_rate))
+    n = int(round(spec.duration_s * SAMPLE_RATE))
     if speech_src.shape[0] < n:
         speech_src = np.pad(speech_src, (0, n - speech_src.shape[0]))
     clean = spatialize(speech_src[:n], hrirs, spec.azimuth)
@@ -250,7 +255,7 @@ def synthesize_item(spec: MixSpec, sample_rate: int = 16000, loaded: dict | None
     return clean, noise, mixture, report
 
 
-def generate_dataset(specs: list[MixSpec], out_dir, sample_rate: int = 16000) -> dict:
+def generate_dataset(specs: list[MixSpec], out_dir) -> dict:
     """Render every manifest item to disk: clean/noise/mix WAVs plus a
     metadata record per item. Per-item failures are collected, not fatal.
 
@@ -263,7 +268,7 @@ def generate_dataset(specs: list[MixSpec], out_dir, sample_rate: int = 16000) ->
     records, failures = [], []
     for i, spec in enumerate(specs):
         try:
-            clean, noise, mixture, report = synthesize_item(spec, sample_rate, loaded)
+            clean, noise, mixture, report = synthesize_item(spec, loaded)
         except Exception as exc:  # surface per-item, keep going
             failures.append({"item_id": spec.item_id, "error": str(exc)})
             continue
@@ -271,9 +276,9 @@ def generate_dataset(specs: list[MixSpec], out_dir, sample_rate: int = 16000) ->
             for key in _sources(spec):
                 if last_use[key] == i:
                     loaded.pop(key, None)
-        write_wav(out / f"{spec.item_id}_clean.wav", clean.samples, sample_rate)
-        write_wav(out / f"{spec.item_id}_noise.wav", noise.samples, sample_rate)
-        write_wav(out / f"{spec.item_id}_mix.wav", mixture.samples, sample_rate)
+        write_wav(out / f"{spec.item_id}_clean.wav", clean.samples, SAMPLE_RATE)
+        write_wav(out / f"{spec.item_id}_noise.wav", noise.samples, SAMPLE_RATE)
+        write_wav(out / f"{spec.item_id}_mix.wav", mixture.samples, SAMPLE_RATE)
         rec = asdict(spec) | report
         records.append(rec)
     meta_path = out / "metadata.jsonl"

@@ -23,11 +23,10 @@ def make_clinear(rng, c_out, c_in, scale=0.5):
     )
 
 
-def make_norm(rng, c, eps=1e-5):
+def make_norm(rng, c):
     return CLayerNormParams(
         gamma=rand_complex(rng, (c,), 0.5),
         beta=rand_complex(rng, (c,), 0.1),
-        eps=eps,
     )
 
 

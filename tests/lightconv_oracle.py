@@ -42,7 +42,7 @@ def cln(x, p):
     mu = np.mean(x, axis=0, keepdims=True)
     centered = x - mu
     var = np.mean(np.abs(centered) ** 2, axis=0, keepdims=True)
-    normed = centered / np.sqrt(var + p.eps)
+    normed = centered / np.sqrt(var + 1e-5)
     shape = (-1,) + (1,) * (x.ndim - 1)
     return normed * p.gamma.reshape(shape) + p.beta.reshape(shape)
 

@@ -231,15 +231,38 @@ class TestSynthCommand:
 
 
 class TestMetricsCommand:
-    @pytest.mark.parametrize("row", ['["item001"]', '{"snr_db": 0.0}'],
-                             ids=["not_an_object", "no_item_id"])
+    @pytest.mark.parametrize("row", ['["item001"]', '{"snr_db": 0.0}', '{"item_id": "../x"}'],
+                             ids=["not_an_object", "no_item_id", "path_id"])
     def test_malformed_metadata_row_exits_2(self, tmp_path, cfg_file, capsys, row):
         meta = tmp_path / "metadata.jsonl"
         meta.write_text('{"item_id": "item000"}\n' + row + "\n")
         rc = main(["metrics", "--config", cfg_file, "--dataset", str(tmp_path)])
         assert rc == 2
         (err,) = capsys.readouterr().err.splitlines()
-        assert f"{meta}:2:" in err
+        assert err.startswith(f"error: {meta}:2:")
+
+    def test_path_id_reads_and_writes_nothing_outside(self, tmp_path, rng, cfg_file, capsys):
+        """A row naming ../item000 exits 2 before scoring: the item's files
+        one directory up are not read and no enhanced file is written there."""
+        _, manifest = write_corpus(tmp_path, rng, n_items=1, duration=0.5)
+        data = tmp_path / "data"
+        assert main(["synth", "--manifest", str(manifest), "--out", str(data)]) == 0
+        dataset = data / "sub"
+        dataset.mkdir()
+        (dataset / "metadata.jsonl").write_text('{"item_id": "../item000"}\n')
+        marker = tmp_path / "scored"
+        scorer = tmp_path / "scorer.sh"
+        scorer.write_text(f"#!/bin/sh\ntouch {marker}\necho 0.5\n")
+        scorer.chmod(0o755)
+        capsys.readouterr()
+        rc = main(["metrics", "--config", cfg_file, "--dataset", str(dataset),
+                   "--report", str(dataset / "report.jsonl"),
+                   "--mbstoi-cmd", f"{scorer} {{ref}} {{est}}"])
+        assert rc == 2
+        (err,) = capsys.readouterr().err.splitlines()
+        assert err.startswith(f"error: {dataset / 'metadata.jsonl'}:1:")
+        assert not marker.exists()
+        assert not (data / "item000_enhanced.wav").exists()
 
     def test_jsonl_rows_with_expected_columns(self, tmp_path, rng, cfg_file):
         _, manifest = write_corpus(tmp_path, rng, n_items=2, duration=0.5)
@@ -442,8 +465,9 @@ class TestBenchCommand:
         assert "repeats must be at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seconds, problem", [
-        *((s, "--seconds must be positive and finite") for s in ["inf", "nan", "0", "-1", "-inf"]),
-        ("1e-5", "--seconds must hold at least one sample at 16000 Hz, got 1e-05"),
+        *((s, "audio_seconds must be positive and finite") for s in
+          ["inf", "nan", "0", "-1", "-inf"]),
+        ("1e-5", "audio_seconds must hold at least one sample at 16000 Hz, got 1e-05"),
     ], ids=["inf", "nan", "0", "-1", "-inf", "1e-5"])
     def test_seconds_not_positive_and_finite_exit_2(self, cfg_file, capsys, seconds, problem):
         assert main(["bench", "--config", cfg_file, "--rtf", f"--seconds={seconds}"]) == 2

@@ -74,14 +74,14 @@ class TestClinear:
 class TestCln:
     def test_constant_input_maps_to_beta(self, rng):
         p = CLayerNormParams(
-            gamma=rand_complex(rng, (6,)), beta=np.zeros(6, dtype=complex), eps=1e-5
+            gamma=rand_complex(rng, (6,)), beta=np.zeros(6, dtype=complex)
         )
         x = np.full((6, 1, 4), 2.0 - 1.0j)
         np.testing.assert_allclose(cln(x, p), 0.0, atol=1e-12)
 
     def test_pre_affine_unit_power(self, rng):
         p = CLayerNormParams(
-            gamma=np.ones(64, dtype=complex), beta=np.zeros(64, dtype=complex), eps=1e-8
+            gamma=np.ones(64, dtype=complex), beta=np.zeros(64, dtype=complex)
         )
         for _ in range(2):
             y = cln(rand_complex(rng, (64, 1, 9)), p)
@@ -90,10 +90,18 @@ class TestCln:
 
     def test_single_channel_degenerate_variance(self):
         p = CLayerNormParams(
-            gamma=np.ones(1, dtype=complex), beta=np.zeros(1, dtype=complex), eps=1e-5
+            gamma=np.ones(1, dtype=complex), beta=np.zeros(1, dtype=complex)
         )
         x = np.full((1, 1, 3), 5.0 + 2.0j)
         np.testing.assert_allclose(cln(x, p), 0.0, atol=1e-12)
+
+    def test_epsilon_is_1e_5(self):
+        """Two channels at +-a: variance a^2, so each maps to +-a / sqrt(a^2 + 1e-5)."""
+        p = CLayerNormParams(gamma=np.ones(2, dtype=complex), beta=np.zeros(2, dtype=complex))
+        a = 1e-3
+        x = np.array([a, -a], dtype=complex).reshape(2, 1, 1)
+        want = np.array([a, -a]).reshape(2, 1, 1) / np.sqrt(a * a + 1e-5)
+        np.testing.assert_allclose(cln(x, p), want, rtol=1e-12)
 
 
 def naive_depthwise_1d(x, kernel):
@@ -126,7 +134,7 @@ def naive_depthwise_2d(x, kernel):
     return out
 
 
-def identity_block(c, kernel, eps=1e-5):
+def identity_block(c, kernel):
     """Depthwise = centered unit impulse, pointwise = I, affine norm identity."""
     dw = np.zeros((c, *kernel), dtype=complex)
     if len(kernel) == 1:
@@ -138,7 +146,7 @@ def identity_block(c, kernel, eps=1e-5):
     return LightConvParams(
         depthwise=dw,
         pointwise=CLinearParams(np.eye(c, dtype=complex), np.zeros(c, dtype=complex)),
-        norm=CLayerNormParams(np.ones(c, dtype=complex), np.zeros(c, dtype=complex), eps),
+        norm=CLayerNormParams(np.ones(c, dtype=complex), np.zeros(c, dtype=complex)),
         prelu_slope=np.float64(0.25),
     )
 
@@ -263,7 +271,7 @@ def c64_block(rng, c_in, c_out, kernel):
         pointwise=CLinearParams(p.pointwise.weight.astype(np.complex64),
                                 p.pointwise.bias.astype(np.complex64)),
         norm=CLayerNormParams(p.norm.gamma.astype(np.complex64),
-                              p.norm.beta.astype(np.complex64), p.norm.eps),
+                              p.norm.beta.astype(np.complex64)),
         prelu_slope=np.float32(0.25),
     )
 

@@ -53,7 +53,7 @@ def single_precision(p):
         return LightConvParams(
             depthwise=c64(b.depthwise),
             pointwise=CLinearParams(c64(b.pointwise.weight), c64(b.pointwise.bias)),
-            norm=CLayerNormParams(c64(b.norm.gamma), c64(b.norm.beta), b.norm.eps),
+            norm=CLayerNormParams(c64(b.norm.gamma), c64(b.norm.beta)),
             prelu_slope=np.float32(b.prelu_slope),
         )
 

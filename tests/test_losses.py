@@ -68,7 +68,10 @@ class TestSnrLoss:
     def test_perfect_estimate_hits_negative_clamp(self, rng):
         s = make_wave(rng)
         assert snr_loss(s, s) == -60.0
-        assert snr_loss(s, s, clamp_db=40.0) == -40.0
+
+    def test_hopeless_estimate_hits_positive_clamp(self, rng):
+        s = make_wave(rng)
+        assert snr_loss(Waveform(s.samples * (1.0 + 1e4), SR), s) == 60.0   # -80 dB SNR
 
     def test_known_snr_oracle(self, rng):
         s = make_wave(rng)
@@ -137,6 +140,21 @@ class TestStoiSurrogate:
         with pytest.raises(ShapeMismatch):
             stoi_surrogate(make_wave(rng, 8000), make_wave(rng, 8001))
 
+    def test_segments_are_384_ms(self, rng):
+        with pytest.raises(InputTooShort, match=r"need at least 6144 samples \(384 ms\)"):
+            stoi_surrogate(make_wave(rng, 6143), make_wave(rng, 6143))
+        s = make_wave(rng, 6144)
+        assert stoi_surrogate(s, s) == pytest.approx(0.0, abs=1e-12)
+
+    def test_fifteen_third_octave_bands_from_150_hz(self):
+        centers = 150.0 * 2.0 ** (np.arange(15) / 3.0)
+        bands = np.array(_third_octave_bands(16000))
+        np.testing.assert_allclose(np.sqrt(bands[:, 0] * bands[:, 1]), centers, rtol=1e-12)
+        np.testing.assert_allclose(bands[:, 1] / bands[:, 0], 2.0 ** (1.0 / 3.0), rtol=1e-12)
+        capped = np.array(_third_octave_bands(8000))   # the top band's edge, 4277 Hz, passes 4 kHz
+        np.testing.assert_array_equal(capped[:14], bands[:14])
+        assert capped[14, 0] == bands[14, 0] and capped[14, 1] == 4000.0
+
     @pytest.mark.parametrize("n", [31991, 32000, 8009])
     def test_bands_on_the_pool_score_the_serial_loop(self, n):
         """Prime, 5-smooth and short prime lengths: the bands run as pool
@@ -184,9 +202,17 @@ class TestCueMaps:
     def test_mask_drops_quiet_bins(self):
         bins = np.ones((2, 129, 3), dtype=complex)
         bins[:, 5, :] *= 10 ** (-50 / 20.0)   # 50 dB below the loudest bin
-        c = cue_maps(Spectrogram(bins, AnalysisConfig()), floor_db=40.0)
+        c = cue_maps(Spectrogram(bins, AnalysisConfig()))
         assert not np.any(c.active_mask[5])
         assert np.all(c.active_mask[6])
+
+    def test_mask_floor_is_40_db(self):
+        bins = np.ones((2, 129, 3), dtype=complex)
+        bins[:, 5, :] *= 10 ** (-39 / 20.0)
+        bins[:, 6, :] *= 10 ** (-41 / 20.0)
+        c = cue_maps(Spectrogram(bins, AnalysisConfig()))
+        assert np.all(c.active_mask[5])
+        assert not np.any(c.active_mask[6])
 
 
 class TestCueLosses:

@@ -178,7 +178,7 @@ class TestModulatorBlock:
         p = make_modulator(rng)
         p.proj = CLinearParams(np.eye(C, dtype=complex), np.zeros(C, dtype=complex))
         p.norm = CLayerNormParams(
-            gamma=np.ones(C, dtype=complex), beta=np.zeros(C, dtype=complex), eps=1e-5
+            gamma=np.ones(C, dtype=complex), beta=np.zeros(C, dtype=complex)
         )
         z = rand_complex(rng, (C, F, T))
         out = modulator_block(z, p)
@@ -211,7 +211,7 @@ class TestModulatorBlock:
             p.proj.weight.astype(np.complex64), p.proj.bias.astype(np.complex64)
         )
         p.norm = CLayerNormParams(
-            p.norm.gamma.astype(np.complex64), p.norm.beta.astype(np.complex64), 1e-5
+            p.norm.gamma.astype(np.complex64), p.norm.beta.astype(np.complex64)
         )
         z = rand_complex(rng, (C, F, T)).astype(np.complex64)
         assert modulator_block(z, p).dtype == np.complex64

@@ -629,6 +629,86 @@ def test_precision_budget():
     assert rel_l2(a.wav_out.samples, b.wav_out.samples) <= 5e-5
 
 
+KERNEL_PROBE = """
+import ctypes, sys
+from unittest import mock
+import numpy as np
+from binse import pipeline
+from binse.audio import Waveform
+from binse.config import RunConfig
+from binse.params import init_random
+
+with open("/proc/self/maps") as fh:
+    paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+names = [getattr(ctypes.CDLL(path), prefix + "openblas_get_corename" + suffix, None)
+         for path in paths for prefix in ("", "scipy_") for suffix in ("", "64_")]
+names = [f for f in names if f is not None]
+if not names:
+    print("")
+    sys.exit()
+names[0].restype = ctypes.c_char_p
+cfg = RunConfig()
+model = init_random(cfg, seed=0)
+w = Waveform(0.1 * np.random.default_rng(0).standard_normal((2, 8000)), 16000)
+out = {}
+for dtype in ("complex64", "complex128"):
+    for tile_bytes in (1, pipeline._TILE_BYTES):
+        with mock.patch.object(pipeline, "_TILE_BYTES", tile_bytes):
+            res = pipeline.enhance(w, model, cfg, dtype=np.dtype(dtype))
+        for name, a in (("wav", res.wav_out.samples), ("w_s", res.ratfs.w_s),
+                        ("w_n", res.ratfs.w_n), ("gate", res.gate)):
+            out[f"{dtype}-{tile_bytes}-{name}"] = a
+np.savez(sys.argv[1], **out)
+print(names[0]().decode())
+"""
+
+# OpenBLAS kernels a DYNAMIC_ARCH build can be told to run, each with the
+# /proc/cpuinfo flag it needs
+BLAS_KERNELS = {"SkylakeX": "avx512f", "Haswell": "avx2", "Sandybridge": "avx", "Prescott": "pni"}
+
+
+def test_one_numerical_contract_on_each_blas_kernel(tmp_path):
+    """A seeded 0.5 s default-config call in a fresh process per OpenBLAS
+    kernel the CPU runs. On each kernel, the 1-byte and the default tile
+    budget give the same bits. complex64 stays within 2e-5 of complex128,
+    and complex128 within 1e-13 across kernels, in relative L2 of the
+    waveform; on a 2-core Xeon they read 2.7e-6 to 4.0e-6 and 6e-15 to 9e-15."""
+    try:
+        with open("/proc/cpuinfo") as fh:
+            flags = {f for line in fh if line.startswith("flags") for f in line.split()}
+    except OSError:
+        pytest.skip("no /proc/cpuinfo")
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    runs, cores = {}, {}
+    for kernel, flag in BLAS_KERNELS.items():
+        if flag not in flags:
+            continue
+        env = dict(os.environ, OPENBLAS_CORETYPE=kernel,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        path = tmp_path / f"{kernel}.npz"
+        out = subprocess.run([sys.executable, "-c", KERNEL_PROBE, str(path)], env=env,
+                             check=True, capture_output=True, text=True, timeout=300)
+        if not out.stdout.strip():
+            pytest.skip("no OpenBLAS corename symbol")
+        cores[kernel] = out.stdout.strip()
+        with np.load(path) as arrays:
+            runs[kernel] = dict(arrays)
+    if not runs:
+        pytest.skip("the CPU lists none of the kernels' flags")
+    assert len(set(cores.values())) == len(cores), cores    # each override took
+    default = pipeline._TILE_BYTES
+    for kernel, got in runs.items():
+        for key, a in got.items():
+            if key.split("-")[1] == "1":
+                np.testing.assert_array_equal(
+                    a, got[key.replace("-1-", f"-{default}-")], err_msg=f"{kernel} {key}")
+        wav = {dtype: got[f"{dtype}-{default}-wav"] for dtype in ("complex64", "complex128")}
+        assert rel_l2(wav["complex64"], wav["complex128"]) <= 2e-5, kernel
+    first = next(iter(runs.values()))[f"complex128-{default}-wav"]
+    for kernel, got in runs.items():
+        assert rel_l2(got[f"complex128-{default}-wav"], first) <= 1e-13, kernel
+
+
 # --- the worker pool -----------------------------------------------------------
 
 def blas_threads():

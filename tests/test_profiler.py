@@ -96,12 +96,12 @@ class TestCountMacs:
                            for i in range(full.n_encoder_blocks))
         skipped = {
             "no_gammatone": {"encoder": gamma_blocks + c * f * ng * t * 2 + c * c * f * t},
-            "no_gafm": {"modulator": count_macs(full).mac_rows["modulator"]},
+            "no_gafm": {"modulator": count_macs(full, 1.0).mac_rows["modulator"]},
             "no_drg": {"decoder": c * f},
             "global_drg": {"decoder": c * f},
         }[flag]
-        rows = count_macs(RunConfig(**{flag: True})).mac_rows
-        for module, macs in count_macs(full).mac_rows.items():
+        rows = count_macs(RunConfig(**{flag: True}), 1.0).mac_rows
+        for module, macs in count_macs(full, 1.0).mac_rows.items():
             assert rows[module] == macs - skipped.get(module, 0)
         if flag == "no_gammatone":
             assert rows["encoder"] == 445_971_680
@@ -122,6 +122,15 @@ class TestCountMacs:
         expected += 2 * c * (c // cfg.se_reduction)     # SE excitation
         assert report.mac_rows["encoder"] == expected
 
+    @pytest.mark.parametrize("seconds, problem", [
+        *((s, "audio_seconds must be positive and finite") for s in
+          [float("inf"), float("nan"), 0.0, -1.0, float("-inf")]),
+        (1e-5, "audio_seconds must hold at least one sample at 16000 Hz, got 1e-05"),
+    ], ids=["inf", "nan", "0", "-1", "-inf", "1e-5"])
+    def test_a_duration_of_no_samples_raises(self, seconds, problem):
+        with pytest.raises(ValueError, match=problem):
+            count_macs(RunConfig(), seconds)
+
     def test_decoder_row_matches_hand_derivation_tiny_case(self):
         cfg = small_config(channels=4, n_decoder_blocks=1)
         report = count_macs(cfg, audio_seconds=1.0)
@@ -138,7 +147,7 @@ class TestFullReport:
     def test_combines_rows_consistently(self):
         cfg = small_config()
         model = init_random(cfg, seed=0)
-        report = full_report(model, cfg, audio_seconds=2.0)
+        report = full_report(model, cfg, audio_seconds=2.0, with_rtf=False, repeats=20)
         report.check_totals()
         assert report.audio_seconds == 2.0
         assert report.rtf is None
@@ -148,7 +157,7 @@ class TestFullReport:
     def test_with_rtf(self):
         cfg = small_config()
         model = init_random(cfg, seed=0)
-        report = full_report(model, cfg, with_rtf=True, repeats=3)
+        report = full_report(model, cfg, audio_seconds=1.0, with_rtf=True, repeats=3)
         assert report.rtf is not None and 0.0 < report.rtf < 1.0     # a small model is fast
         assert report.cpu_s > 0 and report.workers >= 1
 
@@ -156,7 +165,21 @@ class TestFullReport:
     def test_repeats_below_one_raise(self, with_rtf):
         cfg = small_config()
         with pytest.raises(ValueError, match="repeats must be at least 1, got 0"):
-            full_report(init_random(cfg, seed=0), cfg, with_rtf=with_rtf, repeats=0)
+            full_report(init_random(cfg, seed=0), cfg, audio_seconds=1.0,
+                        with_rtf=with_rtf, repeats=0)
+
+    @pytest.mark.parametrize("with_rtf", [False, True])
+    def test_a_duration_of_no_samples_raises_before_timing(self, with_rtf, monkeypatch):
+        from binse import profiler
+
+        def no_enhance(*args, **kwargs):
+            raise AssertionError("timed a duration of no samples")
+
+        monkeypatch.setattr(profiler, "enhance", no_enhance)
+        cfg = small_config()
+        with pytest.raises(ValueError, match="audio_seconds must be positive and finite"):
+            full_report(init_random(cfg, seed=0), cfg, audio_seconds=0.0,
+                        with_rtf=with_rtf, repeats=20)
 
     def test_check_totals_catches_inconsistency(self):
         bad = ComplexityReport(n_params=10, param_rows={"encoder": 5})

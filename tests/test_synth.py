@@ -57,6 +57,13 @@ class TestHrirSet:
         with pytest.raises(AzimuthUnavailable):
             h.nearest(15.0)
 
+    def test_tolerance_is_one_degree(self):
+        h = delta_hrirs([-30.0, 0.0, 30.0])
+        assert h.nearest(1.0) == 0.0
+        assert h.nearest(-31.0) == -30.0
+        with pytest.raises(AzimuthUnavailable, match="within 1.0 deg of 1.25"):
+            h.nearest(1.25)
+
     def test_rejects_mixed_shapes_and_bad_azimuths(self):
         with pytest.raises(ValueError):
             HrirSet({0.0: np.zeros((2, 8)), 30.0: np.zeros((2, 16))}, SR)
@@ -312,6 +319,17 @@ class TestManifestAndDataset:
         with pytest.raises(ValueError):
             MixSpec("x", "s", "n", "h", azimuth=120.0, snr_db=0.0, seed=0)
 
+    @pytest.mark.parametrize("item_id", ["../x", "sub/item000"], ids=["parent", "subdir"])
+    def test_item_id_with_a_path_separator_rejected(self, item_id):
+        with pytest.raises(ValueError, match="holds a path separator"):
+            synth.check_item_id(item_id)
+        with pytest.raises(ValueError, match="holds a path separator"):
+            MixSpec(item_id, "s", "n", "h", azimuth=0.0, snr_db=0.0, seed=0)
+
+    def test_item_id_without_a_path_separator_accepted(self):
+        for item_id in ("item000", "..", "a.b", 7):
+            synth.check_item_id(item_id)
+
     @pytest.mark.parametrize("duration_s, snr_db, problem", [
         (0.0, 0.0, "duration_s must be positive and finite"),
         (-1.0, 0.0, "duration_s must be positive and finite"),
@@ -348,6 +366,19 @@ class TestManifestAndDataset:
                 b, _ = read_wav(out2 / f"{sp.item_id}_{kind}.wav")
                 np.testing.assert_array_equal(a, b)
         assert (out1 / "metadata.jsonl").read_text() == (out2 / "metadata.jsonl").read_text()
+
+    def test_files_are_written_at_the_synthesis_rate(self, tmp_path, rng):
+        specs, _ = write_corpus(tmp_path, rng, n_items=1)
+        generate_dataset(specs, tmp_path / "out")
+        for kind in ("clean", "noise", "mix"):
+            _, rate = read_wav(tmp_path / "out" / f"{specs[0].item_id}_{kind}.wav")
+            assert rate == synth.SAMPLE_RATE == SR
+
+    def test_a_source_at_another_rate_rejected(self, tmp_path, rng):
+        specs, _ = write_corpus(tmp_path, rng, n_items=1)
+        write_wav(tmp_path / "speech.wav", 0.1 * rng.standard_normal(8000), 8000)
+        with pytest.raises(UnsupportedFormat, match="sample rate 8000, expected 16000"):
+            synthesize_item(specs[0])
 
     def test_mix_file_is_clean_plus_scaled_noise(self, tmp_path, rng):
         specs, _ = write_corpus(tmp_path, rng)
