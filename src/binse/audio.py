@@ -125,14 +125,14 @@ def read_wav(path, expected_rate: int | None = None) -> tuple[np.ndarray, int]:
     return x.T, rate
 
 
-def read_stereo(path, expected_rate: int = 16000) -> Waveform:
+def read_stereo(path, expected_rate: int) -> Waveform:
     x, rate = read_wav(path, expected_rate=expected_rate)
     if x.shape[0] != 2:
         raise UnsupportedFormat(f"{path}: {x.shape[0]} channel(s), expected 2")
     return Waveform(x, rate)
 
 
-def read_mono(path, expected_rate: int = 16000) -> np.ndarray:
+def read_mono(path, expected_rate: int) -> np.ndarray:
     x, _ = read_wav(path, expected_rate=expected_rate)
     if x.shape[0] != 1:
         raise UnsupportedFormat(f"{path}: {x.shape[0]} channel(s), expected 1")

@@ -162,7 +162,7 @@ def cmd_bench(args) -> int:
     report = full_report(
         model, cfg, audio_seconds=args.seconds, with_rtf=args.rtf, repeats=args.repeats
     )
-    print(json.dumps(dataclasses.asdict(report)))
+    print(json.dumps(dataclasses.asdict(report) | {"blas_core": workers.blas_core()}))
     if args.table:
         print(f"{'module':<12}{'params':>12}{'MACs':>16}")
         for module in sorted(set(report.param_rows) | set(report.mac_rows)):
@@ -178,7 +178,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    """Fast invariant suite; exits 4 on any failure."""
+    """Fast invariant suite, after the running BLAS kernel's name; exits 4 on
+    any failure."""
+    from .complex_ops import CLinearParams, clinear
     from .decoder import RatfPair, ratf_solve
     from .frontend import Spectrogram, sqrt_hann
     from .modulator import fourier_basis
@@ -216,6 +218,17 @@ def cmd_selftest(args) -> int:
     rel = np.linalg.norm(s_hat.bins[1] - s_r) / np.linalg.norm(s_r)
     checks.append(("ratf-closed-form", rel < 1e-6))
 
+    # the plan's tiling is exact only if a row's product ignores the other rows
+    c = cfg.channels
+    x, weight = ((rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+                 .astype(np.complex64) for shape in ((c, 13, 250), (c, c)))
+    lin = CLinearParams(weight, np.zeros(c, np.complex64))
+    whole = clinear(x, lin)
+    checks.append(("clinear-rows-exact", all(
+        np.array_equal(clinear(x[:, lo:hi], lin), whole[:, lo:hi])
+        for lo, hi in ((0, 1), (3, 9), (12, 13)))))
+
+    print(f"blas core: {workers.blas_core() or 'unknown'}")
     ok = True
     for name, passed in checks:
         print(f"{'PASS' if passed else 'FAIL'}  {name}")

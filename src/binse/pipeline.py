@@ -30,8 +30,9 @@ only a few rows of each block's output (see there). The closed-form solve
 and the blend run once, on the whole (2, F, T) spectrum, which is small
 next to the network tensors. ``_tiles`` cuts the rows, and the bands, into
 tiles of equal size (within one row), each at most ``_TILE_BYTES`` of one
-(C, rows, T) tensor, in a count that is a multiple of the pool size, so
-every worker gets an equal share of every pass at every length. Every stage
+(C, rows, T) tensor or ``_TILE_MIN_ROWS`` rows, whichever is more, in a
+count that is a multiple of the pool size, so every worker gets an equal
+share of every pass at every length. Every stage
 computes exactly the rows it is handed.
 
 The independent units of the plan run on the worker pool of ``workers``:
@@ -87,13 +88,18 @@ from .frontend import (
 from .modulator import modulator_block
 from .params import ModelParams
 
-# Bytes of one (C, rows, T) tensor a plan tile may hold: a speed constant
-# only, as no output bit depends on the tiling. The tiles are equal, in the
-# smallest multiple of the pool size that keeps each within it, so some are
-# smaller (12-13 rows at 2 s, 13 in budget). One tile fits a 2 MB core L2.
-# Tiles this small rely on ``workers.plan``'s small ufunc buffer: under
-# numpy's default one, their elementwise ops run about three times slower.
-_TILE_BYTES = 2 << 20
+# Bytes of one (C, rows, T) tensor a plan tile may hold, and the fewest rows
+# a tile's budget counts whatever T: speed constants only, as no output bit
+# depends on the tiling. A light-conv block keeps a pair of such tensors live
+# (three at times), and at 1 MB the pair fits a core's 2 MB L2. The floor
+# keeps long inputs off 1-row tiles, which ran 8-13% slower at 8 s (T = 999),
+# where three rows are what 2 MB held. The tiles are equal, in the smallest
+# multiple of the pool size that keeps each within the budget, so some are
+# smaller (5-6 rows at 2 s, 6 in budget; 2-3 at 8 s, 3 in budget). Tiles
+# this small rely on ``workers.plan``'s small ufunc buffer: under numpy's
+# default one, their elementwise ops run about three times slower.
+_TILE_BYTES = 1 << 20
+_TILE_MIN_ROWS = 3
 
 
 @dataclass
@@ -130,10 +136,10 @@ def _tiles(f: int, t: int, cfg: RunConfig, dtype) -> list[tuple[int, int]]:
     """The plan's tiles of f frequency rows or bands, (lo, hi) ascending.
 
     Their count is the smallest multiple of the pool size that keeps each
-    tile within ``_TILE_BYTES`` (a row that alone exceeds it is a tile of
-    its own), capped at f, and their sizes differ by at most one row, so
-    every worker gets an equal share of every pass."""
-    rows = max(1, _TILE_BYTES // (cfg.channels * t * np.dtype(dtype).itemsize))
+    tile within ``_TILE_BYTES``, or within ``_TILE_MIN_ROWS`` rows where
+    that budget holds fewer, capped at f, and their sizes differ by at most
+    one row, so every worker gets an equal share of every pass."""
+    rows = max(_TILE_MIN_ROWS, _TILE_BYTES // (cfg.channels * t * np.dtype(dtype).itemsize))
     need, pool = -(-f // rows), workers.size()
     n = min(f, -(-need // pool) * pool)
     size, extra = divmod(f, n)

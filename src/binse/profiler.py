@@ -27,7 +27,7 @@ from .pipeline import enhance
 class ComplexityReport:
     n_params: int = 0
     macs: int = 0
-    audio_seconds: float = 1.0
+    audio_seconds: float | None = None   # of the MAC rows; None counts no audio
     rtf: float | None = None
     cpu_s: float | None = None        # process CPU seconds per audio second
     workers: int | None = None        # threads that ran the plan's units

@@ -38,9 +38,13 @@ _MAX_WORKERS = 2
 # 256 or fewer (170 for a binary op) are copied through it
 _UFUNC_BUFSIZE = 512
 
-# (get, set) thread-count entry points, by OpenBLAS build flavour
+# OpenBLAS build flavours' symbol name prefixes and suffixes
+_FLAVOURS = [(prefix, suffix) for prefix in ("scipy_openblas_", "openblas_")
+             for suffix in ("64_", "")]
+# (get, set) thread-count entry points, and the running kernel's name
 _OPENBLAS_API = [(f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
-                 for prefix in ("scipy_openblas_", "openblas_") for suffix in ("64_", "")]
+                 for prefix, suffix in _FLAVOURS]
+_CORENAME_API = [f"{prefix}get_corename{suffix}" for prefix, suffix in _FLAVOURS]
 _M_ARENA_MAX = -8                   # glibc mallopt parameter
 
 _lock = threading.Lock()
@@ -68,19 +72,24 @@ def size() -> int:
     return min(usable_cpus(), _MAX_WORKERS)
 
 
-def openblas() -> list[tuple]:
-    """(get, set) thread-count functions of every OpenBLAS loaded here."""
+def _openblas_libs() -> list:
+    """Every OpenBLAS library loaded here, by path."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
     except OSError:
         return []
-    found = []
+    libs = []
     for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
+        with contextlib.suppress(OSError):
+            libs.append(ctypes.CDLL(path))
+    return libs
+
+
+def openblas() -> list[tuple]:
+    """(get, set) thread-count functions of every OpenBLAS loaded here."""
+    found = []
+    for lib in _openblas_libs():
         for get, set_ in _OPENBLAS_API:
             if hasattr(lib, get) and hasattr(lib, set_):
                 get, set_ = getattr(lib, get), getattr(lib, set_)
@@ -89,6 +98,19 @@ def openblas() -> list[tuple]:
                 found.append((get, set_))
                 break
     return found
+
+
+def blas_core() -> str | None:
+    """The kernel the first OpenBLAS loaded here runs, as it names it (such
+    as "SkylakeX"), or None where none reports one. Output bits are exact
+    across tilings and pool sizes on one kernel, not across kernels."""
+    for lib in _openblas_libs():
+        for name in _CORENAME_API:
+            if hasattr(lib, name):
+                corename = getattr(lib, name)
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                return corename().decode()
+    return None
 
 
 def _start():

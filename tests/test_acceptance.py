@@ -244,7 +244,7 @@ def test_criterion_10_end_to_end_sanity(tmp_path):
     ok = True
     for trial in range(50):
         model = init_random(cfg, seed=trial)
-        mix = read_stereo(mixes[trial % len(mixes)])
+        mix = read_stereo(mixes[trial % len(mixes)], cfg.analysis.sample_rate)
         res = enhance(mix, model, cfg, collect_stages=True)
         ok = ok and bool(np.all(np.isfinite(res.wav_out.samples)))
         ok = ok and bool(np.all(res.gate >= 0.0) and np.all(res.gate <= 1.0))

@@ -53,7 +53,7 @@ class TestWavIo:
         x = (0.1 * rng.standard_normal(300)).astype(np.float32).astype(np.float64)
         path = tmp_path / "m.wav"
         write_wav(path, x, SR)
-        np.testing.assert_array_equal(read_mono(path), x)
+        np.testing.assert_array_equal(read_mono(path, SR), x)
 
     def test_rate_check(self, tmp_path, rng):
         path = tmp_path / "r.wav"
@@ -65,11 +65,11 @@ class TestWavIo:
         mono = tmp_path / "mono.wav"
         write_wav(mono, rng.standard_normal(100) * 0.1, SR)
         with pytest.raises(UnsupportedFormat):
-            read_stereo(mono)
+            read_stereo(mono, SR)
         stereo = tmp_path / "st.wav"
         write_wav(stereo, rng.standard_normal((2, 100)) * 0.1, SR)
         with pytest.raises(UnsupportedFormat):
-            read_mono(stereo)
+            read_mono(stereo, SR)
 
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "g.wav"

@@ -45,7 +45,7 @@ class TestEnhanceCommand:
         rc = main(["enhance", "--config", cfg_file, "--input", input_wav,
                    "--output", str(out)])
         assert rc == 0
-        enhanced = read_stereo(out)
+        enhanced = read_stereo(out, SR)
         assert enhanced.samples.shape == (2, 6000)
         assert "wrote" in capsys.readouterr().out
 
@@ -60,7 +60,8 @@ class TestEnhanceCommand:
 
     def test_dump_does_not_change_the_output(self, tmp_path, cfg_file, input_wav,
                                              monkeypatch):
-        monkeypatch.setattr(pipeline, "_TILE_BYTES", 1)      # one row per tile
+        monkeypatch.setattr(pipeline, "_TILE_BYTES", 1)      # one row per tile,
+        monkeypatch.setattr(pipeline, "_TILE_MIN_ROWS", 1)   # below the plan's floor
         plain, dumped = tmp_path / "plain.wav", tmp_path / "dumped.wav"
         args = ["enhance", "--config", cfg_file, "--input", input_wav]
         assert main(args + ["--output", str(plain)]) == 0
@@ -69,7 +70,8 @@ class TestEnhanceCommand:
 
     def test_invariant_violation_in_a_worker_exits_4(self, tmp_path, cfg_file, input_wav,
                                                      monkeypatch, capsys):
-        monkeypatch.setattr(pipeline, "_TILE_BYTES", 1)      # one row per tile
+        monkeypatch.setattr(pipeline, "_TILE_BYTES", 1)      # one row per tile,
+        monkeypatch.setattr(pipeline, "_TILE_MIN_ROWS", 1)   # below the plan's floor
 
         def broken(z, p, out=None):
             raise InvariantViolation("non-finite modulator output")
@@ -87,7 +89,7 @@ class TestEnhanceCommand:
                      "--output", str(out1), "--save-model", str(weights)]) == 0
         assert main(["enhance", "--config", cfg_file, "--model", str(weights),
                      "--input", input_wav, "--output", str(out2)]) == 0
-        a, b = read_stereo(out1), read_stereo(out2)
+        a, b = read_stereo(out1, SR), read_stereo(out2, SR)
         np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_missing_input_exits_2(self, tmp_path, cfg_file):
@@ -167,7 +169,7 @@ class TestEnhanceCommand:
                      "--output", str(out1)]) == 0
         assert main(["enhance", "--config", cfg_file, "--ablate", "no_drg",
                      "--input", input_wav, "--output", str(out2)]) == 0
-        a, b = read_stereo(out1), read_stereo(out2)
+        a, b = read_stereo(out1, SR), read_stereo(out2, SR)
         assert np.max(np.abs(a.samples - b.samples)) > 1e-9
 
 
@@ -357,7 +359,7 @@ class TestMetricsCommand:
         _, manifest = write_corpus(tmp_path, rng, n_items=2, duration=0.5)
         data = tmp_path / "data"
         assert main(["synth", "--manifest", str(manifest), "--out", str(data)]) == 0
-        clean = read_stereo(data / "item001_clean.wav")
+        clean = read_stereo(data / "item001_clean.wav", SR)
         write_wav(data / "item001_clean.wav", clean.samples[:, :-100], clean.sample_rate)
         capsys.readouterr()
         calls, enhance = [], cli.enhance
@@ -424,6 +426,7 @@ class TestBenchCommand:
         assert payload["n_params"] > 0 and payload["macs"] > 0
         assert payload["rtf"] is None
         assert set(payload["param_rows"]) == {"encoder", "modulator", "decoder"}
+        assert payload["blas_core"] == workers.blas_core()     # the kernel sets the bits
 
     def test_input_shorter_than_a_frame(self, cfg_file, capsys):
         """enhance pads it to one frame, and bench counts that frame."""
@@ -510,7 +513,29 @@ class TestSelftestCommand:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 5
+        assert "PASS  clinear-rows-exact" in out
+
+    def test_names_the_blas_kernel_first(self, capsys):
+        assert main(["selftest"]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert first == f"blas core: {workers.blas_core() or 'unknown'}"
+
+    def test_a_product_that_mixes_rows_fails(self, monkeypatch, capsys):
+        """A clinear whose rows depend on the other rows of its input breaks
+        the tiled plan's exactness, and the suite says so."""
+        from binse import complex_ops
+
+        clinear = complex_ops.clinear
+
+        def mixing(x, p, out=None):
+            y = clinear(x, p, out=out)
+            y += 1e-3 * x.shape[1]
+            return y
+
+        monkeypatch.setattr(complex_ops, "clinear", mixing)
+        assert main(["selftest"]) == 4
+        assert "FAIL  clinear-rows-exact" in capsys.readouterr().out
 
 
 CORPUS_PROBE = """

@@ -301,7 +301,9 @@ def rel_l2(a, b):
 
 
 def enhance_in_tiles(w, model, cfg, bank, tile_bytes, **kwargs):
-    with mock.patch.object(pipeline, "_TILE_BYTES", tile_bytes):
+    """enhance on tiles of tile_bytes, down to one row: without the plan's
+    floor, so that small budgets give 1- and 2-row tiles."""
+    with mock.patch.multiple(pipeline, _TILE_BYTES=tile_bytes, _TILE_MIN_ROWS=1):
         return enhance(w, model, cfg, bank=bank, **kwargs)
 
 
@@ -466,7 +468,7 @@ class TestTiledPlan:
     @pytest.mark.parametrize("collect_stages", [False, True])
     def test_blocks_are_handed_one_tile(self, monkeypatch, collect_stages):
         """Every light-conv block of a default-config 2 s call on a pool of 2
-        computes at most one plan tile of rows (13), plus the decoder's lag of
+        computes at most one plan tile of rows (6), plus the decoder's lag of
         k_f // 2 rows per 2-D block, with or without a stage dump."""
         from binse import decoder, encoder
 
@@ -474,9 +476,11 @@ class TestTiledPlan:
         model = init_random(cfg, seed=0)
         w = make_wave(np.random.default_rng(0), 2 * SR)
         f, t = stft(pad_to_frame_grid(w, cfg), cfg.analysis).bins.shape[1:]
-        # rows of one (C, rows, T) complex64 tensor in the plan's tile budget
+        # rows of one (C, rows, T) complex64 tensor in the plan's tile budget,
+        # above the floor at 2 s
         budget = pipeline._TILE_BYTES // (cfg.channels * t * 8)
-        # the rows in budget need 10 tiles, a multiple of the pool of 2
+        assert budget > pipeline._TILE_MIN_ROWS
+        # the rows in budget need 22 tiles, a multiple of the pool of 2
         need = -(-f // budget)
         step = -(-f // (need + need % 2))
         monkeypatch.setattr(workers, "size", lambda: 2)
@@ -497,7 +501,7 @@ class TestTiledPlan:
         sized(encoder)
         sized(decoder)
         enhance(w, model, cfg, collect_stages=collect_stages)
-        assert (budget, step) == (13, 13)
+        assert (budget, step) == (6, 6)
         assert 0 < largest["binse.encoder"] <= step
         assert 0 < largest["binse.decoder"] <= step + lag
 
@@ -546,7 +550,13 @@ class TestTiledPlan:
     def test_eight_second_array_peak(self):
         """One default-config 8 s call; the whole-utterance plan peaked at 265 MB,
         and projecting the encoded bands into a second buffer at 129 MB."""
-        assert eight_second_array_peak() <= 125e6
+        assert array_peak(8) <= 125e6
+
+    def test_two_second_array_peak(self):
+        """One default-config 2 s call peaks at about 29.5e6 bytes of arrays,
+        and at 36.2e6 on 2 MB tiles, whose temporaries the two workers hold;
+        the bound sits 3.5e6 above the one and 3.2e6 below the other."""
+        assert array_peak(2) <= 33e6
 
 
 @settings(max_examples=300, deadline=None)
@@ -564,14 +574,25 @@ def test_tiles_are_equal_in_a_multiple_of_the_pool_size(f, t, pool, dtype):
     assert all(hi == lo for (_, hi), (lo, _) in zip(tiles, tiles[1:]))
     sizes = [hi - lo for lo, hi in tiles]
     assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
-    # within budget, unless a single row exceeds it
-    assert max(sizes) * row <= pipeline._TILE_BYTES or max(sizes) == 1
-    budget_rows = max(1, pipeline._TILE_BYTES // row)
+    # within the byte budget, or within the floor where that holds fewer rows
+    budget_rows = max(pipeline._TILE_MIN_ROWS, pipeline._TILE_BYTES // row)
+    assert max(sizes) <= budget_rows
     n = len(tiles)
     assert n % pool == 0 or n == f
     assert n >= min(f, pool)
     # one multiple of the pool fewer would overrun the budget
     assert n <= pool or -(-f // (n - pool)) > budget_rows
+
+
+@pytest.mark.parametrize("t", [999, 1001])
+def test_the_floor_keeps_the_eight_second_plan(t):
+    """At 8 s (T = 999) the 1 MB budget holds one row of a complex64
+    tensor, and the floor of 3 rows gives the 44 tiles that 2 MB tiles gave
+    on a pool of 2: 41 of 3 rows, then 3 of 2."""
+    with mock.patch.object(workers, "size", lambda: 2):
+        tiles = pipeline._tiles(129, t, RunConfig(), np.complex64)
+    assert tiles == [(i, i + 3) for i in range(0, 123, 3)] + [(123, 125), (125, 127),
+                                                            (127, 129)]
 
 
 def on_a_fresh_pool(usable_cpus, fn):
@@ -587,12 +608,12 @@ def on_a_fresh_pool(usable_cpus, fn):
                 workers._pool.shutdown()
 
 
-def eight_second_array_peak():
-    """The tracemalloc peak of one default-config 8 s call."""
+def array_peak(seconds):
+    """The tracemalloc peak of one default-config call of that length."""
     cfg = RunConfig()
     model = init_random(cfg, seed=0)
     bank = pipeline.gammatone_bank(cfg)
-    w = make_wave(np.random.default_rng(0), 8 * SR)
+    w = make_wave(np.random.default_rng(0), seconds * SR)
     tracemalloc.start()
     try:
         enhance(w, model, cfg, bank=bank)
@@ -630,36 +651,31 @@ def test_precision_budget():
 
 
 KERNEL_PROBE = """
-import ctypes, sys
+import sys
 from unittest import mock
 import numpy as np
-from binse import pipeline
+from binse import pipeline, workers
 from binse.audio import Waveform
 from binse.config import RunConfig
 from binse.params import init_random
 
-with open("/proc/self/maps") as fh:
-    paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-names = [getattr(ctypes.CDLL(path), prefix + "openblas_get_corename" + suffix, None)
-         for path in paths for prefix in ("", "scipy_") for suffix in ("", "64_")]
-names = [f for f in names if f is not None]
-if not names:
+core = workers.blas_core()
+if core is None:
     print("")
     sys.exit()
-names[0].restype = ctypes.c_char_p
 cfg = RunConfig()
 model = init_random(cfg, seed=0)
 w = Waveform(0.1 * np.random.default_rng(0).standard_normal((2, 8000)), 16000)
 out = {}
 for dtype in ("complex64", "complex128"):
-    for tile_bytes in (1, pipeline._TILE_BYTES):
-        with mock.patch.object(pipeline, "_TILE_BYTES", tile_bytes):
+    for tile_bytes, min_rows in ((1, 1), (pipeline._TILE_BYTES, pipeline._TILE_MIN_ROWS)):
+        with mock.patch.multiple(pipeline, _TILE_BYTES=tile_bytes, _TILE_MIN_ROWS=min_rows):
             res = pipeline.enhance(w, model, cfg, dtype=np.dtype(dtype))
         for name, a in (("wav", res.wav_out.samples), ("w_s", res.ratfs.w_s),
                         ("w_n", res.ratfs.w_n), ("gate", res.gate)):
             out[f"{dtype}-{tile_bytes}-{name}"] = a
 np.savez(sys.argv[1], **out)
-print(names[0]().decode())
+print(core)
 """
 
 # OpenBLAS kernels a DYNAMIC_ARCH build can be told to run, each with the
@@ -894,7 +910,7 @@ class TestWorkerPool:
         monkeypatch.setattr(workers, "_pool", None)
         monkeypatch.setattr(workers, "_pool_pid", None)
         try:
-            assert eight_second_array_peak() <= 125e6
+            assert array_peak(8) <= 125e6
             assert workers._pool._max_workers == workers.size() == 2
         finally:
             if workers._pool is not None:

@@ -46,6 +46,10 @@ class TestCountParams:
         assert 116_000 <= report.n_params <= 142_000
         assert report.n_params == 127_649
 
+    def test_claims_no_audio(self):
+        """A parameter count counts no audio, so it states no duration."""
+        assert count_params(init_random(small_config(), seed=0)).audio_seconds is None
+
     def test_independent_of_seed(self):
         cfg = small_config()
         a = count_params(init_random(cfg, seed=1))

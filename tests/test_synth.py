@@ -386,9 +386,9 @@ class TestManifestAndDataset:
         generate_dataset(specs, out)
         meta = [json.loads(l) for l in (out / "metadata.jsonl").read_text().splitlines()]
         for rec in meta:
-            clean = read_stereo(out / f"{rec['item_id']}_clean.wav")
-            noise = read_stereo(out / f"{rec['item_id']}_noise.wav")
-            mix = read_stereo(out / f"{rec['item_id']}_mix.wav")
+            clean = read_stereo(out / f"{rec['item_id']}_clean.wav", SR)
+            noise = read_stereo(out / f"{rec['item_id']}_noise.wav", SR)
+            mix = read_stereo(out / f"{rec['item_id']}_mix.wav", SR)
             expected = clean.samples + rec["noise_scale"] * noise.samples
             np.testing.assert_allclose(mix.samples, expected, atol=1e-6)
 
