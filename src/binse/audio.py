@@ -7,11 +7,11 @@ Chunks other than ``fmt `` and ``data`` (``LIST``, ``fact``, ...) are skipped,
 as is the pad byte after an odd-sized chunk. Everything else is rejected with
 UnsupportedFormat: other bit depths and sample formats, RF64, a missing
 ``fmt `` or ``data`` chunk, a truncated header, a ``data`` chunk that ends
-before its declared size (even on a frame boundary) and a partial frame. The
-stereo and mono readers expect 16 kHz; there is no resampling. Writing
-produces RIFF files byte-identical to ``scipy.io.wavfile.write``: a 16-byte
-``fmt `` for PCM-16, and an 18-byte ``fmt `` plus a ``fact`` chunk for
-float-32.
+before its declared size (even on a frame boundary), a partial frame and a
+float-32 payload holding inf or NaN. Every reader is given the sample rate
+it expects; there is no resampling. Writing produces float-32 RIFF files
+byte-identical to ``scipy.io.wavfile.write`` (an 18-byte ``fmt `` plus a
+``fact`` chunk), and rejects samples that are not finite in float-32.
 """
 
 from __future__ import annotations
@@ -107,72 +107,68 @@ def _decode(buf: bytes) -> tuple[int, np.ndarray]:
         pos += 8 + size + (size & 1)
 
 
-def read_wav(path, expected_rate: int | None = None) -> tuple[np.ndarray, int]:
+def read_wav(path, expected_rate: int) -> np.ndarray:
     """Read a WAV file into a float64 array shaped (channels, n) in [-1, 1].
 
-    Only PCM-16 and float-32 payloads are accepted. If ``expected_rate`` is
-    given, a differing sample rate raises UnsupportedFormat.
+    Only PCM-16 and finite float-32 payloads at ``expected_rate`` are
+    accepted; anything else raises UnsupportedFormat.
     """
     try:
         rate, data = _decode(Path(path).read_bytes())
     except ValueError as exc:
         raise UnsupportedFormat(f"{path}: cannot parse WAV ({exc})") from exc
+    if rate != expected_rate:
+        raise UnsupportedFormat(f"{path}: sample rate {rate}, expected {expected_rate}")
     x = data.astype(np.float64)
     if data.dtype.kind == "i":
         x /= 32768.0
-    if expected_rate is not None and rate != expected_rate:
-        raise UnsupportedFormat(f"{path}: sample rate {rate}, expected {expected_rate}")
-    return x.T, rate
+    elif not np.all(np.isfinite(x)):
+        raise UnsupportedFormat(f"{path}: non-finite samples in the float-32 payload")
+    return x.T
 
 
 def read_stereo(path, expected_rate: int) -> Waveform:
-    x, rate = read_wav(path, expected_rate=expected_rate)
+    x = read_wav(path, expected_rate)
     if x.shape[0] != 2:
         raise UnsupportedFormat(f"{path}: {x.shape[0]} channel(s), expected 2")
-    return Waveform(x, rate)
+    return Waveform(x, expected_rate)
 
 
 def read_mono(path, expected_rate: int) -> np.ndarray:
-    x, _ = read_wav(path, expected_rate=expected_rate)
+    x = read_wav(path, expected_rate)
     if x.shape[0] != 1:
         raise UnsupportedFormat(f"{path}: {x.shape[0]} channel(s), expected 1")
     return x[0]
 
 
 def _header(data: np.ndarray, sample_rate: int) -> bytes:
-    """RIFF header for (n,) or (n, channels) int16 or float32 samples."""
+    """Float-32 RIFF header for (n,) or (n, channels) float32 samples."""
     channels = 1 if data.ndim == 1 else data.shape[1]
-    width = data.dtype.itemsize
-    is_float = data.dtype.kind == "f"
-    fmt = struct.pack("<HHIIHH", _IEEE_FLOAT if is_float else _PCM, channels,
-                      sample_rate, sample_rate * width * channels, width * channels,
-                      8 * width)
-    if is_float:
-        fmt += b"\x00\x00"                     # cbSize of a non-PCM format
-    header = b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
-    if is_float:
-        header += b"fact" + struct.pack("<II", 4, data.shape[0])
-    header += b"data" + struct.pack("<I", data.nbytes)
+    align = 4 * channels
+    fmt = struct.pack("<HHIIHHH", _IEEE_FLOAT, channels, sample_rate, sample_rate * align,
+                      align, 32, 0)        # cbSize 0 closes a non-PCM format
+    header = (b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
+              + b"fact" + struct.pack("<II", 4, data.shape[0])
+              + b"data" + struct.pack("<I", data.nbytes))
     riff_size = len(header) + data.nbytes
     if riff_size > 0xFFFFFFFF:
         raise UnsupportedFormat("output exceeds the 4 GiB RIFF limit (RF64 is not written)")
     return b"RIFF" + struct.pack("<I", riff_size) + header
 
 
-def write_wav(path, samples: np.ndarray, sample_rate: int, encoding: str = "float32"):
-    """Write (channels, n) or (n,) samples to a WAV file.
+def write_wav(path, samples: np.ndarray, sample_rate: int):
+    """Write (channels, n) or (n,) samples to a float-32 WAV file.
 
-    encoding: "float32" (default) or "pcm16".
+    Other shapes, channel counts a RIFF header cannot hold and samples not
+    finite in float-32 raise ValueError before the file is opened.
     """
     x = np.asarray(samples, dtype=np.float64)
-    if x.ndim == 2:
-        x = x.T
-    if encoding == "float32":
-        data = x.astype("<f4")
-    elif encoding == "pcm16":
-        data = np.clip(np.round(x * 32768.0), -32768, 32767).astype("<i2")
-    else:
-        raise UnsupportedFormat(f"unknown encoding {encoding!r}")
+    if x.ndim not in (1, 2) or x.ndim == 2 and not 0 < x.shape[0] < 1 << 16:
+        raise ValueError(f"samples shaped {x.shape}, expected (n,) or (channels, n)")
+    with np.errstate(over="ignore"):        # beyond float-32 range: inf, refused below
+        data = x.T.astype("<f4")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("samples are not finite in float-32")
     with open(path, "wb") as fh:
         fh.write(_header(data, sample_rate))
         fh.write(data.tobytes())

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatch
+from .errors import InvariantViolation, ShapeMismatch
 
 # Output bytes per depthwise channel group, so that a group's output, scratch
 # and input rows stay in a core's L2 while all of its taps are summed.
@@ -103,7 +103,8 @@ def cln(x: np.ndarray, p: CLayerNormParams) -> np.ndarray:
     divided by sqrt(E[|x - mu|^2] + 1e-5) -- a single real scale shared by
     the real and imaginary parts -- before the complex affine (gamma, beta).
     x, whose last axis must have unit stride, receives the result and is
-    returned.
+    returned. A non-finite variance (x overflowing its dtype, or not finite)
+    raises InvariantViolation.
     """
     # channel means of the (re, im) floats: a last axis of 2T >= 2 keeps numpy
     # summing channels in one order for any rows (one complex value: pairwise)
@@ -111,6 +112,8 @@ def cln(x: np.ndarray, p: CLayerNormParams) -> np.ndarray:
     v -= np.mean(v, axis=0, keepdims=True)
     moments = np.mean(np.square(v), axis=0, keepdims=True)     # E[re^2], E[im^2]
     scale = moments[..., 0::2] + moments[..., 1::2] + 1e-5
+    if not np.all(np.isfinite(scale)):
+        raise InvariantViolation(f"non-finite variance in cln: input overflows {x.dtype}")
     np.sqrt(scale, out=scale)
     np.reciprocal(scale, out=scale)
     v *= np.repeat(scale, 2, axis=-1)       # one real product per float

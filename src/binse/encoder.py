@@ -85,20 +85,16 @@ def encode_gamma(g: np.ndarray, p: EncoderParams, tiles: list[tuple[int, int]]) 
     return buf[:, :f]
 
 
-def fuse(
-    z_stft: np.ndarray,
-    z_gamma: np.ndarray | None,
-    p: EncoderParams,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def fuse(z_stft: np.ndarray, z_gamma: np.ndarray | None, p: EncoderParams,
+         out: np.ndarray) -> np.ndarray:
     """Attention fusion: Z_stft gated by sigmoid(Conv(|Z_gamma|)), the conv
     a real ``clinear``, so each frequency row depends on that row alone.
 
     The gate is real in (0, 1) and broadcast over re/im, so the fused path
     is phase-transparent. Without a gammatone stream (z_gamma None, the
     no_gammatone ablation) the gate collapses to a constant per-channel
-    scale sigmoid(bias). ``out``, if given, receives the result; it may be
-    z_gamma itself, as the whole gate is read before the product is written.
+    scale sigmoid(bias). ``out`` receives the result and is returned; it may
+    be z_gamma itself, as the whole gate is read before the product is written.
     """
     c = z_stft.shape[0]
     if p.fusion.weight.shape != (c, c):

@@ -210,9 +210,8 @@ def build_gammatone_bank(
 def gammatone_frames(w: Waveform, bank: GammatoneBank, cfg: AnalysisConfig) -> np.ndarray:
     """Per-ear log frame energies of the gammatone-filtered signal.
 
-    Output is complex with zero imaginary part, shaped (2, n_channels, T)
-    with the same T as stft on the same waveform, so downstream encoders
-    treat both feature streams uniformly. The channel groups are filtered as
+    Output is real float64, shaped (2, n_channels, T) with the same T as
+    stft on the same waveform. The channel groups are filtered as
     independent units on the worker pool (``workers.map``).
     """
     for what, rate in (("waveform", w.sample_rate), ("bank", bank.sample_rate)):
@@ -254,5 +253,4 @@ def gammatone_frames(w: Waveform, bank: GammatoneBank, cfg: AnalysisConfig) -> n
     workers.map(filter_group, range(0, bank.n_channels, _GAMMATONE_GROUP))
     energy = energy.reshape(bank.n_channels, 2, n_runs * hops)[..., :n_blocks]
     energy = sliding_window_view(energy, per_frame, axis=-1).sum(axis=-1)
-    feats = np.log1p(energy).transpose(1, 0, 2)    # (2, n_ch, T)
-    return feats.astype(np.complex128)
+    return np.log1p(energy).transpose(1, 0, 2)     # (2, n_ch, T)

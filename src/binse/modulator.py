@@ -62,16 +62,12 @@ def _gates_all_freqs(z: np.ndarray, basis: np.ndarray, p: ModulatorParams) -> np
     return sigmoid(pre, out=pre)
 
 
-def modulator_block(
-    z: np.ndarray,
-    p: ModulatorParams,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
+def modulator_block(z: np.ndarray, p: ModulatorParams, out: np.ndarray) -> np.ndarray:
     """Residual modulator update of z (C, F, T), applied to every frequency
     independently.
 
-    Per frequency f: out_f = CLN(z_f + CLinear(z_f * gate_f)). ``out``, if
-    given, receives the result; it must not overlap z.
+    Per frequency f: out_f = CLN(z_f + CLinear(z_f * gate_f)). ``out``
+    receives the result and is returned; it must not overlap z.
     """
     if z.ndim != 3:
         raise ShapeMismatch(f"expected (C, F, T) input, got shape {z.shape}")

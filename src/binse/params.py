@@ -186,7 +186,7 @@ def save_weights(model: ModelParams, path) -> None:
     _write_tensor_file(path, model.fingerprint, model.tensors)
 
 
-def save_arrays(path, arrays: dict[str, np.ndarray], tag: str = "dump") -> None:
+def save_arrays(path, arrays: dict[str, np.ndarray], tag: str) -> None:
     """Write arbitrary named arrays (e.g. stage dumps) in the weights format.
 
     Arrays are stored as f32 (complex as interleaved pairs); the fingerprint

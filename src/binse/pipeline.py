@@ -51,8 +51,9 @@ array, ``z_backbone`` is scaled from the whole ``z_att`` once after pass A,
 and only the buffers the plan later overwrites are copied. Ablation flags
 bypass exactly one stage each; a debug gate override is available for
 verification. The network runs in complex64 by default (parameters are
-stored in f32 anyway); the analysis/synthesis transforms and the final
-blend stay in float64. Output sample 0 is always zero (see
+stored in f32 anyway); the analysis/synthesis transforms, the gammatone
+features (real, cast once to the network dtype) and the final blend stay in
+float64. Output sample 0 is always zero (see
 ``frontend.istft``).
 """
 

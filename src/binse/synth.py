@@ -58,7 +58,7 @@ class HrirSet:
         return best
 
 
-def load_hrir_dir(path, expected_rate: int = SAMPLE_RATE) -> HrirSet:
+def load_hrir_dir(path, expected_rate: int) -> HrirSet:
     """Load a directory of per-azimuth stereo WAVs named '<azimuth>.wav'."""
     entries = {}
     for wav in sorted(Path(path).glob("*.wav")):
@@ -66,7 +66,7 @@ def load_hrir_dir(path, expected_rate: int = SAMPLE_RATE) -> HrirSet:
             az = float(wav.stem)
         except ValueError:
             continue
-        x, _ = read_wav(wav, expected_rate=expected_rate)
+        x = read_wav(wav, expected_rate)
         if x.shape[0] != 2:
             raise UnsupportedFormat(f"{wav}: HRIR must be stereo")
         entries[az] = x
@@ -235,12 +235,11 @@ def _sources(spec: MixSpec) -> list[tuple]:
     return [(load_hrir_dir, spec.hrir_dir), (read_mono, spec.speech), (read_mono, spec.noise)]
 
 
-def synthesize_item(spec: MixSpec, loaded: dict | None = None):
+def synthesize_item(spec: MixSpec, loaded: dict):
     """Build (clean, noise, mixture, report) for one manifest item, at SAMPLE_RATE.
 
     ``loaded`` maps (loader, path) to what an earlier item loaded; a file
     not in it is loaded and added. A load that fails adds nothing."""
-    loaded = {} if loaded is None else loaded
     for key in _sources(spec):
         if key not in loaded:
             load, path = key

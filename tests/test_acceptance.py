@@ -48,7 +48,7 @@ def test_criterion_1_phase_preservation():
         z = rand_complex(rng, (c, f, t))
         enc = make_encoder(rng, c=c, f=f, g=c)
         z_g = rand_complex(rng, (c, f, t))
-        worst = max(worst, _phase_dev(z, fuse(z, z_g, enc)))
+        worst = max(worst, _phase_dev(z, fuse(z, z_g, enc, out=np.empty_like(z))))
         se = CSEParams(
             reduce=rng.standard_normal((c // 2, c)), expand=rng.standard_normal((c, c // 2))
         )
@@ -252,7 +252,8 @@ def test_criterion_10_end_to_end_sanity(tmp_path):
         y = Spectrogram(st["noisy_spec"], cfg.analysis)
         checks = [
             (recalibrate_by_own_squeeze(st["z_attended"], model.encoder), st["z_backbone"]),
-            (modulator_block(st["z_backbone"], model.modulator), st["z_out"]),
+            (modulator_block(st["z_backbone"], model.modulator,
+                             out=np.empty_like(st["z_backbone"])), st["z_out"]),
         ]
         ratfs = decode_heads(st["z_out"], model.decoder, [(0, st["z_out"].shape[1])])
         checks.append((ratfs.w_s, st["ratf_s"]))

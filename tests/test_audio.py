@@ -38,16 +38,13 @@ class TestWavIo:
         x = (0.3 * rng.standard_normal((2, 500))).astype(np.float32).astype(np.float64)
         path = tmp_path / "f.wav"
         write_wav(path, x, SR)
-        y, rate = read_wav(path)
-        assert rate == SR
-        np.testing.assert_array_equal(y, x)
+        np.testing.assert_array_equal(read_wav(path, SR), x)
 
-    def test_pcm16_round_trip_quantizes(self, tmp_path, rng):
-        x = np.clip(0.3 * rng.standard_normal((2, 500)), -0.99, 0.99)
+    def test_pcm16_file_reads_scaled_by_two_to_the_fifteen(self, tmp_path, rng):
+        x = rng.integers(-32768, 32767, (500, 2), endpoint=True).astype(np.int16)
         path = tmp_path / "p.wav"
-        write_wav(path, x, SR, encoding="pcm16")
-        y, _ = read_wav(path)
-        assert np.max(np.abs(y - x)) <= 1.0 / 32768.0
+        wavfile.write(path, SR, x)
+        np.testing.assert_array_equal(read_wav(path, SR), x.T / 32768.0)
 
     def test_mono_round_trip(self, tmp_path, rng):
         x = (0.1 * rng.standard_normal(300)).astype(np.float32).astype(np.float64)
@@ -75,11 +72,36 @@ class TestWavIo:
         path = tmp_path / "g.wav"
         path.write_bytes(b"not a wav at all")
         with pytest.raises(UnsupportedFormat):
-            read_wav(path)
+            read_wav(path, SR)
 
-    def test_unknown_encoding_rejected(self, tmp_path):
-        with pytest.raises(UnsupportedFormat):
-            write_wav(tmp_path / "x.wav", np.zeros((2, 10)), SR, encoding="mulaw")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("channels", [1, 2], ids=["mono_source", "stereo_input"])
+    def test_non_finite_float_payload_rejected(self, tmp_path, value, channels):
+        x = np.zeros((100, channels), dtype=np.float32)
+        x[37, channels - 1] = value
+        path = tmp_path / "bad.wav"
+        wavfile.write(path, SR, x[:, 0] if channels == 1 else x)
+        read = read_mono if channels == 1 else read_stereo
+        with pytest.raises(UnsupportedFormat, match=f"{path}: non-finite samples"):
+            read(path, SR)
+
+    @pytest.mark.parametrize("shape", [(), (2, 10, 2), (0, 10), (1 << 16, 1)],
+                             ids=["scalar", "3d", "no_channels", "too_many_channels"])
+    def test_write_rejects_other_shapes(self, tmp_path, shape):
+        path = tmp_path / "x.wav"
+        with pytest.raises(ValueError, match="expected \\(n,\\) or \\(channels, n\\)"):
+            write_wav(path, np.zeros(shape), SR)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e39],
+                             ids=["nan", "inf", "-inf", "beyond_float32"])
+    def test_write_rejects_samples_not_finite_in_float32(self, tmp_path, value):
+        x = np.zeros((2, 10))
+        x[1, 4] = value
+        path = tmp_path / "x.wav"
+        with pytest.raises(ValueError, match="not finite"):
+            write_wav(path, x, SR)
+        assert not path.exists()
 
 
 def _chunk(chunk_id: bytes, body: bytes, order: str = "<") -> bytes:
@@ -123,24 +145,20 @@ def _scipy_read(path) -> tuple[np.ndarray, int]:
 class TestWavCodec:
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(0, 3000), channels=st.sampled_from([1, 2]),
-           encoding=st.sampled_from(["float32", "pcm16"]), seed=st.integers(0, 2 ** 32 - 1))
+           seed=st.integers(0, 2 ** 32 - 1))
     def test_write_is_byte_identical_to_scipy_and_reads_back(self, tmp_path_factory, n,
-                                                             channels, encoding, seed):
+                                                             channels, seed):
         tmp = tmp_path_factory.mktemp("codec")
         x = 0.4 * np.random.default_rng(seed).standard_normal((channels, n))
         if channels == 1:
             x = x[0]
         ours, theirs = tmp / "ours.wav", tmp / "scipy.wav"
-        write_wav(ours, x, SR, encoding=encoding)
-        if encoding == "float32":
-            data = x.T.astype(np.float32)
-        else:
-            data = np.clip(np.round(x.T * 32768.0), -32768, 32767).astype(np.int16)
-        wavfile.write(theirs, SR, data)
+        write_wav(ours, x, SR)
+        wavfile.write(theirs, SR, x.T.astype(np.float32))
         assert ours.read_bytes() == theirs.read_bytes()
-        y, rate = read_wav(ours)
+        y = read_wav(ours, SR)
         expected, expected_rate = _scipy_read(theirs)
-        assert rate == expected_rate == SR
+        assert expected_rate == SR
         assert y.shape == (channels, n)
         np.testing.assert_array_equal(y, expected)
 
@@ -162,9 +180,9 @@ class TestWavCodec:
         chunks.append(_chunk(b"data", data.tobytes(), order))
         path = tmp_path / f"{case}.wav"
         path.write_bytes(_riff(*chunks, order=order))
-        y, rate = read_wav(path)
+        y = read_wav(path, SR)
         expected, expected_rate = _scipy_read(path)
-        assert rate == expected_rate == SR
+        assert expected_rate == SR
         assert y.shape == (2, 37)
         np.testing.assert_array_equal(y, expected)
 
@@ -175,7 +193,7 @@ class TestWavCodec:
         path = tmp_path / "x.wav"
         path.write_bytes(_riff(_fmt(tag, 2, 8 * width), _chunk(b"data", bytes(40 * width))))
         with pytest.raises(UnsupportedFormat, match="PCM-16 or float-32 only"):
-            read_wav(path)
+            read_wav(path, SR)
 
     def test_rf64_rejected(self, tmp_path):
         data = _samples("<i2", 2).tobytes()
@@ -184,7 +202,7 @@ class TestWavCodec:
         path = tmp_path / "x.wav"
         path.write_bytes(b"RF64" + b"\xff" * 4 + body)
         with pytest.raises(UnsupportedFormat, match="RF64"):
-            read_wav(path)
+            read_wav(path, SR)
 
     @pytest.mark.parametrize("layout, missing", [
         ("data", "fmt"), ("data,fmt", "fmt"), ("fmt,LIST", "data")],
@@ -195,7 +213,7 @@ class TestWavCodec:
         path = tmp_path / "x.wav"
         path.write_bytes(_riff(*(chunks[c] for c in layout.split(","))))
         with pytest.raises(UnsupportedFormat, match=f"no {missing} chunk"):
-            read_wav(path)
+            read_wav(path, SR)
 
 
 class TestConfig:

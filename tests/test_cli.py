@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from binse import cli, pipeline, workers
 from binse.audio import read_stereo, write_wav
@@ -98,11 +99,13 @@ class TestEnhanceCommand:
                    "--output", str(tmp_path / "o.wav")])
         assert rc == 2
 
-    def test_overflowing_input_exits_4(self, tmp_path, cfg_file, rng, capsys):
-        # finite float-32 samples whose spectrum overflows the complex64 network
+    @pytest.mark.parametrize("peak", [1e20, 1e30, 3e38])
+    def test_overflowing_input_exits_4(self, tmp_path, cfg_file, rng, capsys, peak):
+        # finite float-32 samples that overflow the complex64 network: a layer
+        # norm's variance from 1e20, the spectrum itself at 3e38
         x = rng.standard_normal((2, 6000))
         path = tmp_path / "loud.wav"
-        write_wav(path, 3e38 * x / np.max(np.abs(x)), SR)
+        write_wav(path, peak * x / np.max(np.abs(x)), SR)
         with np.errstate(all="ignore"):
             rc = main(["enhance", "--config", cfg_file, "--input", str(path),
                        "--output", str(tmp_path / "o.wav")])
@@ -130,6 +133,17 @@ class TestEnhanceCommand:
                    "--output", str(tmp_path / "o.wav")])
         assert rc == 2
         assert "cannot parse WAV" in capsys.readouterr().err
+
+    def test_non_finite_input_exits_2(self, tmp_path, cfg_file, capsys):
+        x = np.zeros((6000, 2), dtype=np.float32)
+        x[100, 1] = np.nan
+        bad = tmp_path / "nan.wav"
+        wavfile.write(bad, SR, x)
+        rc = main(["enhance", "--config", cfg_file, "--input", str(bad),
+                   "--output", str(tmp_path / "o.wav")])
+        assert rc == 2
+        assert f"{bad}: non-finite samples" in capsys.readouterr().err
+        assert not (tmp_path / "o.wav").exists()
 
     def test_corrupt_weights_exit_3(self, tmp_path, cfg_file, input_wav):
         bad = tmp_path / "bad.bin"

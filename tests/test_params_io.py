@@ -212,7 +212,7 @@ class TestWeightsRoundTrip:
 
     def test_unknown_kind_byte_rejected(self, tmp_path):
         path = tmp_path / "dump.bin"
-        save_arrays(path, {"x": np.ones(2, dtype=np.float32)})
+        save_arrays(path, {"x": np.ones(2, dtype=np.float32)}, "dump")
         data = bytearray(path.read_bytes())
         kind_at = data.index(b"\x01\x00x") + 3        # after the name "x"
         assert data[kind_at] == 0
@@ -261,20 +261,20 @@ class TestArrayDumps:
         big = np.float32(3e38)
         arrays = {"z": np.array([big + 1j * big, -big - 1j * big], dtype=np.complex64)}
         path = tmp_path / "dump.bin"
-        save_arrays(path, arrays)
+        save_arrays(path, arrays, "dump")
         _, loaded = load_arrays(path)
         np.testing.assert_array_equal(loaded["z"], arrays["z"])
 
     def test_non_finite_imaginary_part_rejected(self, tmp_path):
         path = tmp_path / "dump.bin"
-        save_arrays(path, {"z": np.array([1.0 + 1j * np.inf], dtype=np.complex64)})
+        save_arrays(path, {"z": np.array([1.0 + 1j * np.inf], dtype=np.complex64)}, "dump")
         with pytest.raises(FormatError, match="non-finite"):
             load_arrays(path)
 
     def test_float64_input_is_stored_as_f32(self, tmp_path, rng):
         x = rng.standard_normal(100)
         path = tmp_path / "dump.bin"
-        save_arrays(path, {"x": x})
+        save_arrays(path, {"x": x}, "dump")
         _, loaded = load_arrays(path)
         np.testing.assert_array_equal(loaded["x"], x.astype(np.float32))
 

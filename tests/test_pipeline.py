@@ -217,11 +217,13 @@ class TestStageDumps:
         st = res.stages
         y = Spectrogram(st["noisy_spec"], cfg.analysis)
 
-        z_att = fuse(st["z_stft"], st["z_gamma"], model.encoder)
+        z_att = fuse(st["z_stft"], st["z_gamma"], model.encoder,
+                     out=np.empty_like(st["z_stft"]))
         np.testing.assert_allclose(z_att, st["z_attended"], rtol=1e-6, atol=1e-7)
         z_bb = recalibrate_by_own_squeeze(st["z_attended"], model.encoder)
         np.testing.assert_allclose(z_bb, st["z_backbone"], rtol=1e-6, atol=1e-7)
-        z_out = modulator_block(st["z_backbone"], model.modulator)
+        z_out = modulator_block(st["z_backbone"], model.modulator,
+                                out=np.empty_like(st["z_backbone"]))
         np.testing.assert_allclose(z_out, st["z_out"], rtol=1e-6, atol=1e-7)
         ratfs = decode_heads(st["z_out"], model.decoder, [(0, st["z_out"].shape[1])])
         np.testing.assert_allclose(ratfs.w_s, st["ratf_s"], rtol=1e-6, atol=1e-7)
@@ -366,10 +368,11 @@ def test_kernels_compute_each_row_alone(case):
     enc, dec = model.encoder, model.decoder
     kernels = {
         "clinear": lambda a, b: clinear(x[:, a:b], model.modulator.proj),
-        "fuse": lambda a, b: fuse(x[:, a:b], g[:, a:b], enc),
+        "fuse": lambda a, b: fuse(x[:, a:b], g[:, a:b], enc, out=np.empty_like(x[:, a:b])),
         "lightconv_1d": lambda a, b: lightconv(x[:, a:b], enc.stft_blocks[1]),
         "lightconv_2d": lambda a, b: lightconv(x, dec.head_s[0], rows=(a, b)),
-        "modulator_block": lambda a, b: modulator_block(x[:, a:b], model.modulator),
+        "modulator_block": lambda a, b: modulator_block(x[:, a:b], model.modulator,
+                                                          out=np.empty_like(x[:, a:b])),
         "refinement_gate": lambda a, b: refinement_gate(x[:, a:b], dec)[None],
     }
     for name, kernel in kernels.items():

@@ -167,8 +167,8 @@ def test_kernels_do_not_depend_on_the_buffer_size(case):
         "lightconv_2d": lambda: lightconv(x, dec.head_s[0]),
         "cln": lambda: cln(fresh(), enc.stft_blocks[1].norm),
         "cprelu": lambda: cprelu(fresh(), 0.25),
-        "fuse": lambda: fuse(x, g, enc),
-        "modulator_block": lambda: modulator_block(x, model.modulator),
+        "fuse": lambda: fuse(x, g, enc, out=np.empty_like(x)),
+        "modulator_block": lambda: modulator_block(x, model.modulator, out=np.empty_like(x)),
         "refinement_gate": lambda: refinement_gate(x, dec),
     }
     for name, kernel in kernels.items():
