@@ -88,7 +88,7 @@ def _decode(buf: bytes) -> tuple[int, np.ndarray]:
         if pos + 8 > len(buf):
             raise ValueError(f"no {'data' if fmt else 'fmt'} chunk before end of file")
         chunk_id, size = struct.unpack_from(order + "4sI", buf, pos)
-        body = buf[pos + 8 : pos + 8 + size]
+        body = memoryview(buf)[pos + 8 : pos + 8 + size]      # no copy of the payload
         if chunk_id == b"fmt ":
             if len(body) < size:
                 raise ValueError("truncated fmt chunk")
@@ -166,9 +166,9 @@ def write_wav(path, samples: np.ndarray, sample_rate: int):
     if x.ndim not in (1, 2) or x.ndim == 2 and not 0 < x.shape[0] < 1 << 16:
         raise ValueError(f"samples shaped {x.shape}, expected (n,) or (channels, n)")
     with np.errstate(over="ignore"):        # beyond float-32 range: inf, refused below
-        data = x.T.astype("<f4")
+        data = np.ascontiguousarray(x.T, "<f4")       # frames in file order
     if not np.all(np.isfinite(data)):
         raise ValueError("samples are not finite in float-32")
     with open(path, "wb") as fh:
         fh.write(_header(data, sample_rate))
-        fh.write(data.tobytes())
+        fh.write(data)

@@ -113,6 +113,8 @@ class RunConfig:
 _RULES = (
     (AnalysisConfig, lambda a: a.fft_size % a.hop == 0,
      "analysis.hop must divide analysis.fft_size, got {hop} and {fft_size}"),
+    (AnalysisConfig, lambda a: a.hop < a.fft_size,   # the window is 0 at a frame's first sample
+     "analysis.hop must be less than analysis.fft_size, got {hop} and {fft_size}"),
     (RunConfig, lambda c: c.channels % c.se_reduction == 0,
      "se_reduction must divide channels, got {se_reduction} and {channels}"),
     (RunConfig, lambda c: band_ok(c.gammatone_lo_hz, c.gammatone_hi_hz, c.analysis.sample_rate),

@@ -14,15 +14,19 @@ the directory is in creation order, which is also the order tensors are
 written. Every entry is a writable ndarray and the same object as its
 dataclass field.
 
-Loading validates the magic, version, and the architecture fingerprint of
-the active config, then builds the seeded tree and, in creation order,
-checks each stored tensor against it by name, shape and dtype and copies
-the stored values in. A rejected file raises, so no half-filled tree
-escapes.
+One writer, ``save_arrays``, serves weights and stage dumps, casting each
+tensor as it writes it; ``load_arrays`` checks each declared payload against
+the bytes left in the file, then reads it straight into its array. Loading
+weights validates the magic, version and the architecture fingerprint of the
+active config, builds the seeded tree and, in creation order, checks each
+stored tensor against it by name, shape and dtype and copies the values in.
+A rejected file raises, so no half-filled tree escapes.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -183,94 +187,84 @@ def init_random(cfg: RunConfig, seed: int = 0) -> ModelParams:
 
 
 def save_weights(model: ModelParams, path) -> None:
-    _write_tensor_file(path, model.fingerprint, model.tensors)
+    save_arrays(path, model.tensors, model.fingerprint)
 
 
 def save_arrays(path, arrays: dict[str, np.ndarray], tag: str) -> None:
-    """Write arbitrary named arrays (e.g. stage dumps) in the weights format.
+    """Write named arrays as f32 (complex as interleaved pairs), each cast as
+    it is written, with ``tag`` in the fingerprint slot."""
+    fp = tag.encode("ascii")
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC + struct.pack("<IH", _VERSION, len(fp)) + fp
+                 + struct.pack("<I", len(arrays)))
+        for name, arr in arrays.items():
+            nb = name.encode("utf-8")
+            is_complex = np.iscomplexobj(arr)
+            fh.write(struct.pack(f"<H{len(nb)}sBB{arr.ndim}I", len(nb), nb, is_complex,
+                                 arr.ndim, *arr.shape))
+            # "<c8" is the interleaved little-endian f32 (re, im) pair
+            fh.write(np.ascontiguousarray(arr, "<c8" if is_complex else "<f4"))
 
-    Arrays are stored as f32 (complex as interleaved pairs); the fingerprint
-    slot carries ``tag`` instead of an architecture hash.
-    """
-    casted = {
-        name: np.asarray(a).astype(np.complex64 if np.iscomplexobj(a) else np.float32)
-        for name, a in arrays.items()
-    }
-    _write_tensor_file(path, tag, casted)
+
+class _Reader:
+    """Reads an open file front to back, each read checked against its size."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
+        self.off = 0
+
+    def _advance(self, n: int) -> None:
+        if self.off + n > self.size:
+            raise FormatError(f"truncated file at offset {self.off} (need {n} bytes)")
+        self.off += n
+
+    def take(self, n: int) -> bytes:
+        self._advance(n)
+        return self.fh.read(n)
+
+    def unpack(self, fmt: str):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def array(self, shape: tuple, dtype: np.dtype) -> np.ndarray:
+        """The next payload, read into a new array once the file holds it."""
+        self._advance(dtype.itemsize * math.prod(shape))
+        arr = np.empty(shape, dtype)
+        if self.fh.readinto(arr) != arr.nbytes:      # the file shrank while read
+            raise FormatError(f"truncated file at offset {self.off - arr.nbytes}")
+        return arr
 
 
 def load_arrays(path) -> tuple[str, dict[str, np.ndarray]]:
     """Read a tensor-directory file written by save_arrays or save_weights."""
     with open(path, "rb") as fh:
-        rd = _Reader(fh.read())
-    if rd.take(4) != _MAGIC:
-        raise FormatError("bad magic bytes (not a tensor file)")
-    (version,) = rd.unpack("<I")
-    if version != _VERSION:
-        raise FormatError(f"unsupported format version {version}")
-    (fp_len,) = rd.unpack("<H")
-    tag = rd.take(fp_len).decode("ascii")
-    return tag, _read_tensors(rd)
-
-
-def _write_tensor_file(path, tag: str, tensors: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        fp = tag.encode("ascii")
-        fh.write(struct.pack("<H", len(fp)))
-        fh.write(fp)
-        fh.write(struct.pack("<I", len(tensors)))
-        for name, arr in tensors.items():
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            is_complex = np.iscomplexobj(arr)
-            fh.write(struct.pack("<BB", 1 if is_complex else 0, arr.ndim))
-            for dim in arr.shape:
-                fh.write(struct.pack("<I", dim))
-            # "<c8" is the interleaved little-endian f32 (re, im) pair
-            fh.write(arr.astype("<c8" if is_complex else "<f4", copy=False).tobytes())
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.off = 0
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
-            raise FormatError(f"truncated file at offset {self.off} (need {n} bytes)")
-        chunk = self.data[self.off : self.off + n]
-        self.off += n
-        return chunk
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-
-def _read_tensors(rd: _Reader) -> dict[str, np.ndarray]:
-    (n_tensors,) = rd.unpack("<I")
-    tensors = {}
-    for _ in range(n_tensors):
-        (name_len,) = rd.unpack("<H")
-        name = rd.take(name_len).decode("utf-8")
-        if name in tensors:
-            raise FormatError(f"duplicate tensor name {name!r} at offset {rd.off}")
-        kind, ndim = rd.unpack("<BB")
-        shape = tuple(rd.unpack("<" + "I" * ndim)) if ndim else ()
-        count = int(np.prod(shape)) if shape else 1
-        if kind not in (0, 1):
-            raise FormatError(f"unknown tensor kind {kind} at offset {rd.off}")
-        dtype = np.dtype("<c8" if kind == 1 else "<f4")
-        raw = np.frombuffer(rd.take(dtype.itemsize * count), dtype=dtype)
-        arr = raw.reshape(shape).astype(dtype.newbyteorder("="))
-        if not np.all(np.isfinite(arr)):
-            raise FormatError(f"non-finite values in tensor {name!r}")
-        tensors[name] = arr
-    if rd.off != len(rd.data):
-        raise FormatError(f"{len(rd.data) - rd.off} trailing bytes at offset {rd.off}")
-    return tensors
+        rd = _Reader(fh)
+        if rd.take(4) != _MAGIC:
+            raise FormatError("bad magic bytes (not a tensor file)")
+        (version,) = rd.unpack("<I")
+        if version != _VERSION:
+            raise FormatError(f"unsupported format version {version}")
+        (fp_len,) = rd.unpack("<H")
+        tag = rd.take(fp_len).decode("ascii")
+        (n_tensors,) = rd.unpack("<I")
+        tensors = {}
+        for _ in range(n_tensors):
+            (name_len,) = rd.unpack("<H")
+            name = rd.take(name_len).decode("utf-8")
+            if name in tensors:
+                raise FormatError(f"duplicate tensor name {name!r} at offset {rd.off}")
+            kind, ndim = rd.unpack("<BB")
+            shape = rd.unpack("<" + "I" * ndim)
+            if kind not in (0, 1):
+                raise FormatError(f"unknown tensor kind {kind} at offset {rd.off}")
+            dtype = np.dtype("<c8" if kind == 1 else "<f4")
+            arr = rd.array(shape, dtype).astype(dtype.newbyteorder("="), copy=False)
+            if not np.all(np.isfinite(arr)):
+                raise FormatError(f"non-finite values in tensor {name!r}")
+            tensors[name] = arr
+    if rd.off != rd.size:
+        raise FormatError(f"{rd.size - rd.off} trailing bytes at offset {rd.off}")
+    return tag, tensors
 
 
 def load_weights(path, cfg: RunConfig) -> ModelParams:

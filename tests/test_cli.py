@@ -13,6 +13,7 @@ from binse.audio import read_stereo, write_wav
 from binse.cli import main
 from binse.errors import InvariantViolation
 from binse.params import load_arrays
+from test_params_io import one_tensor_header
 from test_synth import write_corpus
 
 SR = 16000
@@ -447,6 +448,12 @@ class TestBenchCommand:
         assert main(["bench", "--config", cfg_file, "--seconds", "0.01"]) == 0
         assert json.loads(capsys.readouterr().out)["macs"] > 0
 
+    def test_overflowing_tensor_shape_exits_3(self, tmp_path, cfg_file, capsys):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(one_tensor_header((2**32 - 1, 2**32 - 1)))
+        assert main(["bench", "--config", cfg_file, "--model", str(bad)]) == 3
+        assert "truncated file at offset 30" in capsys.readouterr().err
+
     def test_table_and_rtf(self, cfg_file, capsys):
         rc = main(["bench", "--config", cfg_file, "--rtf", "--repeats", "2",
                    "--table"])
@@ -510,11 +517,13 @@ class TestBenchCommand:
         ({"kernel_time": -1}, "kernel_time must be odd and at least 1"),
         ({"kernel_2d": [3, -1]}, "every entry of kernel_2d must be odd and at least 1"),
         ({"mlp_hidden": -1}, "mlp_hidden must be at least 0"),
+        ({"analysis": {"hop": 256}}, "analysis.hop must be less than analysis.fft_size"),
     ], ids=["unknown_key", "not_an_object", "unknown_analysis_key", "str_for_int",
             "int_for_pair", "int_for_bool", "float_for_int", "zero_se_reduction",
             "negative_se_reduction", "metric_key", "one_gammatone_tap",
             "no_encoder_blocks", "window_key", "negative_eps_ratf", "no_gammatone_bands",
-            "negative_kernel_time", "negative_kernel_2d", "negative_mlp_hidden"])
+            "negative_kernel_time", "negative_kernel_2d", "negative_mlp_hidden",
+            "hop_of_a_whole_frame"])
     def test_bad_config_file_exits_2(self, tmp_path, capsys, overrides, problem):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(overrides))

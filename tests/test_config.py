@@ -42,7 +42,7 @@ def in_range(draw):
         "analysis": {
             "sample_rate": sample_rate,
             "fft_size": fft_size,
-            "hop": draw(st.sampled_from([h for h in (16, 32, 64, 128, 256) if h <= fft_size])),
+            "hop": draw(st.sampled_from([h for h in (16, 32, 64, 128, 256) if h < fft_size])),
         },
         "channels": channels,
         "n_encoder_blocks": draw(st.integers(1, 2)),
@@ -97,7 +97,7 @@ OUT_OF_RANGE = {
     "analysis.fft_size": st.integers(max_value=0) | st.integers(1, 4096).filter(lambda n: n % 128)
     | NOT_AN_INT,
     "analysis.hop": st.integers(max_value=0) | st.integers(1, 512).filter(lambda h: 256 % h)
-    | NOT_AN_INT,
+    | st.just(256) | NOT_AN_INT,
 }
 
 
@@ -131,6 +131,7 @@ def test_an_in_range_config_runs(tmp_path, capsys, overrides):
 @example(case=(SMALL_CFG | {"gammatone_lo_hz": 9000.0, "gammatone_hi_hz": 100.0},
                ["gammatone_lo_hz", "gammatone_hi_hz"]))
 @example(case=(SMALL_CFG | {"kernel_2d": [3]}, ["kernel_2d"]))
+@example(case=(SMALL_CFG | {"analysis": {"hop": 256}}, ["analysis.hop", "analysis.fft_size"]))
 def test_an_out_of_range_key_exits_2_and_is_named(tmp_path, capsys, case):
     overrides, keys = case
     assert bench(tmp_path, overrides) == 2

@@ -133,14 +133,14 @@ class TestStft:
 
 
 class TestFraming:
-    @pytest.mark.parametrize("hop", [64, 128, 256])
+    @pytest.mark.parametrize("hop", [32, 64, 128])
     def test_frames_equal_per_frame_gather(self, rng, hop):
         cfg = AnalysisConfig(fft_size=256, hop=hop)
         for n in (256, 257, 383, 384, 1000, 4097):
             x = rng.standard_normal((2, n))
             assert np.array_equal(_frames(x, cfg), frames_loop(x, cfg))
 
-    @pytest.mark.parametrize("hop", [64, 128, 256])
+    @pytest.mark.parametrize("hop", [32, 64, 128])
     def test_istft_equals_frame_loop_overlap_add(self, rng, hop):
         cfg = AnalysisConfig(fft_size=256, hop=hop)
         for t in (1, 2, 3, 10, 250):

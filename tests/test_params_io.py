@@ -1,25 +1,44 @@
 import hashlib
 import struct
+import tracemalloc
 from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
+from binse.audio import Waveform
 from binse.config import RunConfig
 from binse.errors import ConfigMismatch, FormatError
 from binse.params import (
-    _write_tensor_file,
     init_random,
     load_arrays,
     load_weights,
     save_arrays,
     save_weights,
 )
+from binse.pipeline import enhance
 from conftest import small_config
 
 # sha256 of save_weights(init_random(RunConfig(), seed=0)): the seeded default
 # weights, byte for byte
 DEFAULT_SEED0_SHA256 = "4b17f4528738b06fa2e77fac04e1b4f852751ee8a32fac31978ebcc4440dd712"
+
+
+def one_tensor_header(dims, size=0) -> bytes:
+    """A tensor file whose one real tensor "x" declares dims but holds no
+    payload, zero-padded to size bytes."""
+    head = (b"BSE1" + struct.pack("<IH", 1, 3) + b"tag" + struct.pack("<IH", 1, 1) + b"x"
+            + struct.pack(f"<BB{len(dims)}I", 0, len(dims), *dims))
+    return head.ljust(size, b"\0")
+
+
+def traced_peak(fn):
+    """(fn(), the peak bytes traced while it ran)."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _arrays(obj):
@@ -173,7 +192,7 @@ class TestWeightsRoundTrip:
         extra = dict(model.tensors)
         extra["rogue.tensor"] = np.zeros(3, dtype=np.float32)
         path = tmp_path / "w.bin"
-        _write_tensor_file(path, model.fingerprint, extra)
+        save_arrays(path, extra, model.fingerprint)
         with pytest.raises(FormatError, match="unexpected"):
             load_weights(path, cfg)
 
@@ -185,7 +204,7 @@ class TestWeightsRoundTrip:
             bad["modulator.mlp.b1"].shape[0] + 1, dtype=np.float32
         )
         path = tmp_path / "w.bin"
-        _write_tensor_file(path, model.fingerprint, bad)
+        save_arrays(path, bad, model.fingerprint)
         with pytest.raises(FormatError):
             load_weights(path, cfg)
 
@@ -195,7 +214,7 @@ class TestWeightsRoundTrip:
         bad = dict(model.tensors)
         bad["modulator.proj.weight"] = bad["modulator.proj.weight"].real.copy()
         path = tmp_path / "w.bin"
-        _write_tensor_file(path, model.fingerprint, bad)
+        save_arrays(path, bad, model.fingerprint)
         with pytest.raises(FormatError, match="tensor 'modulator.proj.weight': "
                                               "stored float32.*expected complex64"):
             load_weights(path, cfg)
@@ -206,7 +225,7 @@ class TestWeightsRoundTrip:
         partial = dict(model.tensors)
         del partial["decoder.drg.bias"]
         path = tmp_path / "w.bin"
-        _write_tensor_file(path, model.fingerprint, partial)
+        save_arrays(path, partial, model.fingerprint)
         with pytest.raises(FormatError, match="missing tensor 'decoder.drg.bias'"):
             load_weights(path, cfg)
 
@@ -223,8 +242,7 @@ class TestWeightsRoundTrip:
 
     def test_duplicate_tensor_name_rejected(self, tmp_path):
         path = tmp_path / "dump.bin"
-        _write_tensor_file(path, "tag", {"a": np.ones(2, np.float32),
-                                         "b": np.zeros(2, np.float32)})
+        save_arrays(path, {"a": np.ones(2, np.float32), "b": np.zeros(2, np.float32)}, "tag")
         data = bytearray(path.read_bytes())
         name_at = data.index(b"\x01\x00b") + 2       # the second name, "b"
         data[name_at] = ord("a")
@@ -286,3 +304,37 @@ class TestArrayDumps:
         tag, tensors = load_arrays(path)
         assert tag == model.fingerprint
         assert tensors.keys() == model.tensors.keys()
+
+
+class TestDeclaredSizes:
+    @pytest.mark.parametrize("dims", [(2**32 - 1, 2**32 - 1), (2**31, 2**31), (1024, 1024)],
+                             ids=["count_overflows_int64", "2_to_62_values", "4_MB"])
+    def test_payload_beyond_the_file_is_truncation_before_allocation(self, tmp_path, dims):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(one_tensor_header(dims, size=100))
+
+        def load():
+            with pytest.raises(FormatError, match="truncated file at offset 30 "):
+                load_arrays(path)
+
+        _, peak = traced_peak(load)
+        assert peak < 1 << 20            # not even the 4 MB of (1024, 1024) is made
+
+    def test_load_holds_each_tensor_once(self, tmp_path, rng):
+        arrays = {f"t{i}": rng.standard_normal((64, 1024)).astype(np.float32)
+                  for i in range(4)}
+        arrays["z"] = (arrays["t0"] + 1j * arrays["t1"]).astype(np.complex64)
+        path = tmp_path / "dump.bin"
+        save_arrays(path, arrays, "dump")
+        (_, loaded), peak = traced_peak(lambda: load_arrays(path))
+        sizes = [a.nbytes for a in loaded.values()]
+        assert peak <= sum(sizes) + max(sizes)
+
+    def test_writing_a_stage_dump_makes_no_copy(self, tmp_path):
+        cfg = RunConfig()
+        noise = 0.1 * np.random.default_rng(0).standard_normal((2, 2 * 16000))
+        stages = enhance(Waveform(noise, 16000), init_random(cfg, seed=0), cfg,
+                         collect_stages=True).stages
+        assert sum(a.nbytes for a in stages.values()) > 100e6
+        _, peak = traced_peak(lambda: save_arrays(tmp_path / "dump.bin", stages, "stage-dump"))
+        assert peak < 5e6
