@@ -119,11 +119,11 @@ def read_wav(path, expected_rate: int) -> np.ndarray:
         raise UnsupportedFormat(f"{path}: cannot parse WAV ({exc})") from exc
     if rate != expected_rate:
         raise UnsupportedFormat(f"{path}: sample rate {rate}, expected {expected_rate}")
+    if data.dtype.kind == "f" and not np.all(np.isfinite(data)):   # casting sNaN warns
+        raise UnsupportedFormat(f"{path}: non-finite samples in the float-32 payload")
     x = data.astype(np.float64)
     if data.dtype.kind == "i":
         x /= 32768.0
-    elif not np.all(np.isfinite(x)):
-        raise UnsupportedFormat(f"{path}: non-finite samples in the float-32 payload")
     return x.T
 
 

@@ -5,7 +5,7 @@ scale. Inference only: there is no dropout.
 One layout: the network enhances one utterance at a time, so every kernel
 takes complex x of shape (C, F, T), channels on axis 0, as the plan's
 (C, rows, T) tiles and ``frontend.stft``'s (2, F, T) bins are. Parameter
-containers are plain dataclasses of ndarrays, immutable by convention.
+containers are plain dataclasses of ndarrays, read-only in ``params``' trees.
 
 Each operation the network repeats is one kernel here: ``clinear`` (every
 channel product), ``sigmoid`` (every gate), ``prelu``/``cprelu`` and

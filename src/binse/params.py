@@ -8,19 +8,18 @@ round-trips bit-exactly. The file layout is:
     (0 real, 1 complex), ndim u8, dims u32..., payload f32 little-endian
     (complex stored as interleaved re, im pairs).
 
-``_build`` makes the weight tree one way, with the seeded factory, which
-records each tensor in ``ModelParams.tensors`` under the name it is given:
-the directory is in creation order, which is also the order tensors are
-written. Every entry is a writable ndarray and the same object as its
-dataclass field.
+``_build`` is the one place that names, shapes and types each tensor. Its
+factory draws seeded values or hands out a loaded file's tensors, and records
+each in ``ModelParams.tensors`` under its name, in creation order, which is
+also the order tensors are written. Every entry is a read-only ndarray and
+the same object as its dataclass field.
 
 One writer, ``save_arrays``, serves weights and stage dumps, casting each
 tensor as it writes it; ``load_arrays`` checks each declared payload against
 the bytes left in the file, then reads it straight into its array. Loading
 weights validates the magic, version and the architecture fingerprint of the
-active config, builds the seeded tree and, in creation order, checks each
-stored tensor against it by name, shape and dtype and copies the values in.
-A rejected file raises, so no half-filled tree escapes.
+active config, then builds the tree from the stored tensors: nothing is
+drawn or copied. A rejected file raises, so no half-built tree escapes.
 """
 
 from __future__ import annotations
@@ -52,39 +51,48 @@ class ModelParams:
     tensors: dict[str, np.ndarray]   # name -> the same arrays, creation order
 
 
-class _RandomInit:
-    """Tensor factory for seeded initialization.
-
-    Complex weights get uniform phase with magnitude RMS fan_in^{-1/2};
-    real weights are Gaussian with std fan_in^{-1/2}. Biases start at
-    zero, norms at identity, PReLU slopes at 0.25, the temperature at 1.
+class _Factory:
+    """Hands ``_build`` each tensor read-only: the loaded file's ``stored``
+    tensor, checked by name, shape and dtype, or else one drawn from ``rng``.
+    Complex weights get uniform phase with magnitude RMS fan_in^{-1/2}; real
+    weights are Gaussian with std fan_in^{-1/2}. Biases start at zero, norms
+    at identity, PReLU slopes at 0.25, the temperature at 1.
     """
 
-    def __init__(self, seed: int):
-        self.rng = np.random.default_rng(seed)
+    def __init__(self, rng=None, stored: dict[str, np.ndarray] | None = None):
+        self.rng, self.stored = rng, stored
         self.tensors: dict[str, np.ndarray] = {}
 
-    def _keep(self, name, arr):
+    def _tensor(self, name, shape, dtype: str, draw):
+        if self.stored is None:
+            arr = np.full(shape, draw(), dtype)
+        elif (arr := self.stored.get(name)) is None:
+            raise FormatError(f"missing tensor {name!r}")
+        elif arr.shape != shape or arr.dtype != dtype:
+            raise FormatError(
+                f"tensor {name!r}: stored {arr.dtype}{arr.shape}, expected {dtype}{shape}"
+            )
+        arr.setflags(write=False)
         self.tensors[name] = arr
         return arr
 
     def cweight(self, name, shape, fan_in):
-        scale = 1.0 / np.sqrt(2.0 * fan_in)
-        w = self.rng.standard_normal(shape) + 1j * self.rng.standard_normal(shape)
-        return self._keep(name, (w * scale).astype(np.complex64))
+        return self._tensor(name, shape, "complex64", lambda: (
+            self.rng.standard_normal(shape) + 1j * self.rng.standard_normal(shape)
+        ) * (1.0 / np.sqrt(2.0 * fan_in)))
 
     def rweight(self, name, shape, fan_in):
-        w = self.rng.standard_normal(shape) / np.sqrt(fan_in)
-        return self._keep(name, w.astype(np.float32))
+        return self._tensor(name, shape, "float32",
+                            lambda: self.rng.standard_normal(shape) / np.sqrt(fan_in))
 
     def zeros(self, name, shape, complex_=False):
-        return self._keep(name, np.zeros(shape, dtype=np.complex64 if complex_ else np.float32))
+        return self._tensor(name, shape, "complex64" if complex_ else "float32", lambda: 0)
 
     def ones_c(self, name, shape):
-        return self._keep(name, np.ones(shape, dtype=np.complex64))
+        return self._tensor(name, shape, "complex64", lambda: 1)
 
     def const(self, name, value):
-        return self._keep(name, np.full((), value, np.float32))
+        return self._tensor(name, (), "float32", lambda: value)
 
 
 def _build_lightconv(make, prefix, c_in, c_out, kernel):
@@ -183,7 +191,7 @@ def _build(cfg: RunConfig, make) -> ModelParams:
 
 def init_random(cfg: RunConfig, seed: int = 0) -> ModelParams:
     """Deterministic seeded initialization of the full weight tree."""
-    return _build(cfg, _RandomInit(seed))
+    return _build(cfg, _Factory(rng=np.random.default_rng(seed)))
 
 
 def save_weights(model: ModelParams, path) -> None:
@@ -223,15 +231,25 @@ class _Reader:
         self._advance(n)
         return self.fh.read(n)
 
+    def text(self, n: int, encoding: str) -> str:
+        try:
+            return self.take(n).decode(encoding)
+        except UnicodeDecodeError:
+            raise FormatError(f"{n} bytes before offset {self.off} are not {encoding}") from None
+
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def array(self, shape: tuple, dtype: np.dtype) -> np.ndarray:
         """The next payload, read into a new array once the file holds it."""
+        at = self.off
         self._advance(dtype.itemsize * math.prod(shape))
-        arr = np.empty(shape, dtype)
+        try:
+            arr = np.empty(shape, dtype)
+        except ValueError as exc:   # a zero dim beside dims too big, or over 64 dims
+            raise FormatError(f"{len(shape)}-dim shape at offset {at}: {exc}") from None
         if self.fh.readinto(arr) != arr.nbytes:      # the file shrank while read
-            raise FormatError(f"truncated file at offset {self.off - arr.nbytes}")
+            raise FormatError(f"truncated file at offset {at}")
         return arr
 
 
@@ -245,12 +263,12 @@ def load_arrays(path) -> tuple[str, dict[str, np.ndarray]]:
         if version != _VERSION:
             raise FormatError(f"unsupported format version {version}")
         (fp_len,) = rd.unpack("<H")
-        tag = rd.take(fp_len).decode("ascii")
+        tag = rd.text(fp_len, "ascii")
         (n_tensors,) = rd.unpack("<I")
         tensors = {}
         for _ in range(n_tensors):
             (name_len,) = rd.unpack("<H")
-            name = rd.take(name_len).decode("utf-8")
+            name = rd.text(name_len, "utf-8")
             if name in tensors:
                 raise FormatError(f"duplicate tensor name {name!r} at offset {rd.off}")
             kind, ndim = rd.unpack("<BB")
@@ -275,17 +293,7 @@ def load_weights(path, cfg: RunConfig) -> ModelParams:
             f"weights fingerprint {fingerprint[:12]}... does not match "
             f"config {cfg.fingerprint()[:12]}..."
         )
-    model = init_random(cfg)
-    for name, arr in model.tensors.items():
-        if name not in stored:
-            raise FormatError(f"missing tensor {name!r}")
-        got = stored[name]
-        if got.shape != arr.shape or got.dtype != arr.dtype:
-            raise FormatError(
-                f"tensor {name!r}: stored {got.dtype}{got.shape}, "
-                f"expected {arr.dtype}{arr.shape}"
-            )
-        arr[...] = got
+    model = _build(cfg, _Factory(stored=stored))
     unused = stored.keys() - model.tensors.keys()
     if unused:
         raise FormatError(f"unexpected tensors in file: {sorted(unused)[:3]}")

@@ -670,13 +670,19 @@ cfg = RunConfig()
 model = init_random(cfg, seed=0)
 w = Waveform(0.1 * np.random.default_rng(0).standard_normal((2, 8000)), 16000)
 out = {}
-for dtype in ("complex64", "complex128"):
-    for tile_bytes, min_rows in ((1, 1), (pipeline._TILE_BYTES, pipeline._TILE_MIN_ROWS)):
-        with mock.patch.multiple(pipeline, _TILE_BYTES=tile_bytes, _TILE_MIN_ROWS=min_rows):
-            res = pipeline.enhance(w, model, cfg, dtype=np.dtype(dtype))
-        for name, a in (("wav", res.wav_out.samples), ("w_s", res.ratfs.w_s),
-                        ("w_n", res.ratfs.w_n), ("gate", res.gate)):
-            out[f"{dtype}-{tile_bytes}-{name}"] = a
+for pool in (1, 2):
+    if workers._pool is not None:
+        workers._pool.shutdown()
+    workers._pool_pid = None                # the next plan makes a pool of this size
+    workers.usable_cpus = lambda: pool
+    for dtype in ("complex64", "complex128"):
+        for tile_bytes, min_rows in ((1, 1), (pipeline._TILE_BYTES, pipeline._TILE_MIN_ROWS)):
+            with mock.patch.multiple(pipeline, _TILE_BYTES=tile_bytes, _TILE_MIN_ROWS=min_rows):
+                res = pipeline.enhance(w, model, cfg, dtype=np.dtype(dtype))
+            assert workers.size() == pool
+            for name, a in (("wav", res.wav_out.samples), ("w_s", res.ratfs.w_s),
+                            ("w_n", res.ratfs.w_n), ("gate", res.gate)):
+                out[f"{dtype}-{tile_bytes}-{pool}-{name}"] = a
 np.savez(sys.argv[1], **out)
 print(core)
 """
@@ -689,7 +695,7 @@ BLAS_KERNELS = {"SkylakeX": "avx512f", "Haswell": "avx2", "Sandybridge": "avx", 
 def test_one_numerical_contract_on_each_blas_kernel(tmp_path):
     """A seeded 0.5 s default-config call in a fresh process per OpenBLAS
     kernel the CPU runs. On each kernel, the 1-byte and the default tile
-    budget give the same bits. complex64 stays within 2e-5 of complex128,
+    budget, on pools of 1 and 2 workers, give the same bits. complex64 stays within 2e-5 of complex128,
     and complex128 within 1e-13 across kernels, in relative L2 of the
     waveform; on a 2-core Xeon they read 2.7e-6 to 4.0e-6 and 6e-15 to 9e-15."""
     try:
@@ -718,14 +724,14 @@ def test_one_numerical_contract_on_each_blas_kernel(tmp_path):
     default = pipeline._TILE_BYTES
     for kernel, got in runs.items():
         for key, a in got.items():
-            if key.split("-")[1] == "1":
-                np.testing.assert_array_equal(
-                    a, got[key.replace("-1-", f"-{default}-")], err_msg=f"{kernel} {key}")
-        wav = {dtype: got[f"{dtype}-{default}-wav"] for dtype in ("complex64", "complex128")}
+            dtype, _, _, name = key.split("-")
+            np.testing.assert_array_equal(a, got[f"{dtype}-{default}-2-{name}"],
+                                          err_msg=f"{kernel} {key}")
+        wav = {dtype: got[f"{dtype}-{default}-2-wav"] for dtype in ("complex64", "complex128")}
         assert rel_l2(wav["complex64"], wav["complex128"]) <= 2e-5, kernel
-    first = next(iter(runs.values()))[f"complex128-{default}-wav"]
+    first = next(iter(runs.values()))[f"complex128-{default}-2-wav"]
     for kernel, got in runs.items():
-        assert rel_l2(got[f"complex128-{default}-wav"], first) <= 1e-13, kernel
+        assert rel_l2(got[f"complex128-{default}-2-wav"], first) <= 1e-13, kernel
 
 
 # --- the worker pool -----------------------------------------------------------
