@@ -73,14 +73,6 @@ def cmd_synth(args) -> int:
     return 0 if not summary["failures"] else 2
 
 
-def _gate_stats(g: np.ndarray) -> dict:
-    return {
-        "gate_mean": float(np.mean(g)),
-        "gate_min": float(np.min(g)),
-        "gate_max": float(np.max(g)),
-    }
-
-
 def _metrics_row(args, cfg: RunConfig, model, dataset: Path, tmp: Path, item: str) -> dict:
     """Enhance one dataset item and score it against its clean reference."""
     clean = read_stereo(dataset / f"{item}_clean.wav", cfg.analysis.sample_rate)
@@ -99,8 +91,10 @@ def _metrics_row(args, cfg: RunConfig, model, dataset: Path, tmp: Path, item: st
         "ipd_err": losses.ipd_loss(clean_spec, est_spec),
         "mbstoi": None,
         "delta_pesq": None,
+        "gate_mean": float(np.mean(result.gate)),
+        "gate_min": float(np.min(result.gate)),
+        "gate_max": float(np.max(result.gate)),
     }
-    row.update(_gate_stats(result.gate))
     if args.mbstoi_cmd or args.pesq_cmd:
         est_path = tmp / f"{item}_enhanced.wav"
         write_wav(est_path, est.samples, cfg.analysis.sample_rate)
@@ -122,7 +116,7 @@ def cmd_metrics(args) -> int:
     An item whose input is bad, or whose external scorer exits non-zero, is
     reported on stderr as one JSON line {"item_id", "error"} and skipped;
     the run then exits 2. An internal invariant violation still aborts the
-    run. Scoring runs on the worker pool, in one ``workers.plan``.
+    run. Scoring runs in one ``workers.plan``, its units on the worker pool.
     """
     cfg = _load_config(args)
     model = _load_model(args, cfg)
@@ -295,7 +289,7 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (BinseError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (BinseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

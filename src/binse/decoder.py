@@ -73,7 +73,7 @@ def decode_heads(z_out: np.ndarray, p: DecoderParams, tiles: list[tuple[int, int
     reads z_out itself; each deeper level keeps in a ``_Window`` the rows of
     its output that the next block still reads, and no row is computed
     twice. Each head runs its own schedule and only reads z_out, so the heads
-    run as independent units on the worker pool (``workers.map``).
+    run as independent units of the caller's plan (``workers.map``).
     """
     if z_out.ndim != 3:
         raise ShapeMismatch(f"expected (C, F, T), got {z_out.shape}")

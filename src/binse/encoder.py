@@ -45,7 +45,7 @@ def encode_gamma(g: np.ndarray, p: EncoderParams, tiles: list[tuple[int, int]]) 
     The blocks run on the gammatone feature axis, each band alone, so both
     blocks run per tile of ``tiles``, (lo, hi) bands that cover every band
     (``[(0, n_gamma)]`` is one tile of all of them), as independent units
-    on the worker pool (``workers.map``), each writing its bands into the
+    of the caller's plan (``workers.map``), each writing its bands into the
     first n_gamma rows of one (C, max(F, n_gamma), T) buffer. A fixed real
     linear map then projects that axis onto the F STFT bins so the
     attention map is per-(channel, frequency, time). It runs on the calling

@@ -207,12 +207,13 @@ def build_gammatone_bank(
     return GammatoneBank(centers, irs, spectra, sr)
 
 
+@workers.plan()
 def gammatone_frames(w: Waveform, bank: GammatoneBank, cfg: AnalysisConfig) -> np.ndarray:
     """Per-ear log frame energies of the gammatone-filtered signal.
 
     Output is real float64, shaped (2, n_channels, T) with the same T as
-    stft on the same waveform. The channel groups are filtered as
-    independent units on the worker pool (``workers.map``).
+    stft on the same waveform. The call is a plan of its own (``workers.plan``,
+    nested in ``enhance``'s), whose units filter the channel groups.
     """
     for what, rate in (("waveform", w.sample_rate), ("bank", bank.sample_rate)):
         if rate != cfg.sample_rate:

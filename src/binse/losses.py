@@ -54,6 +54,7 @@ def _third_octave_bands(sr: int):
     return list(zip(lo, hi))
 
 
+@workers.plan()
 def stoi_surrogate(s_hat: Waveform, s: Waveform) -> float:
     """Sign-sensitive short-time band-correlation intelligibility proxy.
 
@@ -63,12 +64,12 @@ def stoi_surrogate(s_hat: Waveform, s: Waveform) -> float:
     ear. The result is 1 - mean correlation: 0 for a perfect estimate, 2
     for a sign-flipped one, ~1 for independent signals.
 
-    The two forward FFTs, and then the bands, run as units on the worker
-    pool (``workers.map``). Every FFT here runs at the signal's own length:
-    at a length with a large prime factor it is several times slower than
-    at a 5-smooth one, but padding would change the circular band filter.
-    The correlations are joined in band order, so the score does not
-    depend on the pool.
+    The call is a plan of its own (``workers.plan``): its units are the two
+    forward FFTs, and then the bands. Every FFT here runs at the signal's
+    own length: at a length with a large prime factor it is several times
+    slower than at a 5-smooth one, but padding would change the circular
+    band filter. The correlations are joined in band order, so the score
+    does not depend on the pool.
     """
     if s_hat.n_samples != s.n_samples:
         raise ShapeMismatch("waveform lengths differ")

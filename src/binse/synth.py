@@ -245,11 +245,12 @@ def synthesize_item(spec: MixSpec, loaded: dict):
             load, path = key
             loaded[key] = load(path, expected_rate=SAMPLE_RATE)
     hrirs, speech_src, noise_src = (loaded[key] for key in _sources(spec))
+    # noise first: a source too short for the duration is refused before allocating
+    noise = make_diffuse_noise(noise_src, hrirs, spec.duration_s, spec.seed)
     n = int(round(spec.duration_s * SAMPLE_RATE))
     if speech_src.shape[0] < n:
         speech_src = np.pad(speech_src, (0, n - speech_src.shape[0]))
     clean = spatialize(speech_src[:n], hrirs, spec.azimuth)
-    noise = make_diffuse_noise(noise_src, hrirs, spec.duration_s, spec.seed)
     mixture, report = mix_at_snr(clean, noise, spec.snr_db)
     return clean, noise, mixture, report
 

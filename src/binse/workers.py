@@ -1,10 +1,13 @@
 """Worker threads for the independent units of the enhancement plan.
 
-``map(fn, items)`` runs units on a pool of at most ``_MAX_WORKERS`` threads,
-or one after the other when there is no pool or when a unit calls it. The
-pool is made on a process's first ``plan()``: while any plan runs, OpenBLAS
-is held to one thread, so the pool, not BLAS, uses the other cores, and
-BLAS rounds alike whatever thread count it was configured with.
+``map(fn, items)`` runs units on a pool of at most ``_MAX_WORKERS`` threads
+only when it is called inside a running ``plan()``, in the process that
+made the pool. Anywhere else it runs them one after the other on the
+calling thread: outside any plan, inside a unit (also when that unit opens
+a plan of its own), and in a forked child before its own first plan. The
+pool is made on a process's first plan: while any plan runs, OpenBLAS is
+held to one thread, so the pool, not BLAS, uses the other cores, and BLAS
+rounds alike whatever thread count it was configured with.
 
 A plan also holds numpy's ufunc buffer at ``_UFUNC_BUFSIZE`` elements in the
 caller's numpy context, which the units inherit. numpy copies the
@@ -28,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import ctypes
+import functools
 import os
 import threading
 
@@ -38,20 +42,18 @@ _MAX_WORKERS = 2
 # 256 or fewer (170 for a binary op) are copied through it
 _UFUNC_BUFSIZE = 512
 
-# OpenBLAS build flavours' symbol name prefixes and suffixes
-_FLAVOURS = [(prefix, suffix) for prefix in ("scipy_openblas_", "openblas_")
-             for suffix in ("64_", "")]
-# (get, set) thread-count entry points, and the running kernel's name
-_OPENBLAS_API = [(f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
-                 for prefix, suffix in _FLAVOURS]
-_CORENAME_API = [f"{prefix}get_corename{suffix}" for prefix, suffix in _FLAVOURS]
+# (get thread count, set thread count, kernel name) entry points of each
+# OpenBLAS build flavour, by symbol name prefix and suffix
+_OPENBLAS_API = [tuple(f"{prefix}{name}{suffix}"
+                       for name in ("get_num_threads", "set_num_threads", "get_corename"))
+                 for prefix in ("scipy_openblas_", "openblas_") for suffix in ("64_", "")]
 _M_ARENA_MAX = -8                   # glibc mallopt parameter
 
+# "plan" in a plan's caller, "unit" in the units it runs; unset elsewhere
+_role: contextvars.ContextVar[str] = contextvars.ContextVar("binse_workers_role")
 _lock = threading.Lock()
-_local = threading.local()          # .in_pool is set on the pool's threads
 _pool = None                        # a ThreadPoolExecutor, made by the first plan
 _pool_pid = None                    # a forked child gets _pool but not its threads
-_openblas_threads: list | None = None
 _plans_running = 0
 _blas_saved: list[tuple] = []
 
@@ -63,66 +65,60 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _pool_made_here() -> bool:
+    """Whether this process's first plan has made its pool (None for one
+    thread); a forked child makes its own at its own first plan."""
+    return _pool_pid == os.getpid()
+
+
 def size() -> int:
     """Threads that run the plan's units: those of this process's pool once
     its first plan has made it, however the usable CPUs change after that,
     and before then the pool that plan will make."""
-    if _pool_pid == os.getpid():
+    if _pool_made_here():
         return _pool._max_workers if _pool is not None else 1
     return min(usable_cpus(), _MAX_WORKERS)
 
 
-def _openblas_libs() -> list:
-    """Every OpenBLAS library loaded here, by path."""
+@functools.cache
+def openblas() -> tuple[tuple, ...]:
+    """(get, set, corename) functions of every OpenBLAS loaded here, ordered
+    by path: the thread count's getter and setter, and the running kernel's
+    name. Found once per process, from the libraries in /proc/self/maps."""
     try:
         with open("/proc/self/maps") as fh:
             paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
     except OSError:
-        return []
-    libs = []
+        return ()
+    found = []
     for path in paths:
         with contextlib.suppress(OSError):
-            libs.append(ctypes.CDLL(path))
-    return libs
-
-
-def openblas() -> list[tuple]:
-    """(get, set) thread-count functions of every OpenBLAS loaded here."""
-    found = []
-    for lib in _openblas_libs():
-        for get, set_ in _OPENBLAS_API:
-            if hasattr(lib, get) and hasattr(lib, set_):
-                get, set_ = getattr(lib, get), getattr(lib, set_)
+            lib = ctypes.CDLL(path)
+            names = next((names for names in _OPENBLAS_API
+                          if all(hasattr(lib, name) for name in names)), None)
+            if names is not None:
+                get, set_, corename = (getattr(lib, name) for name in names)
                 get.argtypes, get.restype = [], ctypes.c_int
                 set_.argtypes, set_.restype = [ctypes.c_int], None
-                found.append((get, set_))
-                break
-    return found
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
+                found.append((get, set_, corename))
+    return tuple(found)
 
 
 def blas_core() -> str | None:
     """The kernel the first OpenBLAS loaded here runs, as it names it (such
-    as "SkylakeX"), or None where none reports one. Output bits are exact
+    as "SkylakeX"), or None where none is loaded. Output bits are exact
     across tilings and pool sizes on one kernel, not across kernels."""
-    for lib in _openblas_libs():
-        for name in _CORENAME_API:
-            if hasattr(lib, name):
-                corename = getattr(lib, name)
-                corename.argtypes, corename.restype = [], ctypes.c_char_p
-                return corename().decode()
-    return None
+    return next((corename().decode() for _, _, corename in openblas()), None)
 
 
 def _start():
-    """On the first plan of a process: find OpenBLAS, and make the pool (none
-    for one thread) after capping glibc at one malloc arena, so that the
-    workers' tile temporaries reuse the main heap rather than each growing a
-    heap of its own."""
-    global _pool, _pool_pid, _openblas_threads
+    """On a process's first plan: make the pool (none for one thread) after
+    capping glibc at one malloc arena, so that the workers' tile temporaries
+    reuse the main heap rather than each growing a heap of its own."""
+    global _pool, _pool_pid
     with _lock:
-        if _openblas_threads is None:
-            _openblas_threads = openblas()
-        if _pool_pid == os.getpid():
+        if _pool_made_here():
             return
         n = size()
         if n > 1:
@@ -133,36 +129,34 @@ def _start():
         # imported here, as it loads logging: ~8 ms of every process's set-up
         from concurrent.futures import ThreadPoolExecutor
 
-        _pool = ThreadPoolExecutor(n, thread_name_prefix="binse-plan",
-                                   initializer=_mark_pool_thread) if n > 1 else None
+        _pool = ThreadPoolExecutor(n, thread_name_prefix="binse-plan") if n > 1 else None
         _pool_pid = os.getpid()
-
-
-def _mark_pool_thread():
-    _local.in_pool = True
 
 
 @contextlib.contextmanager
 def plan():
     """Make the pool if this process has none, hold OpenBLAS to one thread
     while any plan runs, and numpy's ufunc buffer at ``_UFUNC_BUFSIZE`` in
-    the caller's context while this one runs. The BLAS count from before
+    the caller's context while this one runs. Plans nest: one opened inside
+    a unit leaves its maps on the unit's thread. The BLAS count from before
     the first of overlapping plans is restored after the last, and the
     caller's buffer size and errstate on exit, also when a plan raises."""
     global _plans_running, _blas_saved
     _start()
     with _lock:
         if _plans_running == 0:
-            _blas_saved = [(set_, get()) for get, set_ in _openblas_threads]
+            _blas_saved = [(set_, get()) for get, set_, _ in openblas()]
             for set_, _ in _blas_saved:
                 set_(1)
         _plans_running += 1
+    role = _role.set("unit" if _role.get(None) == "unit" else "plan")
     try:
         # the buffer size lives in the errstate scope, which restores it
         with np.errstate():
             np.setbufsize(_UFUNC_BUFSIZE)
             yield
     finally:
+        _role.reset(role)
         with _lock:
             _plans_running -= 1
             if _plans_running == 0:
@@ -170,18 +164,24 @@ def plan():
                     set_(n)
 
 
+def _unit(fn, item):
+    _role.set("unit")
+    return fn(item)
+
+
 def map(fn, items) -> list:
-    """[fn(item) for item in items], run on the pool, each unit in a copy of
-    the caller's context (numpy's errstate lives there). If a unit raises,
+    """[fn(item) for item in items]. Inside a running plan, in the process
+    that made the pool, the items run on the pool, each unit in a copy of
+    the caller's context (numpy's errstate lives there); if a unit raises,
     the units not yet started are cancelled and the first failure in item
-    order is raised unchanged, once the started units have finished. A map
-    called by a unit runs its items one after the other on the unit's
-    thread: queued behind the caller, they could wait on workers that all
-    wait on them."""
+    order is raised unchanged, once the started units have finished. Called
+    anywhere else, by a unit too, the items run in order on the calling
+    thread: a unit's items queued behind its caller could wait on workers
+    that all wait on them."""
     items = list(items)
-    if _pool is None or len(items) < 2 or getattr(_local, "in_pool", False):
+    if len(items) < 2 or _role.get(None) != "plan" or not _pool_made_here() or _pool is None:
         return [fn(item) for item in items]
-    futures = [_pool.submit(contextvars.copy_context().run, fn, item) for item in items]
+    futures = [_pool.submit(contextvars.copy_context().run, _unit, fn, item) for item in items]
     try:
         return [future.result() for future in futures]
     finally:

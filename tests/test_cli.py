@@ -530,6 +530,13 @@ class TestBenchCommand:
         assert main(["bench", "--config", str(path)]) == 2
         assert problem in capsys.readouterr().err
 
+    def test_config_file_that_is_not_json_exits_2(self, tmp_path, capsys):
+        """json's decode error is a ValueError, so it exits 2 as bad input."""
+        path = tmp_path / "bad.json"
+        path.write_text('{"channels": 8,')
+        assert main(["bench", "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: Expecting property name")
+
 
 class TestSelftestCommand:
     def test_passes(self, capsys):

@@ -13,12 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from binse import pipeline, workers
+from binse import losses, pipeline, workers
 from binse.audio import Waveform
 from binse.config import AnalysisConfig, RunConfig
 from binse.decoder import blend, ratf_solve
 from binse.errors import InvariantViolation, ShapeMismatch
-from binse.frontend import build_gammatone_bank, istft, stft
+from binse.frontend import build_gammatone_bank, gammatone_frames, istft, stft
 from binse.params import init_random
 from binse.pipeline import enhance, pad_to_frame_grid
 from conftest import rand_complex, recalibrate_by_own_squeeze, small_config
@@ -738,7 +738,7 @@ def test_one_numerical_contract_on_each_blas_kernel(tmp_path):
 
 def blas_threads():
     """The live thread count of each loaded OpenBLAS."""
-    return [get() for get, _ in workers.openblas()]
+    return [get() for get, _, _ in workers.openblas()]
 
 
 @pytest.fixture
@@ -747,11 +747,11 @@ def two_blas_threads():
     found = workers.openblas()
     if not found:
         pytest.skip("no OpenBLAS loaded")
-    before = [get() for get, _ in found]
-    for _, set_ in found:
+    before = [get() for get, _, _ in found]
+    for _, set_, _ in found:
         set_(2)
     yield [2] * len(found)
-    for (_, set_), n in zip(found, before):
+    for (_, set_, _), n in zip(found, before):
         set_(n)
 
 
@@ -794,6 +794,55 @@ with workers.plan():
 print(nested == [([i * j for j in range(4)], True) for i in range(4)],
       scores == [score] * 3)
 """
+
+
+UNIT_PLAN_PROBE = """
+import numpy as np
+from binse import workers
+from binse.audio import Waveform
+from binse.config import RunConfig
+from binse.params import init_random
+from binse.pipeline import enhance
+workers.usable_cpus = lambda: 2         # a pool of two on any host
+cfg = RunConfig()
+model = init_random(cfg, seed=0)
+rngs = [np.random.default_rng(seed) for seed in range(3)]
+waves = [Waveform(0.1 * rng.standard_normal((2, 4000)), 16000) for rng in rngs]
+serial = [enhance(w, model, cfg) for w in waves]
+with workers.plan():
+    nested = workers.map(lambda w: enhance(w, model, cfg), waves)
+same = [np.array_equal(x, y) for a, b in zip(nested, serial)
+        for x, y in ((a.wav_out.samples, b.wav_out.samples), (a.gate, b.gate),
+                     (a.ratfs.w_s, b.ratfs.w_s), (a.ratfs.w_n, b.ratfs.w_n))]
+print(len(same), all(same))
+"""
+
+
+SCAN_PROBE = """
+import builtins
+from binse import workers
+opened, real_open = [], builtins.open
+
+def counting(file, *args, **kwargs):
+    opened.append(str(file))
+    return real_open(file, *args, **kwargs)
+
+builtins.open = counting
+cores = [workers.blas_core() for _ in range(3)]
+for _ in range(2):
+    with workers.plan():
+        cores.append(workers.blas_core())
+builtins.open = real_open
+print(opened.count("/proc/self/maps"), len(set(cores)), cores[0])
+"""
+
+
+def run_probe(probe, timeout):
+    """The stdout of ``probe`` run by a fresh interpreter on this checkout."""
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True, timeout=timeout).stdout
 
 
 class TestWorkerPool:
@@ -965,3 +1014,92 @@ class TestWorkerPool:
             proc.kill()
         assert proc.exitcode == 0
         assert done.get(timeout=5)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    @pytest.mark.parametrize("call", ["stoi_surrogate", "gammatone_frames", "map"])
+    def test_a_forked_child_runs_what_it_calls(self, setup, rng, call):
+        """After the parent's enhance has made the pool, a forked child's call
+        returns what the parent's does: the child's copy of the pool has none
+        of its threads, so a unit queued on it would never run."""
+        import multiprocessing
+
+        cfg, model, bank = setup
+        w, est = make_wave(rng), make_wave(rng)
+        calls = {
+            "stoi_surrogate": lambda: losses.stoi_surrogate(est, w),
+            "gammatone_frames": lambda: gammatone_frames(pad_to_frame_grid(w, cfg), bank,
+                                                         cfg.analysis),
+            "map": lambda: workers.map(lambda i: i * i, range(8)),
+        }
+        enhance(w, model, cfg, bank=bank)
+        want = calls[call]()
+        ctx = multiprocessing.get_context("fork")
+        done = ctx.Queue()
+        proc = ctx.Process(target=lambda: done.put(bool(np.array_equal(calls[call](), want))))
+        proc.start()
+        try:
+            same = done.get(timeout=30)
+        finally:
+            proc.join(timeout=5)
+            if proc.is_alive():
+                proc.kill()
+                proc.join(timeout=5)
+        assert same and proc.exitcode == 0
+
+    def test_enhance_inside_a_unit_runs_its_plan_on_the_units_thread(self):
+        """On a pool of two, enhance called by the units of a map inside a
+        plan gives the serial outputs: its plan's units run on the unit's
+        thread, as queued on the pool they would wait on workers that all
+        wait on them. Run in a subprocess, so that a deadlock fails the test
+        on its timeout."""
+        assert run_probe(UNIT_PLAN_PROBE, timeout=120).split() == ["12", "True"]
+
+    def test_only_a_plan_puts_units_on_the_pool(self, setup, rng):
+        """Outside a plan, map runs every item in order on the calling thread,
+        also once a plan has made the pool. enhance, gammatone_frames and
+        stoi_surrogate each open a plan, so their units reach the pool."""
+        cfg, model, bank = setup
+        w, est = make_wave(rng), make_wave(rng)
+        real_map, lock = workers.map, threading.Lock()
+        calls = {
+            "enhance": lambda: enhance(w, model, cfg, bank=bank),
+            "gammatone_frames": lambda: gammatone_frames(pad_to_frame_grid(w, cfg), bank,
+                                                         cfg.analysis),
+            "stoi_surrogate": lambda: losses.stoi_surrogate(est, w),
+        }
+
+        def threads_of_units():
+            enhance(w, model, cfg, bank=bank)       # the first plan makes the pool
+            ran = []
+
+            def square(i):
+                ran.append((i, threading.current_thread().name))
+                return i * i
+
+            assert workers.map(square, range(6)) == [i * i for i in range(6)]
+            assert ran == [(i, threading.current_thread().name) for i in range(6)]
+            seen = {name: set() for name in calls}
+
+            for name, call in calls.items():
+                def recording(fn, items, names=seen[name]):
+                    def unit(item):
+                        with lock:
+                            names.add(threading.current_thread().name)
+                        return fn(item)
+
+                    return real_map(unit, items)
+
+                with mock.patch.object(workers, "map", recording):
+                    call()
+            return seen
+
+        seen = on_a_fresh_pool(lambda: 2, threads_of_units)
+        for name, names in seen.items():
+            assert any(n.startswith("binse-plan") for n in names), (name, names)
+
+    def test_openblas_is_found_once_per_process(self):
+        """Repeated blas_core() calls and plans read /proc/self/maps once, in a
+        fresh process, and name the kernel this process's OpenBLAS runs."""
+        count, names, core = run_probe(SCAN_PROBE, timeout=60).split()
+        assert (count, names) == ("1", "1")
+        assert core == str(workers.blas_core())

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -419,3 +421,19 @@ class TestManifestAndDataset:
         result = generate_dataset(specs, tmp_path / "out")
         assert result["n_ok"] == len(specs) - 1
         assert result["failures"][0]["item_id"] == specs[0].item_id
+
+    def test_an_item_the_noise_cannot_fill_is_refused_before_allocating(self, tmp_path, rng):
+        """A 60 s item from an 8 s noise source over 5 azimuths is refused
+        with under 1 MB traced: the noise is rendered before the speech is
+        padded to 60 s (7.7 MB) and spatialized."""
+        specs, _ = write_corpus(tmp_path, rng)
+        loaded = {}
+        synthesize_item(specs[0], loaded)           # every source loaded, untraced
+        tracemalloc.start()
+        try:
+            with pytest.raises(NoiseSourceTooShort):
+                synthesize_item(dataclasses.replace(specs[0], duration_s=60.0), loaded)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
