@@ -10,13 +10,12 @@ import argparse
 import contextlib
 import dataclasses
 import json
-import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import losses, synth, workers
+from . import workers
 from .audio import Waveform, read_stereo, write_wav
 from .config import RunConfig, config_from_dict
 from .errors import (
@@ -29,7 +28,6 @@ from .errors import (
 from .frontend import istft, stft
 from .params import init_random, load_weights, save_arrays, save_weights
 from .pipeline import enhance
-from .profiler import full_report
 
 # the names --ablate takes: the bool keys of RunConfig
 _FLAGS = [f.name for f in dataclasses.fields(RunConfig) if f.type is bool]
@@ -67,6 +65,8 @@ def cmd_enhance(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from . import synth
+
     specs = synth.read_manifest(args.manifest)
     summary = synth.generate_dataset(specs, args.out)
     print(json.dumps(summary))
@@ -75,6 +75,8 @@ def cmd_synth(args) -> int:
 
 def _metrics_row(args, cfg: RunConfig, model, dataset: Path, tmp: Path, item: str) -> dict:
     """Enhance one dataset item and score it against its clean reference."""
+    from . import losses
+
     clean = read_stereo(dataset / f"{item}_clean.wav", cfg.analysis.sample_rate)
     mix = read_stereo(dataset / f"{item}_mix.wav", cfg.analysis.sample_rate)
     snr_in = -losses.snr_loss(mix, clean)   # rejects other lengths before the network runs
@@ -118,6 +120,10 @@ def cmd_metrics(args) -> int:
     the run then exits 2. An internal invariant violation still aborts the
     run. Scoring runs in one ``workers.plan``, its units on the worker pool.
     """
+    import subprocess
+
+    from . import synth
+
     cfg = _load_config(args)
     model = _load_model(args, cfg)
     dataset = Path(args.dataset)
@@ -151,6 +157,8 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .profiler import full_report
+
     cfg = _load_config(args)
     model = _load_model(args, cfg)
     report = full_report(

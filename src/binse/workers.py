@@ -1,13 +1,17 @@
 """Worker threads for the independent units of the enhancement plan.
 
 ``map(fn, items)`` runs units on a pool of at most ``_MAX_WORKERS`` threads
-only when it is called inside a running ``plan()``, in the process that
-made the pool. Anywhere else it runs them one after the other on the
-calling thread: outside any plan, inside a unit (also when that unit opens
-a plan of its own), and in a forked child before its own first plan. The
-pool is made on a process's first plan: while any plan runs, OpenBLAS is
-held to one thread, so the pool, not BLAS, uses the other cores, and BLAS
-rounds alike whatever thread count it was configured with.
+only when it is called inside a running ``plan()``. Anywhere else it runs
+them one after the other on the calling thread: outside any plan, and
+inside a unit (also when that unit opens a plan of its own). The pool is
+made on a process's first plan: while any plan runs, OpenBLAS is held to
+one thread, so the pool, not BLAS, uses the other cores, and BLAS rounds
+alike whatever thread count it was configured with.
+
+The pool and the plan count are per process. A forked child starts as a
+fresh process does: with no pool, no plan running and a lock of its own,
+and with the BLAS thread counts from before its parent's running plans. A
+plan the forking thread was inside ends in the child without counting.
 
 A plan also holds numpy's ufunc buffer at ``_UFUNC_BUFSIZE`` elements in the
 caller's numpy context, which the units inherit. numpy copies the
@@ -53,7 +57,7 @@ _M_ARENA_MAX = -8                   # glibc mallopt parameter
 _role: contextvars.ContextVar[str] = contextvars.ContextVar("binse_workers_role")
 _lock = threading.Lock()
 _pool = None                        # a ThreadPoolExecutor, made by the first plan
-_pool_pid = None                    # a forked child gets _pool but not its threads
+_pool_size = None                   # its threads (1 for no pool), once it is made
 _plans_running = 0
 _blas_saved: list[tuple] = []
 
@@ -65,19 +69,11 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _pool_made_here() -> bool:
-    """Whether this process's first plan has made its pool (None for one
-    thread); a forked child makes its own at its own first plan."""
-    return _pool_pid == os.getpid()
-
-
 def size() -> int:
     """Threads that run the plan's units: those of this process's pool once
     its first plan has made it, however the usable CPUs change after that,
     and before then the pool that plan will make."""
-    if _pool_made_here():
-        return _pool._max_workers if _pool is not None else 1
-    return min(usable_cpus(), _MAX_WORKERS)
+    return _pool_size or min(usable_cpus(), _MAX_WORKERS)
 
 
 @functools.cache
@@ -116,9 +112,9 @@ def _start():
     """On a process's first plan: make the pool (none for one thread) after
     capping glibc at one malloc arena, so that the workers' tile temporaries
     reuse the main heap rather than each growing a heap of its own."""
-    global _pool, _pool_pid
+    global _pool, _pool_size
     with _lock:
-        if _pool_made_here():
+        if _pool_size:
             return
         n = size()
         if n > 1:
@@ -130,7 +126,7 @@ def _start():
         from concurrent.futures import ThreadPoolExecutor
 
         _pool = ThreadPoolExecutor(n, thread_name_prefix="binse-plan") if n > 1 else None
-        _pool_pid = os.getpid()
+        _pool_size = n
 
 
 @contextlib.contextmanager
@@ -144,11 +140,13 @@ def plan():
     global _plans_running, _blas_saved
     _start()
     with _lock:
-        if _plans_running == 0:
+        # counted before BLAS is held and until it is restored, so that a
+        # child forked from another thread in between restores it
+        _plans_running += 1
+        if _plans_running == 1:
             _blas_saved = [(set_, get()) for get, set_, _ in openblas()]
             for set_, _ in _blas_saved:
                 set_(1)
-        _plans_running += 1
     role = _role.set("unit" if _role.get(None) == "unit" else "plan")
     try:
         # the buffer size lives in the errstate scope, which restores it
@@ -158,10 +156,26 @@ def plan():
     finally:
         _role.reset(role)
         with _lock:
-            _plans_running -= 1
-            if _plans_running == 0:
+            if _plans_running == 1:
                 for set_, n in _blas_saved:
                     set_(n)
+            # a child does not count the plans it was forked inside
+            _plans_running = max(_plans_running - 1, 0)
+
+
+def _after_fork_in_child():
+    """Start the child as a fresh process: no pool, no plan running, a lock
+    of its own (another thread of the parent may have held it), and the BLAS
+    counts from before the parent's running plans."""
+    global _lock, _pool, _pool_size, _plans_running
+    _lock, _pool, _pool_size = threading.Lock(), None, None
+    if _plans_running:
+        for set_, n in _blas_saved:
+            set_(n)
+    _plans_running = 0
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def _unit(fn, item):
@@ -170,16 +184,15 @@ def _unit(fn, item):
 
 
 def map(fn, items) -> list:
-    """[fn(item) for item in items]. Inside a running plan, in the process
-    that made the pool, the items run on the pool, each unit in a copy of
-    the caller's context (numpy's errstate lives there); if a unit raises,
-    the units not yet started are cancelled and the first failure in item
-    order is raised unchanged, once the started units have finished. Called
-    anywhere else, by a unit too, the items run in order on the calling
-    thread: a unit's items queued behind its caller could wait on workers
-    that all wait on them."""
+    """[fn(item) for item in items]. Inside a running plan the items run on
+    the pool, each unit in a copy of the caller's context (numpy's errstate
+    lives there); if a unit raises, the units not yet started are cancelled
+    and the first failure in item order is raised unchanged, once the
+    started units have finished. Called anywhere else, by a unit too, the
+    items run in order on the calling thread: a unit's items queued behind
+    its caller could wait on workers that all wait on them."""
     items = list(items)
-    if len(items) < 2 or _role.get(None) != "plan" or not _pool_made_here() or _pool is None:
+    if len(items) < 2 or _role.get(None) != "plan" or _pool is None:
         return [fn(item) for item in items]
     futures = [_pool.submit(contextvars.copy_context().run, _unit, fn, item) for item in items]
     try:

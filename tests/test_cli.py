@@ -600,6 +600,21 @@ def test_synth_and_metrics_bytes_do_not_depend_on_threads(tmp_path, rng, cfg_fil
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_cli_import_leaves_the_commands_modules_to_the_commands():
+    """The import a `binse` invocation makes, `binse enhance`'s too, loads
+    none of the modules that only synth, metrics and bench use."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys\n"
+            "import binse.cli\n"
+            "print(*sorted(set(sys.modules) & {'binse.synth', 'binse.losses',"
+            " 'binse.profiler', 'subprocess'}))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == []
+
+
 def test_cli_import_does_not_load_scipy_signal(tmp_path, rng, cfg_file):
     """binse runs on numpy alone: neither the import a `binse` invocation
     makes nor synth, metrics and enhance on a tiny corpus load any scipy."""

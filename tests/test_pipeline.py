@@ -1,4 +1,5 @@
 import functools
+import json
 import os
 import subprocess
 import sys
@@ -603,7 +604,7 @@ def on_a_fresh_pool(usable_cpus, fn):
     in place of the CPUs the process may use."""
     with mock.patch.object(workers, "usable_cpus", usable_cpus), \
             mock.patch.object(workers, "_pool", None), \
-            mock.patch.object(workers, "_pool_pid", None):
+            mock.patch.object(workers, "_pool_size", None):
         try:
             return fn()
         finally:
@@ -673,7 +674,7 @@ out = {}
 for pool in (1, 2):
     if workers._pool is not None:
         workers._pool.shutdown()
-    workers._pool_pid = None                # the next plan makes a pool of this size
+    workers._pool_size = None               # the next plan makes a pool of this size
     workers.usable_cpus = lambda: pool
     for dtype in ("complex64", "complex128"):
         for tile_bytes, min_rows in ((1, 1), (pipeline._TILE_BYTES, pipeline._TILE_MIN_ROWS)):
@@ -837,6 +838,73 @@ print(opened.count("/proc/self/maps"), len(set(cores)), cores[0])
 """
 
 
+# OpenBLAS at 2 threads, then a fork; the child reports each state() it saw
+FORK_PROBE = """
+import json, os, signal, sys, threading
+from binse import workers
+
+found = workers.openblas()
+if not found:
+    print("null")
+    sys.exit()
+for _, set_, _ in found:
+    set_(2)
+r, w = os.pipe()
+
+def state():
+    return [[get() for get, _, _ in found], workers._plans_running]
+
+def fork():
+    pid = os.fork()
+    if pid == 0:
+        signal.alarm(20)                # a child that hangs is killed
+    return pid
+
+def finish(pid, seen):
+    if pid == 0:
+        os.write(w, json.dumps(seen).encode())
+        os._exit(0)
+    os.close(w)
+    with os.fdopen(r) as fh:
+        print(fh.read() or '"hung"')
+    os.waitpid(pid, 0)
+"""
+
+# a child forked while another thread runs a plan runs one of its own
+FORK_BESIDE_A_PLAN = FORK_PROBE + """
+entered, leave = threading.Event(), threading.Event()
+
+def hold():
+    with workers.plan():
+        entered.set()
+        leave.wait()
+
+holder = threading.Thread(target=hold)
+holder.start()
+entered.wait()
+pid = fork()
+if pid == 0:
+    with workers.plan():
+        pass
+finish(pid, state())
+leave.set()
+holder.join()
+"""
+
+# a child forked inside a plan leaves it, then runs one of its own
+FORK_INSIDE_A_PLAN = FORK_PROBE + """
+with workers.plan():
+    pid = fork()
+    seen = [state()]
+if pid == 0:
+    seen.append(state())
+    with workers.plan():
+        seen.append(state())
+    seen.append(state())
+finish(pid, seen)
+"""
+
+
 def run_probe(probe, timeout):
     """The stdout of ``probe`` run by a fresh interpreter on this checkout."""
     src = str(Path(pipeline.__file__).resolve().parents[1])
@@ -966,7 +1034,7 @@ class TestWorkerPool:
         threads peaked at 280 MB)."""
         monkeypatch.setattr(workers, "usable_cpus", lambda: 64)
         monkeypatch.setattr(workers, "_pool", None)
-        monkeypatch.setattr(workers, "_pool_pid", None)
+        monkeypatch.setattr(workers, "_pool_size", None)
         try:
             assert array_peak(8) <= 125e6
             assert workers._pool._max_workers == workers.size() == 2
@@ -992,8 +1060,8 @@ class TestWorkerPool:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_a_forked_child_makes_its_own_pool(self, setup, rng):
-        """A child forked after a call gets the pool object but not its
-        threads; its calls must not wait on them."""
+        """A child forked after a call starts with no pool, as the parent's
+        threads are not forked with it, and its first plan makes its own."""
         import multiprocessing
 
         cfg, model, bank = setup
@@ -1019,8 +1087,8 @@ class TestWorkerPool:
     @pytest.mark.parametrize("call", ["stoi_surrogate", "gammatone_frames", "map"])
     def test_a_forked_child_runs_what_it_calls(self, setup, rng, call):
         """After the parent's enhance has made the pool, a forked child's call
-        returns what the parent's does: the child's copy of the pool has none
-        of its threads, so a unit queued on it would never run."""
+        returns what the parent's does: a unit queued on a copy of the
+        parent's pool, which has none of its threads, would never run."""
         import multiprocessing
 
         cfg, model, bank = setup
@@ -1045,6 +1113,63 @@ class TestWorkerPool:
                 proc.kill()
                 proc.join(timeout=5)
         assert same and proc.exitcode == 0
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_child_forked_beside_a_plan_gets_blas_back(self):
+        """A child forked while another thread of its parent runs a plan runs
+        no plan: after a plan of its own, OpenBLAS is back at the 2 threads
+        it had before the parent's plan held it."""
+        seen = json.loads(run_probe(FORK_BESIDE_A_PLAN, timeout=60).splitlines()[-1])
+        if seen is None:
+            pytest.skip("no OpenBLAS loaded")
+        assert seen == [[2] * len(seen[0]), 0]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_child_forked_inside_a_plan_ends_it_uncounted(self):
+        """A child forked inside a plan starts with no plan running and BLAS
+        at its 2 threads, leaves that plan without counting it, and a plan
+        of its own then holds BLAS at one thread and restores it."""
+        seen = json.loads(run_probe(FORK_INSIDE_A_PLAN, timeout=60).splitlines()[-1])
+        if seen is None:
+            pytest.skip("no OpenBLAS loaded")
+        two, one = [2] * len(seen[0][0]), [1] * len(seen[0][0])
+        assert seen == [[two, 0], [two, 0], [one, 1], [two, 0]]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_child_forked_while_the_lock_is_held_runs_its_plan(self):
+        """A child forked while another thread holds the workers' lock has a
+        lock of its own, so its plan does not wait on a thread it lacks. The
+        child is killed if it outlives its timeout."""
+        import multiprocessing
+
+        ctx = multiprocessing.get_context("fork")
+        done = ctx.Queue()
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with workers._lock:
+                held.set()
+                release.wait()
+
+        def child():
+            with workers.plan():
+                done.put(workers.map(lambda i: i * i, range(4)))
+
+        holder = threading.Thread(target=hold)
+        holder.start()
+        held.wait(timeout=5)
+        proc = ctx.Process(target=child)
+        try:
+            proc.start()
+            squares = done.get(timeout=30)
+        finally:
+            release.set()
+            holder.join(timeout=5)
+            proc.join(timeout=5)
+            if proc.is_alive():
+                proc.kill()
+                proc.join(timeout=5)
+        assert squares == [0, 1, 4, 9] and proc.exitcode == 0
 
     def test_enhance_inside_a_unit_runs_its_plan_on_the_units_thread(self):
         """On a pool of two, enhance called by the units of a map inside a
