@@ -117,8 +117,10 @@ def cmd_metrics(args) -> int:
 
     An item whose input is bad, or whose external scorer exits non-zero, is
     reported on stderr as one JSON line {"item_id", "error"} and skipped;
-    the run then exits 2. An internal invariant violation still aborts the
-    run. Scoring runs in one ``workers.plan``, its units on the worker pool.
+    the run then exits 2. A bad ``metadata.jsonl`` line (``synth.read_items``)
+    exits 2 before any item is scored. An internal invariant violation still
+    aborts the run. Scoring runs in one ``workers.plan``, its units on the
+    worker pool.
     """
     import subprocess
 
@@ -127,15 +129,7 @@ def cmd_metrics(args) -> int:
     cfg = _load_config(args)
     model = _load_model(args, cfg)
     dataset = Path(args.dataset)
-    items = []
-    for where, rec in synth.read_jsonl(dataset / "metadata.jsonl"):
-        if "item_id" not in rec:
-            raise UnsupportedFormat(f"{where}: no item_id")
-        try:
-            synth.check_item_id(rec["item_id"])
-        except ValueError as exc:
-            raise UnsupportedFormat(f"{where}: {exc}") from None
-        items.append(rec["item_id"])
+    items = [rec["item_id"] for _, rec in synth.read_items(dataset / "metadata.jsonl")]
     tmp = Path(args.report).parent if args.report else dataset
     report = open(args.report, "w") if args.report else contextlib.nullcontext(sys.stdout)
     n_rows = n_failed = 0

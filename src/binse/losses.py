@@ -32,10 +32,18 @@ class CueMaps:
     active_mask: np.ndarray
 
 
-def snr_loss(s_hat: Waveform, s: Waveform) -> float:
-    """Negative SNR in dB averaged over ears, clamped to +-60 dB."""
+def _check_pair(s_hat: Waveform, s: Waveform) -> None:
+    """ShapeMismatch unless the estimate has the reference's rate and length."""
+    if s_hat.sample_rate != s.sample_rate:
+        raise ShapeMismatch(f"sample rates differ: estimate {s_hat.sample_rate} Hz, "
+                            f"reference {s.sample_rate} Hz")
     if s_hat.n_samples != s.n_samples:
         raise ShapeMismatch("waveform lengths differ")
+
+
+def snr_loss(s_hat: Waveform, s: Waveform) -> float:
+    """Negative SNR in dB averaged over ears, clamped to +-60 dB."""
+    _check_pair(s_hat, s)
     ref_pow = np.sum(s.samples ** 2, axis=1)
     if np.any(ref_pow == 0.0):
         raise DegenerateReference("reference ear has zero energy")
@@ -64,48 +72,38 @@ def stoi_surrogate(s_hat: Waveform, s: Waveform) -> float:
     ear. The result is 1 - mean correlation: 0 for a perfect estimate, 2
     for a sign-flipped one, ~1 for independent signals.
 
-    The call is a plan of its own (``workers.plan``): its units are the two
-    forward FFTs, and then the bands. Every FFT here runs at the signal's
-    own length: at a length with a large prime factor it is several times
-    slower than at a 5-smooth one, but padding would change the circular
-    band filter. The correlations are joined in band order, so the score
-    does not depend on the pool.
+    The call is a plan of its own (``workers.plan``): after one forward FFT
+    of the four rows (clean left and right, then the estimate's), its units
+    are the 15 bands, each one inverse FFT of the four masked rows. All 16
+    FFTs run at the signal's own length: at a length with a large prime
+    factor they are several times slower than at a 5-smooth one, but
+    padding would change the circular band filter. Each segment is centred
+    by its own mean and scored with BLAS dot products, as a loop over
+    segments would, and the correlations are joined in (band, ear, segment)
+    order, so the score does not depend on the pool.
     """
-    if s_hat.n_samples != s.n_samples:
-        raise ShapeMismatch("waveform lengths differ")
+    _check_pair(s_hat, s)
     sr = s.sample_rate
     seg = int(round(0.384 * sr))
     n = s.n_samples
     if n < seg:
         raise InputTooShort(f"need at least {seg} samples (384 ms)")
     freqs = np.fft.rfftfreq(n, d=1.0 / sr)
-    spec_ref, spec_est = workers.map(lambda w: np.fft.rfft(w.samples, axis=-1), (s, s_hat))
+    spec = np.fft.rfft(np.concatenate([s.samples, s_hat.samples]), axis=-1)
     n_seg = n // seg
 
-    def band_corrs(band) -> list:
+    def band_corrs(band) -> np.ndarray:
         lo, hi = band
-        sel = (freqs >= lo) & (freqs < hi)
-        if not np.any(sel):
-            return []
-        mask = np.zeros_like(freqs)
-        mask[sel] = 1.0
-        band_ref = np.fft.irfft(spec_ref * mask, n=n, axis=-1)
-        band_est = np.fft.irfft(spec_est * mask, n=n, axis=-1)
-        corrs = []
-        for ear in range(2):
-            for k in range(n_seg):
-                a = band_ref[ear, k * seg : (k + 1) * seg]
-                b = band_est[ear, k * seg : (k + 1) * seg]
-                a = a - a.mean()
-                b = b - b.mean()
-                na, nb = np.linalg.norm(a), np.linalg.norm(b)
-                if na < _LOG_CLAMP or nb < _LOG_CLAMP:
-                    continue
-                corrs.append(np.dot(a, b) / (na * nb))
-        return corrs
+        mask = (freqs >= lo) & (freqs < hi)     # empty above Nyquist: every norm is 0
+        # a (clean or estimate, ear, segment, sample) view of the band's rows
+        x = np.fft.irfft(spec * mask, n=n, axis=-1)[:, : n_seg * seg].reshape(2, 2, n_seg, seg)
+        x -= x.mean(axis=-1, keepdims=True)
+        norm_ref, norm_est = np.sqrt(np.vecdot(x, x))
+        keep = (norm_ref >= _LOG_CLAMP) & (norm_est >= _LOG_CLAMP)
+        return np.vecdot(x[0], x[1])[keep] / (norm_ref[keep] * norm_est[keep])
 
-    corrs = [c for band in workers.map(band_corrs, _third_octave_bands(sr)) for c in band]
-    if not corrs:
+    corrs = np.concatenate(workers.map(band_corrs, _third_octave_bands(sr)))
+    if not corrs.size:
         raise DegenerateReference("no band segment carries energy")
     return float(1.0 - np.mean(corrs))
 

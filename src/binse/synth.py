@@ -196,8 +196,12 @@ class MixSpec:
             raise ValueError(f"snr_db must be finite, got {self.snr_db}")
 
 
-def read_jsonl(path):
-    """Yield ("path:line", object) per non-blank line; a non-object raises UnsupportedFormat."""
+def read_items(path):
+    """Yield ("path:line", object) per non-blank line of a JSON-lines file
+    of items. A line that is not a JSON object, or whose item_id is missing,
+    holds a path separator or repeats an earlier line's (it names the
+    item's files), raises UnsupportedFormat."""
+    first = {}
     with open(path) as fh:
         for n, line in enumerate(fh, 1):
             if not line.strip():
@@ -209,24 +213,29 @@ def read_jsonl(path):
                 raise UnsupportedFormat(f"{where}: {exc}") from None
             if not isinstance(rec, dict):
                 raise UnsupportedFormat(f"{where}: not a JSON object")
+            if "item_id" not in rec:
+                raise UnsupportedFormat(f"{where}: no item_id")
+            item_id = rec["item_id"]
+            try:
+                check_item_id(item_id)
+            except ValueError as exc:
+                raise UnsupportedFormat(f"{where}: {exc}") from None
+            name = str(item_id)         # as it names the item's files
+            if name in first:
+                raise UnsupportedFormat(f"{where}: item_id {item_id!r} repeats {first[name]}")
+            first[name] = where
             yield where, rec
 
 
 def read_manifest(path) -> list[MixSpec]:
-    """Read a JSON-lines manifest of MixSpec records; a bad line, or an
-    item_id already used (its WAVs would overwrite the earlier item's),
-    raises UnsupportedFormat."""
-    specs, first = [], {}
-    for where, rec in read_jsonl(path):
+    """Read a JSON-lines manifest of MixSpec records (``read_items``); a bad
+    line raises UnsupportedFormat."""
+    specs = []
+    for where, rec in read_items(path):
         try:
-            spec = MixSpec(**rec)
+            specs.append(MixSpec(**rec))
         except (TypeError, ValueError) as exc:
             raise UnsupportedFormat(f"{where}: {exc}") from None
-        name = str(spec.item_id)        # as it names the item's files
-        if name in first:
-            raise UnsupportedFormat(f"{where}: item_id {spec.item_id!r} repeats {first[name]}")
-        first[name] = where
-        specs.append(spec)
     return specs
 
 

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from binse import workers
 from binse.complex_ops import (
     CLayerNormParams,
     CLinearParams,
@@ -14,6 +17,19 @@ from binse.encoder import recalibrate
 
 def rand_complex(rng, shape, scale=1.0):
     return scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def on_a_fresh_pool(usable_cpus, fn):
+    """fn() in a process that has made no pool yet, with ``usable_cpus()``
+    in place of the CPUs the process may use."""
+    with mock.patch.object(workers, "usable_cpus", usable_cpus), \
+            mock.patch.object(workers, "_pool", None), \
+            mock.patch.object(workers, "_pool_size", None):
+        try:
+            return fn()
+        finally:
+            if workers._pool is not None:
+                workers._pool.shutdown()
 
 
 def make_clinear(rng, c_out, c_in, scale=0.5):

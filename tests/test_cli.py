@@ -248,8 +248,9 @@ class TestSynthCommand:
 
 
 class TestMetricsCommand:
-    @pytest.mark.parametrize("row", ['["item001"]', '{"snr_db": 0.0}', '{"item_id": "../x"}'],
-                             ids=["not_an_object", "no_item_id", "path_id"])
+    @pytest.mark.parametrize("row", ['["item001"]', '{"snr_db": 0.0}', '{"item_id": "../x"}',
+                                     '{"item_id": "item000"}'],
+                             ids=["not_an_object", "no_item_id", "path_id", "repeated_id"])
     def test_malformed_metadata_row_exits_2(self, tmp_path, cfg_file, capsys, row):
         meta = tmp_path / "metadata.jsonl"
         meta.write_text('{"item_id": "item000"}\n' + row + "\n")

@@ -21,7 +21,7 @@ from binse.losses import (
     snr_loss,
     stoi_surrogate,
 )
-from conftest import rand_complex
+from conftest import on_a_fresh_pool, rand_complex
 
 
 SR = 16000
@@ -101,6 +101,11 @@ class TestSnrLoss:
         with pytest.raises(ShapeMismatch):
             snr_loss(make_wave(rng, 512), make_wave(rng, 513))
 
+    def test_rate_mismatch_raises(self, rng):
+        est = Waveform(make_wave(rng, 8000).samples, 2 * SR)
+        with pytest.raises(ShapeMismatch, match="estimate 32000 Hz, reference 16000 Hz"):
+            snr_loss(est, make_wave(rng, 8000))
+
 
 class TestStoiSurrogate:
     def test_perfect_estimate_scores_zero(self, rng):
@@ -140,6 +145,15 @@ class TestStoiSurrogate:
         with pytest.raises(ShapeMismatch):
             stoi_surrogate(make_wave(rng, 8000), make_wave(rng, 8001))
 
+    def test_silent_reference_raises(self, rng):
+        with pytest.raises(DegenerateReference, match="no band segment carries energy"):
+            stoi_surrogate(make_wave(rng, 8000), Waveform(np.zeros((2, 8000)), SR))
+
+    def test_rate_mismatch_raises(self, rng):
+        clean = Waveform(make_wave(rng, 8000).samples, SR // 2)
+        with pytest.raises(ShapeMismatch, match="estimate 16000 Hz, reference 8000 Hz"):
+            stoi_surrogate(make_wave(rng, 8000), clean)
+
     def test_segments_are_384_ms(self, rng):
         with pytest.raises(InputTooShort, match=r"need at least 6144 samples \(384 ms\)"):
             stoi_surrogate(make_wave(rng, 6143), make_wave(rng, 6143))
@@ -155,16 +169,34 @@ class TestStoiSurrogate:
         np.testing.assert_array_equal(capped[:14], bands[:14])
         assert capped[14, 0] == bands[14, 0] and capped[14, 1] == 4000.0
 
-    @pytest.mark.parametrize("n", [31991, 32000, 8009])
-    def test_bands_on_the_pool_score_the_serial_loop(self, n):
-        """Prime, 5-smooth and short prime lengths: the bands run as pool
-        units and the score equals the serial loop's exactly."""
+    @pytest.mark.parametrize("cpus", [2, 1])
+    @pytest.mark.parametrize("n, sr, silent", [
+        (31991, SR, None), (32000, SR, None), (8009, SR, None),
+        (6144, SR, None),               # one segment
+        (44511, SR, None),              # 3 * 37 * 401, 2.8 s
+        (20011, SR, "estimate"),        # the estimate's right ear is silent
+        (20011, SR, "both"),            # both signals' left ears are silent
+        (20011, 8000, None),
+        (123457, 44100, None),          # 16934-sample segments
+        (2003, 1000, None),             # the upper bands hold no bin
+    ])
+    def test_bands_on_the_pool_score_the_serial_loop(self, n, sr, silent, cpus):
+        """The bands run as units of a pool of ``cpus`` threads and the
+        score equals the serial loop's exactly: at prime, 5-smooth and
+        Bluestein lengths, at other rates and with silent ears. The oracle
+        runs in a plan too, which holds BLAS to one thread: OpenBLAS splits
+        a dot product of over 10,000 elements among its threads."""
         rng = np.random.default_rng(n)
-        s = make_wave(rng, n)
-        est = Waveform(s.samples + make_wave(rng, n, scale=0.2).samples, SR)
+        clean = 0.3 * rng.standard_normal((2, n))
+        est = clean + 0.2 * rng.standard_normal((2, n))
+        if silent == "estimate":
+            est[1] = 0.0
+        if silent == "both":
+            clean[0] = est[0] = 0.0
+        s, est = Waveform(clean, sr), Waveform(est, sr)
+        got = on_a_fresh_pool(lambda: cpus, lambda: stoi_surrogate(est, s))
         with workers.plan():
-            got = stoi_surrogate(est, s)
-        assert got == stoi_oracle(est, s)
+            assert got == stoi_oracle(est, s)
 
 
 class TestCueMaps:

@@ -22,7 +22,7 @@ from binse.errors import InvariantViolation, ShapeMismatch
 from binse.frontend import build_gammatone_bank, gammatone_frames, istft, stft
 from binse.params import init_random
 from binse.pipeline import enhance, pad_to_frame_grid
-from conftest import rand_complex, recalibrate_by_own_squeeze, small_config
+from conftest import on_a_fresh_pool, rand_complex, recalibrate_by_own_squeeze, small_config
 
 SR = 16000
 
@@ -597,19 +597,6 @@ def test_the_floor_keeps_the_eight_second_plan(t):
         tiles = pipeline._tiles(129, t, RunConfig(), np.complex64)
     assert tiles == [(i, i + 3) for i in range(0, 123, 3)] + [(123, 125), (125, 127),
                                                             (127, 129)]
-
-
-def on_a_fresh_pool(usable_cpus, fn):
-    """fn() in a process that has made no pool yet, with ``usable_cpus()``
-    in place of the CPUs the process may use."""
-    with mock.patch.object(workers, "usable_cpus", usable_cpus), \
-            mock.patch.object(workers, "_pool", None), \
-            mock.patch.object(workers, "_pool_size", None):
-        try:
-            return fn()
-        finally:
-            if workers._pool is not None:
-                workers._pool.shutdown()
 
 
 def array_peak(seconds):
