@@ -44,6 +44,10 @@ class Waveform:
             raise ValueError("Waveform requires samples shaped (2, n)")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("Waveform contains non-finite samples")
+        rate = self.sample_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, np.integer)) or rate < 1:
+            raise ValueError(f"Waveform requires an integer sample rate of at least 1 Hz, "
+                             f"got {rate!r}")
 
     @property
     def n_samples(self) -> int:

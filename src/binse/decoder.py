@@ -33,30 +33,6 @@ class DecoderParams:
     drg_global: np.ndarray          # real (F,), used only under global_drg
 
 
-class _Window:
-    """The rows [first, first + count) of one level of a head that later
-    tiles still read, kept at the front of a buffer reused tile to tile."""
-
-    def __init__(self):
-        self.buf, self.first, self.count = None, 0, 0
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self.buf[:, : self.count]
-
-    def extend(self, keep: int, n_new: int, like: np.ndarray) -> np.ndarray:
-        """Drop the rows before row ``keep`` and return the view into which
-        the next ``n_new`` rows of the level go, shaped like ``like``."""
-        kept = self.first + self.count - keep
-        old = self.buf
-        if old is None or old.shape[1] < kept + n_new:
-            self.buf = np.empty(like.shape[:1] + (kept + n_new,) + like.shape[2:], like.dtype)
-        if kept:
-            self.buf[:, :kept] = old[:, keep - self.first : self.count]
-        self.first, self.count = keep, kept + n_new
-        return self.buf[:, kept : self.count]
-
-
 def _halo(block: LightConvParams) -> int:
     return block.depthwise.shape[1] // 2 if block.depthwise.ndim == 3 else 0
 
@@ -64,16 +40,21 @@ def _halo(block: LightConvParams) -> int:
 def decode_heads(z_out: np.ndarray, p: DecoderParams, tiles: list[tuple[int, int]]) -> RatfPair:
     """Two independent stacks of 2D blocks estimating speech/noise RATFs.
 
-    z_out (C, F, T) gives RATFs (F, T). The blocks run over ``tiles``,
-    ascending (lo, hi) frequency rows that end at F (``[(0, F)]`` is one
-    tile of every row), so each block's output exists only a few rows at a
-    time. A 2-D block reads k_f // 2 rows on either side of each output row,
-    so at the tile ending at row hi, block l makes its rows up to the halos
-    of blocks 1 .. l short of hi, and the last tile completes every row. Block 1
-    reads z_out itself; each deeper level keeps in a ``_Window`` the rows of
-    its output that the next block still reads, and no row is computed
-    twice. Each head runs its own schedule and only reads z_out, so the heads
-    run as independent units of the caller's plan (``workers.map``).
+    z_out (C, F, T) gives RATFs (F, T). The blocks run over ``tiles``, (lo,
+    hi) frequency rows that cover 0 .. F in order (``[(0, F)]`` is one tile
+    of every row), so each block's output exists only a few rows at a time.
+    Block l reads h_l = k_f // 2 rows on either side of each output row (0
+    for a time-only kernel), so once the tiles reach row ``end`` it has made
+    its rows up to made(l, end) = F if end == F else max(0, end - (h_1 + ...
+    + h_l)), and from the tile (lo, hi) on, block l + 1 reads block l's
+    output from row max(0, made(l + 1, lo) - h_{l + 1}). At that tile block
+    l computes rows made(l, lo) .. made(l, hi), so no row is computed twice.
+    Block 1 reads z_out itself; each level but the last lives in one buffer
+    per head, sized once from these two bounds over all tiles, to whose
+    front each tile moves the rows that later tiles read. The last block's
+    rows are projected straight into the RATF. Each head runs its own
+    schedule and only reads z_out, so the heads run as independent units of
+    the caller's plan (``workers.map``).
     """
     if z_out.ndim != 3:
         raise ShapeMismatch(f"expected (C, F, T), got {z_out.shape}")
@@ -85,29 +66,33 @@ def decode_heads(z_out: np.ndarray, p: DecoderParams, tiles: list[tuple[int, int
 def _decode_head(z_out, blocks, proj, tiles) -> np.ndarray:
     """One head's RATF (F, T): its blocks run on the lagged schedule, and
     ``clinear`` projects each tile's rows, exactly as it would all rows."""
-    f, t = z_out.shape[1:]
+    c, f, t = z_out.shape
     n = len(blocks)
+    halos = [_halo(block) for block in blocks]
+
+    def made(l, end):   # rows [0, made) of level l, the output of block l (level 0: z_out)
+        return f if end == f else max(0, end - sum(halos[:l]))
+
+    def keep(l, end):   # the first row of level l that block l + 1 reads from then on
+        return max(0, made(l + 1, end) - halos[l])
+
+    levels = [np.empty((c, max(made(l, hi) - keep(l, lo) for lo, hi in tiles), t), z_out.dtype)
+              for l in range(1, n)]
     ratf = np.empty((f, t), np.result_type(z_out.dtype, proj.weight.dtype))
-    levels = [_Window() for _ in range(n - 1)]  # level l is the output of block l
-    made = [0] * (n + 1)            # rows made so far at each level; level 0 is z_out
-    for _, hi in tiles:
-        # rows each level can reach: its input's end less its halo, or all of them
-        stops = [hi]
-        for block in blocks:
-            stops.append(f if stops[-1] == f else max(0, stops[-1] - _halo(block)))
-        src, first = z_out, 0
-        for l, block in enumerate(blocks):
-            a, b = made[l + 1], stops[l + 1]
-            out = None
-            if l + 1 < n:
-                # from the first row of it that block l + 2 reads, at this tile or later
-                keep = max(0, made[l + 2] - _halo(blocks[l + 1]))
-                out = levels[l].extend(keep, b - a, src)
-            x = lightconv(src, block, rows=(a - first, b - first), out=out)
-            if out is not None:
-                src, first = levels[l].rows, levels[l].first
-        ratf[made[n] : stops[n]] = clinear(x, proj)[0]
-        made = stops
+    for lo, hi in tiles:
+        x, first = z_out, 0     # block l reads level l - 1 from its row ``first``
+        for l, block in enumerate(blocks, 1):
+            a, b = made(l, lo), made(l, hi)
+            rows = (a - first, b - first)
+            if l == n:
+                clinear(lightconv(x, block, rows=rows), proj, out=ratf[np.newaxis, a:b])
+            else:
+                level = levels[l - 1][:, : b - keep(l, lo)]
+                lightconv(x, block, rows=rows, out=level[:, a - keep(l, lo) :])
+                x, first = level, keep(l, lo)
+        for l, level in enumerate(levels, 1):   # the rows later tiles read go to the front
+            shift = keep(l, hi) - keep(l, lo)
+            level[:, : made(l, hi) - keep(l, hi)] = level[:, shift : made(l, hi) - keep(l, lo)]
     return ratf
 
 

@@ -86,6 +86,8 @@ def stoi_surrogate(s_hat: Waveform, s: Waveform) -> float:
     sr = s.sample_rate
     seg = int(round(0.384 * sr))
     n = s.n_samples
+    if seg == 0:
+        raise InputTooShort(f"a 384 ms segment holds no sample at {sr} Hz")
     if n < seg:
         raise InputTooShort(f"need at least {seg} samples (384 ms)")
     freqs = np.fft.rfftfreq(n, d=1.0 / sr)
@@ -128,6 +130,8 @@ def cue_maps(s: Spectrogram) -> CueMaps:
 
 def _cue_error(clean: Spectrogram, est: Spectrogram, cue: str) -> np.ndarray:
     """est's ``cue`` map ("ild" or "ipd") less clean's, on clean's active mask."""
+    if clean.config != est.config:
+        raise ShapeMismatch(f"analysis grids differ: clean {clean.config}, estimate {est.config}")
     if clean.bins.shape != est.bins.shape:
         raise ShapeMismatch("spectrogram shapes differ")
     c = cue_maps(clean)

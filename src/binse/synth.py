@@ -153,6 +153,9 @@ def mix_at_snr(
 ) -> tuple[Waveform, dict]:
     """Scale the noise so the speech-to-noise power ratio (summed over both
     ears) hits snr_db, then add. Returns the mixture and a scale report."""
+    if speech.sample_rate != noise.sample_rate:
+        raise ShapeMismatch(f"sample rates differ: speech {speech.sample_rate} Hz, "
+                            f"noise {noise.sample_rate} Hz")
     if speech.n_samples != noise.n_samples:
         raise ShapeMismatch("speech and noise lengths differ")
     p_s = float(np.sum(speech.samples ** 2))

@@ -27,6 +27,15 @@ class TestWaveform:
         with pytest.raises(ValueError):
             Waveform(x, SR)
 
+    @pytest.mark.parametrize("rate", [0, -5, 16000.5, True], ids=["0", "-5", "16000.5", "True"])
+    def test_rejects_a_rate_that_is_not_a_positive_integer(self, rate):
+        with pytest.raises(ValueError, match=f"sample rate of at least 1 Hz, got {rate!r}"):
+            Waveform(np.zeros((2, 10)), rate)
+
+    @pytest.mark.parametrize("rate", [1, np.int64(SR), np.uint16(8000)])
+    def test_accepts_a_positive_integer_rate(self, rate):
+        assert Waveform(np.zeros((2, 10)), rate).sample_rate == rate
+
     def test_properties(self):
         w = Waveform(np.zeros((2, 8000)), SR)
         assert w.n_samples == 8000

@@ -76,19 +76,26 @@ class TestDecodeHeads:
                 decode_heads(rand_complex(rng, shape), p, [(0, F)])
 
 
+# the kernels of one head's blocks: 1 to 3 blocks of one kernel, or blocks
+# whose halos (k_f // 2 rows; 0 for a time-only kernel) differ
+HEAD_KERNELS = {f"kernel{i}-{n}": [kernel] * n
+                for i, kernel in enumerate([(3, 3), (5, 3), (1, 3)]) for n in (1, 2, 3)}
+HEAD_KERNELS.update({"halos2-1": [(5, 3), (3, 3)], "halos0-2-1": [(1, 3), (5, 3), (3, 3)],
+                     "halos2-0-1": [(5, 3), (3,), (3, 3)]})
+
+
 class TestStreamedHeads:
     """decode_heads run over tiles of rows, the bands of the plan, against
     one tile of every row."""
 
-    @pytest.mark.parametrize("n_blocks", [1, 2, 3])
-    @pytest.mark.parametrize("kernel", [(3, 3), (5, 3), (1, 3)])
+    @pytest.mark.parametrize("kernels", HEAD_KERNELS.values(), ids=HEAD_KERNELS.keys())
     @pytest.mark.parametrize("bands", [[9], [1] * 9, [2, 3, 4], [5, 1, 1, 2], [0, 4, 0, 5]])
-    def test_bands_give_the_rows_of_one_call(self, rng, monkeypatch, n_blocks, kernel, bands):
+    def test_bands_give_the_rows_of_one_call(self, rng, monkeypatch, kernels, bands):
         from binse import decoder
 
         p = make_decoder(rng)
-        p.head_s = [make_lightconv(rng, C, C, kernel) for _ in range(n_blocks)]
-        p.head_n = [make_lightconv(rng, C, C, kernel) for _ in range(n_blocks)]
+        p.head_s = [make_lightconv(rng, C, C, kernel) for kernel in kernels]
+        p.head_n = [make_lightconv(rng, C, C, kernel) for kernel in kernels]
         z = rand_complex(rng, (C, F, T))
         whole = decode_heads(z, p, one_tile(z))
         ends = np.cumsum(bands).tolist()

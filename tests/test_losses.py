@@ -154,6 +154,11 @@ class TestStoiSurrogate:
         with pytest.raises(ShapeMismatch, match="estimate 16000 Hz, reference 8000 Hz"):
             stoi_surrogate(make_wave(rng, 8000), clean)
 
+    def test_rate_without_a_sample_per_segment_raises(self, rng):
+        one_hz = Waveform(make_wave(rng, 100).samples, 1)
+        with pytest.raises(InputTooShort, match="384 ms segment holds no sample at 1 Hz"):
+            stoi_surrogate(one_hz, one_hz)
+
     def test_segments_are_384_ms(self, rng):
         with pytest.raises(InputTooShort, match=r"need at least 6144 samples \(384 ms\)"):
             stoi_surrogate(make_wave(rng, 6143), make_wave(rng, 6143))
@@ -281,6 +286,13 @@ class TestCueLosses:
     def test_shape_mismatch_raises(self, rng):
         with pytest.raises(ShapeMismatch):
             ipd_loss(make_spec(rng, t=3), make_spec(rng, t=4))
+
+    @pytest.mark.parametrize("loss", [ild_loss, ipd_loss])
+    def test_rate_mismatch_raises(self, rng, loss):
+        clean = make_spec(rng)
+        est = Spectrogram(clean.bins * 0.5, AnalysisConfig(sample_rate=SR // 2))
+        with pytest.raises(ShapeMismatch, match="sample_rate=16000.*sample_rate=8000"):
+            loss(clean, est)
 
 
 class TestRegTerms:

@@ -277,6 +277,12 @@ class TestMixAtSnr:
         with pytest.raises(ShapeMismatch):
             mix_at_snr(s, n, 0.0)
 
+    def test_rate_mismatch_raises(self, rng):
+        s = Waveform(rng.standard_normal((2, 100)), SR)
+        n = Waveform(rng.standard_normal((2, 100)), SR // 2)
+        with pytest.raises(ShapeMismatch, match="speech 16000 Hz, noise 8000 Hz"):
+            mix_at_snr(s, n, 0.0)
+
 
 def write_corpus(tmp_path, rng, n_items=2, duration=0.5):
     """Speech, noise, and HRIR files plus a manifest on disk."""
