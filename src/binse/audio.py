@@ -31,6 +31,10 @@ _GUID_TAILS = {"<": b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71",
                ">": b"\x00\x00\x00\x10\x80\x00\x00\xaa\x00\x38\x9b\x71"}
 
 
+def _is_rate(rate) -> bool:   # an integer of at least 1, Python or numpy but not a bool
+    return isinstance(rate, (int, np.integer)) and not isinstance(rate, bool) and rate >= 1
+
+
 @dataclass
 class Waveform:
     """Stereo time-domain signal, samples shaped (2, n)."""
@@ -44,10 +48,9 @@ class Waveform:
             raise ValueError("Waveform requires samples shaped (2, n)")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("Waveform contains non-finite samples")
-        rate = self.sample_rate
-        if isinstance(rate, bool) or not isinstance(rate, (int, np.integer)) or rate < 1:
+        if not _is_rate(self.sample_rate):
             raise ValueError(f"Waveform requires an integer sample rate of at least 1 Hz, "
-                             f"got {rate!r}")
+                             f"got {self.sample_rate!r}")
 
     @property
     def n_samples(self) -> int:
@@ -149,7 +152,10 @@ def _header(data: np.ndarray, sample_rate: int) -> bytes:
     """Float-32 RIFF header for (n,) or (n, channels) float32 samples."""
     channels = 1 if data.ndim == 1 else data.shape[1]
     align = 4 * channels
-    fmt = struct.pack("<HHIIHHH", _IEEE_FLOAT, channels, sample_rate, sample_rate * align,
+    if not (_is_rate(sample_rate) and sample_rate <= 0xFFFFFFFF // align):   # byte rate: u32
+        raise ValueError(f"sample rate {sample_rate!r}: a {channels}-channel float-32 header "
+                         f"holds integer rates of 1 to {0xFFFFFFFF // align} Hz")
+    fmt = struct.pack("<HHIIHHH", _IEEE_FLOAT, channels, sample_rate, int(sample_rate) * align,
                       align, 32, 0)        # cbSize 0 closes a non-PCM format
     header = (b"WAVEfmt " + struct.pack("<I", len(fmt)) + fmt
               + b"fact" + struct.pack("<II", 4, data.shape[0])
@@ -163,8 +169,9 @@ def _header(data: np.ndarray, sample_rate: int) -> bytes:
 def write_wav(path, samples: np.ndarray, sample_rate: int):
     """Write (channels, n) or (n,) samples to a float-32 WAV file.
 
-    Other shapes, channel counts a RIFF header cannot hold and samples not
-    finite in float-32 raise ValueError before the file is opened.
+    Other shapes, channel counts and sample rates a RIFF header cannot hold
+    and samples not finite in float-32 raise ValueError, and output beyond
+    4 GiB UnsupportedFormat, before the file is opened.
     """
     x = np.asarray(samples, dtype=np.float64)
     if x.ndim not in (1, 2) or x.ndim == 2 and not 0 < x.shape[0] < 1 << 16:
@@ -173,6 +180,7 @@ def write_wav(path, samples: np.ndarray, sample_rate: int):
         data = np.ascontiguousarray(x.T, "<f4")       # frames in file order
     if not np.all(np.isfinite(data)):
         raise ValueError("samples are not finite in float-32")
+    header = _header(data, sample_rate)
     with open(path, "wb") as fh:
-        fh.write(_header(data, sample_rate))
+        fh.write(header)
         fh.write(data)

@@ -3,17 +3,20 @@
 Each field declares its type, in an annotation that stays evaluated (no
 postponed annotations), and its range next to its default; ``_RULES`` ties
 keys together. ``_check`` tests both on every construction, naming the key,
-and the configs are frozen. The fingerprint hashes every hyperparameter
-that shapes the weight tree, to reject mismatched weights.
+and the configs are frozen. The depthwise kernel sizes and the solve's
+``eps_ratf`` are class constants, not keys, and the modulator's context MLP
+is ``channels`` wide. The fingerprint hashes every hyperparameter that
+shapes the weight tree, to reject mismatched weights.
 """
 
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
-# Declared ranges, (what a value must be, its test); each entry of a tuple
-# key must pass. Every float range excludes NaN and the infinities.
+# Declared ranges, (what a value must be, its test). Every float range
+# excludes NaN and the infinities.
 _AT_LEAST_1 = ("at least 1", lambda v: v >= 1)
 _ODD = ("odd and at least 1", lambda v: v >= 1 and v % 2 == 1)
 
@@ -63,14 +66,12 @@ class RunConfig:
     gammatone_lo_hz: float = _key(50.0, ("finite", math.isfinite))
     gammatone_hi_hz: float = _key(7800.0, ("finite", math.isfinite))
     gammatone_taps: int = _key(1024, ("at least 2", lambda v: v >= 2))   # tap 0 is 0
-    kernel_time: int = _key(5, _ODD)               # 1D depthwise kernel length
-    kernel_2d: tuple[int, int] = _key((3, 3), _ODD)   # (freq, time) depthwise kernel
     se_reduction: int = _key(4, _AT_LEAST_1)
-    mlp_hidden: int = _key(0, ("at least 0", lambda v: v >= 0))   # 0 -> same as channels
 
-    # numerics: the solve divides by |W_s - W_n|^2 + eps_ratf, in float32 by
-    # default, where a smaller eps_ratf rounds to 0 and W_s = W_n gives 0/0
-    eps_ratf: float = _key(1e-8, ("finite and at least 1e-38", lambda v: 1e-38 <= v < math.inf))
+    # model constants, not keys
+    kernel_time: ClassVar[int] = 5                 # 1D depthwise kernel length
+    kernel_2d: ClassVar[tuple[int, int]] = (3, 3)  # (freq, time) depthwise kernel
+    eps_ratf: ClassVar[float] = 1e-8               # the solve divides by |W_s - W_n|^2 + eps_ratf
 
     # ablation flags: the bool keys, which ``binse --ablate`` sets
     no_gammatone: bool = False
@@ -80,10 +81,6 @@ class RunConfig:
 
     def __post_init__(self):
         _check(self, "")
-
-    @property
-    def hidden(self) -> int:
-        return self.mlp_hidden or self.channels
 
     def arch_dict(self) -> dict:
         """Hyperparameters that determine the shape of the weight tree."""
@@ -101,7 +98,7 @@ class RunConfig:
             "kernel_time": self.kernel_time,
             "kernel_2d": list(self.kernel_2d),
             "se_reduction": self.se_reduction,
-            "mlp_hidden": self.hidden,
+            "mlp_hidden": self.channels,   # the context MLP's width
         }
 
     def fingerprint(self) -> str:
@@ -125,27 +122,16 @@ _RULES = (
 )
 
 
-def _is(kind, value) -> bool:
-    if kind in (int, float):    # a float key takes an int; no number key takes a bool
-        return isinstance(value, (int, kind)) and not isinstance(value, bool)
-    return isinstance(value, kind)
-
-
 def _check(cfg, prefix: str) -> None:
     """Raise ValueError, naming the key, unless every field of cfg has its
     declared type and range and every rule on cfg's class holds."""
     for f in fields(cfg):
         key, value = prefix + f.name, getattr(cfg, f.name)
-        entries = getattr(f.type, "__args__", None)      # a fixed-length tuple
-        kinds, values = (entries, value) if entries else ((f.type,), (value,))
-        if not (isinstance(values, tuple) and len(values) == len(kinds)
-                and all(map(_is, kinds, values))):
-            kind = (f"a tuple of {len(kinds)} {kinds[0].__name__} values" if entries
-                    else f"of type {f.type.__name__}")
-            raise ValueError(f"{key} must be {kind}, got {value!r}")
-        if (declared := f.metadata.get("range")) and not all(map(declared[1], values)):
-            raise ValueError(f"{'every entry of ' if entries else ''}{key} must be "
-                             f"{declared[0]}, got {value!r}")
+        kinds = (int, float) if f.type is float else f.type   # a float key takes an int
+        if not isinstance(value, kinds) or isinstance(value, bool) != (f.type is bool):
+            raise ValueError(f"{key} must be of type {f.type.__name__}, got {value!r}")
+        if (declared := f.metadata.get("range")) and not declared[1](value):
+            raise ValueError(f"{key} must be {declared[0]}, got {value!r}")
     for cls, holds, error in _RULES:
         if isinstance(cfg, cls) and not holds(cfg):
             raise ValueError(error.format_map(vars(cfg)))
@@ -162,9 +148,9 @@ def _known(cls, d, where: str) -> dict:
 
 def config_from_dict(d: dict) -> RunConfig:
     """Build a RunConfig from a plain dict (e.g. parsed JSON overrides), in
-    which "analysis" takes a dict of AnalysisConfig keys and lists become
-    tuples. Raises ValueError for a non-dict, an unknown key or a bad value."""
+    which "analysis" takes a dict of AnalysisConfig keys. Raises ValueError
+    for a non-dict, an unknown key or a bad value."""
     d = _known(RunConfig, d, "config")
     if "analysis" in d:
         d["analysis"] = AnalysisConfig(**_known(AnalysisConfig, d["analysis"], "analysis"))
-    return RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in d.items()})
+    return RunConfig(**d)

@@ -22,9 +22,9 @@ from .errors import ShapeMismatch
 
 @dataclass
 class ModulatorParams:
-    mlp_w1: np.ndarray        # real (H, C)
-    mlp_b1: np.ndarray        # real (H,)
-    mlp_w2: np.ndarray        # real (K, H)
+    mlp_w1: np.ndarray        # real (C, C): the hidden layer is C wide
+    mlp_b1: np.ndarray        # real (C,)
+    mlp_w2: np.ndarray        # real (K, C)
     mlp_b2: np.ndarray        # real (K,)
     mlp_prelu_slope: np.ndarray   # real scalar
     tau: np.ndarray           # real scalar temperature > 0

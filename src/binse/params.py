@@ -114,7 +114,6 @@ def _build_lightconv(make, prefix, c_in, c_out, kernel):
 def _build(cfg: RunConfig, make) -> ModelParams:
     c = cfg.channels
     f = cfg.analysis.n_freq_bins
-    h = cfg.hidden
     k = cfg.n_basis
     k1 = (cfg.kernel_time,)
     k2 = cfg.kernel_2d
@@ -142,9 +141,9 @@ def _build(cfg: RunConfig, make) -> ModelParams:
         ),
     )
     modulator = ModulatorParams(
-        mlp_w1=make.rweight("modulator.mlp.w1", (h, c), c),
-        mlp_b1=make.zeros("modulator.mlp.b1", (h,)),
-        mlp_w2=make.rweight("modulator.mlp.w2", (k, h), h),
+        mlp_w1=make.rweight("modulator.mlp.w1", (c, c), c),
+        mlp_b1=make.zeros("modulator.mlp.b1", (c,)),
+        mlp_w2=make.rweight("modulator.mlp.w2", (k, c), c),
         mlp_b2=make.zeros("modulator.mlp.b2", (k,)),
         mlp_prelu_slope=make.const("modulator.mlp.prelu", 0.25),
         tau=make.const("modulator.tau", 1.0),

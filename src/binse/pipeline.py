@@ -242,7 +242,8 @@ def enhance(
         raise InvariantViolation("model weights do not match the active config")
     if np.dtype(dtype).kind != "c":
         raise ValueError(f"dtype must be complex, got {np.dtype(dtype)}")
-    with workers.plan():
+    # an overflow is reported as InvariantViolation (by cln or below), not as warnings
+    with np.errstate(over="ignore", invalid="ignore"), workers.plan():
         n_in = wav_in.n_samples
         w = pad_to_frame_grid(wav_in, cfg)
         y = stft(w, cfg.analysis)

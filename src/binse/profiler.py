@@ -71,7 +71,6 @@ def count_macs(cfg: RunConfig, audio_seconds: float) -> ComplexityReport:
     k1 = cfg.kernel_time
     kf, kt = cfg.kernel_2d
     k = cfg.n_basis
-    h = cfg.hidden
     r = cfg.se_reduction
     rows: dict[str, int] = {}
 
@@ -93,7 +92,7 @@ def count_macs(cfg: RunConfig, audio_seconds: float) -> ComplexityReport:
 
     mod = 0
     if not cfg.no_gafm:
-        mod += f * (c * h + h * k)                   # context MLP, all frequencies
+        mod += f * (c * c + c * k)                   # context MLP, all frequencies
         mod += f * t * k                             # basis synthesis Phi . a
         mod += c * f * t * 2                         # real gate x complex features
         mod += c * c * f * t * 4                     # complex projection

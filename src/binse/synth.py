@@ -59,13 +59,16 @@ class HrirSet:
 
 
 def load_hrir_dir(path, expected_rate: int) -> HrirSet:
-    """Load a directory of per-azimuth stereo WAVs named '<azimuth>.wav'."""
-    entries = {}
+    """Load a directory of per-azimuth stereo WAVs named '<azimuth>.wav', one per azimuth."""
+    entries, files = {}, {}
     for wav in sorted(Path(path).glob("*.wav")):
         try:
             az = float(wav.stem)
         except ValueError:
             continue
+        if az in files:
+            raise UnsupportedFormat(f"{files[az]} and {wav} both name azimuth {az}")
+        files[az] = wav
         x = read_wav(wav, expected_rate)
         if x.shape[0] != 2:
             raise UnsupportedFormat(f"{wav}: HRIR must be stereo")

@@ -10,6 +10,7 @@ from scipy.io import wavfile
 from binse.audio import Waveform, read_mono, read_stereo, read_wav, write_wav
 from binse.config import AnalysisConfig, RunConfig, config_from_dict
 from binse.errors import UnsupportedFormat
+from conftest import small_config
 
 SR = 16000
 
@@ -111,6 +112,24 @@ class TestWavIo:
         with pytest.raises(ValueError, match="not finite"):
             write_wav(path, x, SR)
         assert not path.exists()
+
+    @pytest.mark.parametrize("rate", [0, -1, 1 << 29, 1 << 32, 16000.0, True],
+                             ids=["0", "-1", "2**29", "2**32", "float", "bool"])
+    def test_write_rejects_a_rate_its_header_cannot_hold(self, tmp_path, rate):
+        """A stereo float-32 frame is 8 bytes, so the u32 byte rate caps the
+        rate at 2**29 - 1; the error comes before the file is opened."""
+        path = tmp_path / "x.wav"
+        with pytest.raises(ValueError, match=f"sample rate {rate!r}: .* 1 to 536870911 Hz"):
+            write_wav(path, np.zeros((2, 10)), rate)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("channels, rate", [(2, (1 << 29) - 1), (1, (1 << 30) - 1),
+                                                (2, np.uint16(8000)), (2, 1)])
+    def test_write_takes_every_rate_its_header_holds(self, tmp_path, channels, rate):
+        x = np.ones((channels, 10)) * 0.5
+        path = tmp_path / "x.wav"
+        write_wav(path, x, rate)
+        np.testing.assert_array_equal(read_wav(path, int(rate)), x)
 
 
 def _chunk(chunk_id: bytes, body: bytes, order: str = "<") -> bytes:
@@ -237,8 +256,27 @@ class TestConfig:
         assert cfg.n_basis == 9
         assert cfg.n_gammatone == 64
         assert (cfg.gammatone_lo_hz, cfg.gammatone_hi_hz) == (50.0, 7800.0)
-        assert cfg.hidden == cfg.channels
+        # the model constants, read the same way as keys
+        assert (cfg.kernel_time, cfg.kernel_2d) == (5, (3, 3))
         assert cfg.eps_ratf == 1e-8
+
+    @pytest.mark.parametrize("cfg, fingerprint", [
+        (RunConfig(), "1221878544dc13854bde456be391865e2b00959f90b9244888618eb14054a40f"),
+        (small_config(), "c0c86011ef1a3ae5a8b8cf82eb391b65c0c9c73e53c844957024cd2bbb64e775"),
+        (small_config(channels=16),
+         "98b1ce874d089140b953d088448b43c45827f24a96c7b1ea6e4011775826939a"),
+    ], ids=["default", "small", "small-16"])
+    def test_arch_dict_and_fingerprint_are_pinned(self, cfg, fingerprint):
+        """Saved weights carry the fingerprint, so neither may move; the
+        model constants and the MLP width stay in the hashed dict."""
+        c = cfg.channels
+        assert cfg.arch_dict() == {
+            "sample_rate": 16000, "fft_size": 256, "hop": 128, "n_freq_bins": 129,
+            "channels": c, "n_encoder_blocks": 2, "n_decoder_blocks": 2,
+            "n_basis": cfg.n_basis, "n_gammatone": cfg.n_gammatone, "kernel_time": 5,
+            "kernel_2d": [3, 3], "se_reduction": 4, "mlp_hidden": c,
+        }
+        assert cfg.fingerprint() == fingerprint
 
     def test_fingerprint_is_stable_and_structural(self):
         assert RunConfig().fingerprint() == RunConfig().fingerprint()
@@ -259,10 +297,9 @@ class TestConfig:
         assert run == {
             "channels", "n_encoder_blocks", "n_decoder_blocks", "n_basis",
             "n_gammatone", "gammatone_lo_hz", "gammatone_hi_hz", "gammatone_taps",
-            "kernel_time", "kernel_2d", "se_reduction", "mlp_hidden", "eps_ratf",
-            "no_gammatone", "no_gafm", "no_drg", "global_drg",
+            "se_reduction", "no_gammatone", "no_gafm", "no_drg", "global_drg",
         }
-        assert len(run) + len(analysis) == 20
+        assert len(run) + len(analysis) == 16
 
     def test_frozen_analysis(self):
         a = AnalysisConfig()

@@ -103,6 +103,15 @@ class TestLoadHrirDir:
         with pytest.raises(UnsupportedFormat):
             load_hrir_dir(tmp_path, SR)
 
+    @pytest.mark.parametrize("names", [("10.wav", "10.0.wav"), ("0.wav", "-0.wav"),
+                                       ("5.wav", "5e0.wav")])
+    def test_two_files_naming_one_azimuth_raise(self, tmp_path, rng, names):
+        for name in names:
+            write_wav(tmp_path / name, rng.standard_normal((2, 16)) * 0.1, SR)
+        with pytest.raises(UnsupportedFormat, match="both name azimuth") as raised:
+            load_hrir_dir(tmp_path, SR)
+        assert all(str(tmp_path / name) in str(raised.value) for name in names)
+
 
 class TestSpatialize:
     def test_unit_impulse_response_passthrough(self, rng):
